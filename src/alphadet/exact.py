@@ -272,16 +272,16 @@ class PolyMatrix:
         )
 
 
-def _integer_rows(mat: PolyMatrix) -> list[list[list[int]]]:
-    """Scale each row by the lcm of its denominators; return kernel zp rows."""
-    out = []
-    for i in range(mat.rows):
-        denoms = [c.denominator for e in mat.row(i) for c in e.coeffs]
-        scale = lcm(*denoms) if denoms else 1
-        out.append(
-            [[int(c * scale) for c in e.coeffs] for e in mat.row(i)]
-        )
-    return out
+def integer_row(entries: Iterable[PolyQ]) -> list[list[int]]:
+    """Scale a row of PolyQ entries by the lcm of all their denominators.
+
+    Returns kernel zp polynomials.  One factor for the whole row is a row
+    operation, so ranks and kernels over Q(a) are unchanged.
+    """
+    entries = list(entries)
+    denoms = [c.denominator for e in entries for c in e.coeffs]
+    scale = lcm(*denoms) if denoms else 1
+    return [[int(c * scale) for c in e.coeffs] for e in entries]
 
 
 def generic_rank(mat: PolyMatrix, with_pivots: bool = False):
@@ -293,7 +293,9 @@ def generic_rank(mat: PolyMatrix, with_pivots: bool = False):
     """
     if mat.rows == 0 or mat.cols == 0:
         return (0, []) if with_pivots else 0
-    rank, pivots = kernels.zpm_rank(_integer_rows(mat))
+    rank, pivots = kernels.zpm_rank(
+        [integer_row(mat.row(i)) for i in range(mat.rows)]
+    )
     if with_pivots:
         return rank, [PolyQ(p) for p in pivots]
     return rank

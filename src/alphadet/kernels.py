@@ -1,9 +1,10 @@
-"""Pure-Python kernel: hot loops for exact linear algebra.
+"""Exact kernels: the inner loops of every rank and echelon computation.
 
 Integer polynomials ("zp") are lists of int coefficients in ascending degree
 with no trailing zeros; [] is the zero polynomial.  Rational rows ("q") are
-lists of fractions.Fraction.  The compiled twin `_kernel_c` implements the
-same functions with the same semantics.
+lists of fractions.Fraction.  Callers reach these functions as module
+attributes (`kernels.zp_mul`, not a from-import), so one wrapper installed
+on the module sees every call, including the ones made inside `zpm_rank`.
 """
 
 from __future__ import annotations
@@ -11,23 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-BACKEND_NAME = "python"
+# The one implementation; benchmark records carry it as their backend tag.
+BACKEND = "python"
 
 
 def zp_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def zp_add(a, b):
-    n, m = len(a), len(b)
-    if n < m:
-        a, b, n, m = b, a, m, n
-    out = list(a)
-    for i in range(m):
-        out[i] += b[i]
-    return zp_trim(out)
 
 
 def zp_sub(a, b):
@@ -76,11 +68,6 @@ def zp_divexact(a, b):
     if any(rem):
         raise ValueError("inexact polynomial division")
     return zp_trim(out)
-
-
-def zp_row_combine(row_a, row_b, ca, cb):
-    """Entrywise ca*row_a - cb*row_b over Z[x]."""
-    return [zp_sub(zp_mul(ca, a), zp_mul(cb, b)) for a, b in zip(row_a, row_b)]
 
 
 def zp_row_strip(row):
@@ -149,11 +136,6 @@ def zpm_rank(rows):
         if rank == nrows:
             break
     return rank, pivots
-
-
-def q_row_axpy(row_a, row_b, c):
-    """Entrywise row_a - c*row_b over Q."""
-    return [a - c * b for a, b in zip(row_a, row_b)]
 
 
 def qm_rref(rows):

@@ -9,9 +9,13 @@ kept in echelon form.  Multiplicities are read off as dimensions of
 highest-weight spaces: among the module rows of weight lam (row-degree vector),
 the kernel of all raising operators E_i,i+1.
 
-Coefficients are PolyQ for the generic module over Q(alpha) (rows are scaled
-to Z[alpha] and reduced fraction-free) or plain rationals after specializing
-alpha.  `vere_jones_check` is the single floating-point routine in the
+Coefficients are PolyQ for the generic module over Q(alpha) or plain
+rationals after specializing alpha.  One sparse echelon reducer serves both
+rings; each ring supplies its per-row elimination and pivot normalization.
+Over Z[alpha] rows are scaled to integer coefficients as whole rows, reduced
+fraction-free and stripped of content; over Q pivots are kept monic.
+Highest-weight counts scale whole rows the same way before the fraction-free
+rank.  `vere_jones_check` is the single floating-point routine in the
 package: it compares det(I - a A)^(-1/a) against the truncated sum of
 alpha-determinants of index-repeated blocks, with an explicit geometric bound
 on the dropped tail.
@@ -23,7 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from alphadet import kernels
 from alphadet.errors import (
@@ -32,7 +36,7 @@ from alphadet.errors import (
     SpectralRadiusError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, QMatrix, rank_q
+from alphadet.exact import PolyMatrix, PolyQ, QMatrix, integer_row, rank_q
 from alphadet.symgrp import ClassFunctionH, Partition, Permutation, enumerate_H, nu, theta
 
 DEFAULT_ADET_CAP = 8
@@ -265,44 +269,32 @@ def weyl_dim(lam: Partition, n: int) -> int:
 # Cyclic closure
 
 
-class _PolyRowReducer:
-    """Echelon reducer for sparse rows over Z[alpha] (fraction-free)."""
+class _RowReducer:
+    """Echelon reducer for sparse rows keyed by monomial, over either ring.
 
-    def __init__(self):
-        self.pivots: dict[Monomial, dict[Monomial, list[int]]] = {}
+    The ring enters through two row functions.  `eliminate(row, piv, at)`
+    returns `row` with its entry at monomial `at` cleared against pivot row
+    `piv`; `normalize(row)` returns a new pivot row in canonical form.
+    """
 
-    @staticmethod
-    def _strip(row: dict[Monomial, list[int]]) -> dict[Monomial, list[int]]:
-        if not row:
-            return row
-        mons = sorted(row, reverse=True)
-        entries = [row[m] for m in mons]
-        stripped = kernels.zp_row_strip(entries)
-        return {m: p for m, p in zip(mons, stripped) if p}
+    def __init__(self, eliminate, normalize):
+        self.eliminate = eliminate
+        self.normalize = normalize
+        self.pivots: dict[Monomial, dict[Monomial, object]] = {}
 
-    def reduce(self, row: dict[Monomial, list[int]]) -> dict[Monomial, list[int]]:
+    def reduce(self, row: dict[Monomial, object]) -> dict[Monomial, object]:
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return self._strip(row)
-            rc = row[lead]
-            pc = piv[lead]
-            out: dict[Monomial, list[int]] = {}
-            for m in row.keys() | piv.keys():
-                val = kernels.zp_sub(
-                    kernels.zp_mul(pc, row.get(m, [])),
-                    kernels.zp_mul(rc, piv.get(m, [])),
-                )
-                if val:
-                    out[m] = val
-            row = out
+                return self.normalize(row)
+            row = self.eliminate(row, piv, lead)
         return row
 
-    def insert(self, row: dict[Monomial, list[int]]) -> None:
+    def insert(self, row: dict[Monomial, object]) -> None:
         self.pivots[max(row)] = row
 
-    def back_reduce(self) -> list[dict[Monomial, list[int]]]:
+    def back_reduce(self) -> list[dict[Monomial, object]]:
         """Eliminate every pivot lead from every other row.
 
         Ascending lead order: once a row is clean, reducing against it cannot
@@ -317,82 +309,53 @@ class _PolyRowReducer:
                 )
                 if hit is None:
                     break
-                piv = self.pivots[hit]
-                rc, pc = row[hit], piv[hit]
-                new: dict[Monomial, list[int]] = {}
-                for m in row.keys() | piv.keys():
-                    val = kernels.zp_sub(
-                        kernels.zp_mul(pc, row.get(m, [])),
-                        kernels.zp_mul(rc, piv.get(m, [])),
-                    )
-                    if val:
-                        new[m] = val
-                row = new
-            self.pivots[lead] = self._strip(row)
+                row = self.eliminate(row, self.pivots[hit], hit)
+            self.pivots[lead] = self.normalize(row)
         return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
 
 
-class _RationalRowReducer:
-    """Echelon reducer for sparse rows over Q; pivots kept monic."""
+# Over Z[alpha]: fraction-free cross-multiplication; pivots stripped of
+# integer content, common alpha power and sign.
 
-    def __init__(self):
-        self.pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
 
-    def reduce(self, row: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                inv = 1 / row[lead]
-                return {m: c * inv for m, c in row.items()}
-            coef = row[lead]
-            out: dict[Monomial, Fraction] = {}
-            for m in row.keys() | piv.keys():
-                val = row.get(m, Fraction(0)) - coef * piv.get(m, Fraction(0))
-                if val:
-                    out[m] = val
-            row = out
+def _eliminate_zp(row, piv, at):
+    rc, pc = row[at], piv[at]
+    out = {}
+    for m in row.keys() | piv.keys():
+        val = kernels.zp_sub(
+            kernels.zp_mul(pc, row.get(m, [])),
+            kernels.zp_mul(rc, piv.get(m, [])),
+        )
+        if val:
+            out[m] = val
+    return out
+
+
+def _normalize_zp(row):
+    mons = sorted(row, reverse=True)
+    stripped = kernels.zp_row_strip([row[m] for m in mons])
+    return {m: p for m, p in zip(mons, stripped) if p}
+
+
+# Over Q: pivots kept monic.
+
+
+def _eliminate_q(row, piv, at):
+    coef = row[at]
+    out = {}
+    for m in row.keys() | piv.keys():
+        val = row.get(m, Fraction(0)) - coef * piv.get(m, Fraction(0))
+        if val:
+            out[m] = val
+    return out
+
+
+def _normalize_q(row):
+    lead = row[max(row)]
+    if lead == 1:
         return row
-
-    def insert(self, row: dict[Monomial, Fraction]) -> None:
-        self.pivots[max(row)] = row
-
-    def back_reduce(self) -> list[dict[Monomial, Fraction]]:
-        for lead in sorted(self.pivots):
-            row = self.pivots[lead]
-            while True:
-                hit = max(
-                    (m for m in row if m != lead and m in self.pivots),
-                    default=None,
-                )
-                if hit is None:
-                    break
-                piv = self.pivots[hit]
-                coef = row[hit]
-                new: dict[Monomial, Fraction] = {}
-                for m in row.keys() | piv.keys():
-                    val = row.get(m, Fraction(0)) - coef * piv.get(m, Fraction(0))
-                    if val:
-                        new[m] = val
-                row = new
-            self.pivots[lead] = row
-        return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
-
-
-def _poly_to_zrow(f: MultiPoly) -> dict[Monomial, list[int]]:
-    denoms = [c.denominator for p in f.terms.values() for c in p.coeffs]
-    scale = lcm(*denoms) if denoms else 1
-    return {
-        m: [int(c * scale) for c in p.coeffs] for m, p in f.terms.items()
-    }
-
-
-def _zrow_to_poly(n: int, row: dict[Monomial, list[int]]) -> MultiPoly:
-    return MultiPoly(n, {m: PolyQ(p) for m, p in row.items()})
-
-
-def _qrow_to_poly(n: int, row: dict[Monomial, Fraction]) -> MultiPoly:
-    return MultiPoly(n, dict(row))
+    inv = 1 / lead
+    return {m: c * inv for m, c in row.items()}
 
 
 @dataclass(frozen=True)
@@ -442,12 +405,14 @@ def cyclic_closure(
     if alpha is not None:
         gen = gen.eval_alpha(Fraction(alpha))
 
-    generic = alpha is None
-    reducer = _PolyRowReducer() if generic else _RationalRowReducer()
-    to_row = _poly_to_zrow if generic else (lambda f: dict(f.terms))
-    to_poly = (lambda row: _zrow_to_poly(n, row)) if generic else (
-        lambda row: _qrow_to_poly(n, row)
-    )
+    if alpha is None:
+        reducer = _RowReducer(_eliminate_zp, _normalize_zp)
+        to_row = lambda f: dict(zip(f.terms, integer_row(f.terms.values())))
+        to_poly = lambda row: MultiPoly(n, {m: PolyQ(p) for m, p in row.items()})
+    else:
+        reducer = _RowReducer(_eliminate_q, _normalize_q)
+        to_row = lambda f: dict(f.terms)
+        to_poly = lambda row: MultiPoly(n, dict(row))
 
     pairs = [
         (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
@@ -518,12 +483,10 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     if ncols == 0:
         return w
     if generic:
-        zrows = []
-        for r in range(w):
-            line = [[] for _ in range(ncols)]
-            for col, c in data[r].items():
-                line[col] = [int(x) for x in _clear_polyq(c)]
-            zrows.append(line)
+        zero = PolyQ.zero()
+        zrows = [
+            integer_row(data[r].get(col, zero) for col in range(ncols)) for r in range(w)
+        ]
         rank, _ = kernels.zpm_rank(zrows)
     else:
         qrows = [
@@ -531,11 +494,6 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
         ]
         rank = rank_q(qrows)
     return w - rank
-
-
-def _clear_polyq(c: PolyQ) -> list[int]:
-    scale = lcm(*(x.denominator for x in c.coeffs)) if c.coeffs else 1
-    return [int(x * scale) for x in c.coeffs]
 
 
 def weight_consistency_check(basis: ModuleBasis) -> bool:

@@ -14,8 +14,9 @@ from alphadet.errors import (
     SpectralRadiusError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyQ
+from alphadet.exact import PolyMatrix, PolyQ
 from alphadet.oracle import (
+    ModuleBasis,
     MultiPoly,
     adet_eval,
     adet_symbolic,
@@ -290,6 +291,28 @@ def test_hwv_rejects_bad_shapes():
     assert hwv_multiplicity(basis, Partition((2, 1, 1))) == 0  # too many rows
     with pytest.raises(SizeMismatchError):
         hwv_multiplicity(basis, Partition((2, 1)))  # wrong total degree
+
+
+def test_hwv_generic_scales_whole_rows():
+    # g1 = 1/2 x11 x22 + x11 x21 and g2 = x12 x21 + 2 x11 x21 have weight
+    # (1, 1), and 2 g1 - g2 = det is a highest-weight vector, so lam = (1, 1)
+    # occurs once.  Clearing the 1/2 in g1 alone would change the span.
+    def basis(alpha, coeff):
+        g1 = MultiPoly(2, {(1, 0, 0, 1): coeff(Fraction(1, 2)), (1, 0, 1, 0): coeff(1)})
+        g2 = MultiPoly(2, {(0, 1, 1, 0): coeff(1), (1, 0, 1, 0): coeff(2)})
+        return ModuleBasis(
+            n=2,
+            l=1,
+            alpha=alpha,
+            generators=(g1, g2),
+            monomials=(),
+            coefficient_matrix=PolyMatrix(0, 0, ()),
+            weights=((1, 1), (1, 1)),
+        )
+
+    lam = Partition((1, 1))
+    assert hwv_multiplicity(basis(None, PolyQ.constant), lam) == 1
+    assert hwv_multiplicity(basis(Fraction(1), Fraction), lam) == 1
 
 
 def test_closure_caps():
