@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from alphadet import kernels
 from alphadet.errors import CapExceededError, SizeMismatchError
 from alphadet.exact import QMatrix, nullspace_q
 from alphadet.symgrp import Partition, Permutation, adjacent_word
@@ -218,43 +219,60 @@ class InvariantBasis:
 def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
     """Fixed vectors of the row group K, as columns of an f x d matrix.
 
-    K is generated by the adjacent transpositions inside each tableau row, so
-    the fixed space is cut out one generator at a time: starting from the
-    full space, intersect with ker(rho(s) - 1) for each row generator.  The
-    resulting dimension is the rectangular Kostka number.
+    K = S_l x ... x S_l permutes each of the n blocks {(i-1)l+1 .. il} of
+    the block tableau within itself.  The seminormal basis is adapted to the chain S_1 < S_2 < ...,
+    so restricted to S_l on {1..l} it splits by the subtableau holding
+    1..l, and the S_l-fixed vectors are exactly the span of the e_T whose
+    first row starts 1..l.  That coordinate subspace seeds the basis with
+    no linear algebra.  Blocks 2..n commute with block 1 and are cut one
+    generator at a time: intersect with ker(rho(s_t) - 1) for each
+    adjacent transposition s_t inside the block, keeping only the nonzero
+    rows of the basis.  The dimension d is the rectangular Kostka number.
+
+    The d columns are returned in reduced column-echelon form (the reduced
+    row echelon form of the transpose), so the basis depends only on the
+    fixed space, not on the order of the eliminations.
     """
     if rep.size != n * l:
         raise SizeMismatchError(f"|lam| = {rep.size} is not n*l = {n * l}")
     f = rep.dim
-    basis = [[Fraction(int(i == c)) for c in range(f)] for i in range(f)]  # f x b
-    for i in range(1, n + 1):
-        for j in range(1, l):
-            t = (i - 1) * l + j
-            b = len(basis[0]) if basis else 0
-            if b == 0:
-                break
-            gen = rep.gen_cols[t - 1]
-            # C = (rho(s_t) - 1) @ basis, accumulated column-sparsely.
-            C = [[Fraction(0)] * b for _ in range(f)]
-            for k in range(f):
-                rowk = basis[k]
-                for idx, v in gen[k]:
-                    Ci = C[idx]
-                    for c in range(b):
-                        if rowk[c]:
-                            Ci[c] += v * rowk[c]
-            for k in range(f):
-                rowk = basis[k]
-                Ck = C[k]
-                for c in range(b):
-                    Ck[c] -= rowk[c]
-            coeffs = nullspace_q(C, b)
-            # basis <- basis @ N, with N columns from the nullspace.
-            newb = len(coeffs)
-            basis = [
-                [sum(basis[k][t2] * vec[t2] for t2 in range(b)) for vec in coeffs]
-                for k in range(f)
-            ]
-            if newb == 0:
-                basis = [[] for _ in range(f)]
-    return InvariantBasis(rep.shape, n, l, tuple(tuple(row) for row in basis))
+    head = tuple(range(1, l + 1))
+    seed = [t for t, tab in enumerate(rep.tableaux) if tab[0][:l] == head]
+    # Row k of the f x b basis matrix, for the rows that are not zero.
+    rows: dict[int, list[Fraction]] = {
+        k: [Fraction(int(k == c)) for c in seed] for k in seed
+    }
+    b = len(seed)
+    for t in ((i - 1) * l + j for i in range(2, n + 1) for j in range(1, l)):
+        if b == 0:
+            break
+        gen = rep.gen_cols[t - 1]
+        # C = (rho(s_t) - 1) @ basis, accumulated over the nonzero rows.
+        C: dict[int, list[Fraction]] = {}
+        for k, rowk in rows.items():
+            for idx, v in gen[k]:
+                Ci = C.setdefault(idx, [Fraction(0)] * b)
+                for c, x in enumerate(rowk):
+                    if x:
+                        Ci[c] += v * x
+            Ck = C.setdefault(k, [Fraction(0)] * b)
+            for c, x in enumerate(rowk):
+                if x:
+                    Ck[c] -= x
+        coeffs = nullspace_q([Ci for Ci in C.values() if any(Ci)], b)
+        # basis <- basis @ N, with N columns from the nullspace.
+        b = len(coeffs)
+        newrows = {}
+        for k, rowk in rows.items():
+            newk = [sum(x * vec[c] for c, x in enumerate(rowk) if x) for vec in coeffs]
+            if any(newk):
+                newrows[k] = [Fraction(x) for x in newk]
+        rows = newrows
+    support = sorted(rows)
+    columns = [[Fraction(0)] * b for _ in range(f)]
+    if b:
+        echelon, _ = kernels.qm_rref([[rows[k][c] for k in support] for c in range(b)])
+        for c, vec in enumerate(echelon):
+            for k, x in zip(support, vec):
+                columns[k][c] = x
+    return InvariantBasis(rep.shape, n, l, tuple(tuple(row) for row in columns))

@@ -467,8 +467,8 @@ class ClassFunctionH:
 
     Stored as a function of the theta image's tuple of cycle types, which
     indexes the H-conjugacy classes, so constancy on classes holds by
-    construction.  `kind` tags the two built-in functions; the transition
-    assembly uses it to pick its fast path.
+    construction.  `kind` tags the two built-in functions ("custom" for the
+    rest); equality compares it, since the stored function cannot be.
     """
 
     n: int

@@ -8,16 +8,26 @@ multiplicity of the irreducible gl_n module with highest weight lam inside
 the cyclic module generated by the l-th power of the alpha-determinant, and
 its rank at a rational point is the specialized multiplicity.
 
-The operator is assembled in factored form.  H is the internal direct
-product of its l column subgroups, each isomorphic to S_n, and nu is
-additive across these factors, so
+The operator is assembled in factored form, on the d invariant columns
+only: no f x f matrix is built.  H is the internal direct product of its l
+column subgroups, each a copy of S_n on the positions x_q = p + (q-1) l of
+column p, and nu is additive across these factors.  Within one factor the
+Jucys-Murphy elements L_k = sum_{i<k} (x_i x_k) give
 
-    sum_{h in H} alpha^nu(h) h = prod_{p=1}^{l} sum_{sigma in S_n} alpha^nu(sigma) emb_p(sigma)
+    sum_{sigma in S_n} alpha^nu(sigma) sigma = prod_{k=2..n} (1 + alpha L_k),
 
-with commuting factors.  Each factor is a small sum of representation
-matrices grouped by nu; the product is applied to the d invariant columns
-only, which keeps the l = 5 cases cheap.  A general class function phi on H
-has no such product structure and falls back to the direct sum over H.
+since every sigma is uniquely a product t_2 t_3 ... t_n where t_k is the
+identity or one transposition (x_i x_k) with i < k, and each transposition
+adds one to nu.  So the operator is the product of the factors
+(1 + alpha L_k) over every column p and k = 2..n, all of which commute.
+The image of the basis is held as rational slices T = sum_e alpha^e T_e,
+and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
+applied straight to the sparse columns through the seminormal generators,
+along its palindromic word s_x ... s_{y-1} ... s_x.
+
+Any explicit class function phi on H, alpha^nu included, takes the direct
+sum over H instead, which gives the tests an independent second route to
+the same matrix in the same (canonical) basis.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
 spherical values averaged over K, summed over H with alpha^nu weights.
@@ -29,6 +39,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from alphadet.errors import EmptyInvariantSpaceError, SizeMismatchError
 from alphadet.exact import (
@@ -37,15 +48,14 @@ from alphadet.exact import (
     QMatrix,
     generic_rank,
     mat_inverse,
+    mat_mul,
     rank_at,
 )
 from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis, rep_of
 from alphadet.symgrp import (
     ClassFunctionH,
     Partition,
-    Permutation,
     _chi,
-    embed_column,
     enumerate_H,
     enumerate_K,
     nu,
@@ -76,60 +86,123 @@ class TransitionMatrix:
         return [list(row) for row in self.gram]
 
 
-PolyRows = list[list[PolyQ]]
-
-
-def _pm_mul(M: PolyRows, T: PolyRows) -> PolyRows:
-    ncols = len(T[0]) if T else 0
-    out = [[PolyQ.zero()] * ncols for _ in range(len(M))]
-    for i, Mi in enumerate(M):
-        oi = out[i]
-        for k, mik in enumerate(Mi):
-            if mik.is_zero:
-                continue
-            Tk = T[k]
-            for c in range(ncols):
-                if Tk[c]:
-                    oi[c] = oi[c] + mik * Tk[c]
-    return out
-
-
-def _column_factor(rep: SeminormalRep, p: int, n: int, l: int) -> PolyRows:
-    """sum over sigma in S_n of alpha^nu(sigma) rho(emb_p(sigma)), grouped by nu."""
-    f = rep.dim
-    acc = [[[Fraction(0)] * n for _ in range(f)] for _ in range(f)]
-    for imgs in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(imgs)
-        e = nu(sigma)
-        R = rep_of(rep, embed_column(sigma, p, n, l))
-        for i in range(f):
-            Ri = R[i]
-            acci = acc[i]
-            for j in range(f):
-                if Ri[j]:
-                    acci[j][e] += Ri[j]
-    return [[PolyQ(acc[i][j]) for j in range(f)] for i in range(f)]
+Slices = list[list[dict[int, Fraction]]]
 
 
 def _full_operator(
-    rep: SeminormalRep, phi: ClassFunctionH, n: int, l: int, max_size: int | None
-) -> PolyRows:
-    """Direct sum over H of phi(h) rho(h), for class functions without a
-    per-column factorization."""
-    f = rep.dim
-    acc: PolyRows = [[PolyQ.zero()] * f for _ in range(f)]
+    rep: SeminormalRep,
+    basis: InvariantBasis,
+    phi: ClassFunctionH,
+    n: int,
+    l: int,
+    max_size: int | None,
+) -> Slices:
+    """Direct sum over H of phi(h) rho(h) on the invariant columns, by degree.
+
+    The rho(h) are summed over Q within each value of phi, and each sum is
+    applied to the columns once.  Works for any class function; phi = None
+    (alpha^nu) takes the Jucys-Murphy route instead.
+    """
+    sums: dict[PolyQ, QMatrix] = {}
     for h in enumerate_H(n, l, max_size=max_size):
         v = phi.value(h)
         if v.is_zero:
             continue
         R = rep_of(rep, h)
-        for i in range(f):
-            Ri = R[i]
-            acci = acc[i]
-            for j in range(f):
-                if Ri[j]:
-                    acci[j] = acci[j] + v * Ri[j]
-    return acc
+        S = sums.setdefault(v, R)
+        if S is not R:
+            for Si, Ri in zip(S, R):
+                for j, x in enumerate(Ri):
+                    if x:
+                        Si[j] += x
+    B = basis.column_matrix()
+    T: Slices = [
+        [{} for _ in range(basis.d)] for _ in range(max((v.degree for v in sums), default=-1) + 1)
+    ]
+    for v, S in sums.items():
+        SB = mat_mul(S, B)
+        for e, x in enumerate(v.coeffs):
+            if not x:
+                continue
+            for c, col in enumerate(T[e]):
+                for i, row in enumerate(SB):
+                    if row[c]:
+                        col[i] = col.get(i, 0) + x * row[c]
+    return [[{i: v for i, v in col.items() if v} for col in slice_e] for slice_e in T]
+
+
+# A sparse rational column as one positive denominator over integer numerators.
+IntColumn = tuple[int, dict[int, int]]
+
+
+def _integer_generators(rep: SeminormalRep) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+    """Each seminormal generator as (m, columns of the integer matrix m rho(s_k))."""
+    gens = []
+    for cols in rep.gen_cols:
+        m = lcm(*(v.denominator for col in cols for _, v in col))
+        gens.append((m, [[(i, int(v * m)) for i, v in col] for col in cols]))
+    return gens
+
+
+def _reduced(den: int, num: dict[int, int]) -> IntColumn:
+    g = gcd(den, *num.values())
+    if g == 1:
+        return den, num
+    return den // g, {i: v // g for i, v in num.items()}
+
+
+def _apply_transposition(gens, x: int, y: int, col: IntColumn) -> IntColumn:
+    """rho((x y)) applied to one column, along the palindromic word
+    s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x of adjacent transpositions."""
+    den, num = col
+    for w in itertools.chain(range(x, y), range(y - 2, x - 1, -1)):
+        m, gen = gens[w - 1]
+        out: dict[int, int] = {}
+        for r, v in num.items():
+            for i, g in gen[r]:
+                if i in out:
+                    out[i] += g * v
+                else:
+                    out[i] = g * v
+        den, num = _reduced(den * m, {i: v for i, v in out.items() if v})
+    return den, num
+
+
+def _add(a: IntColumn, b: IntColumn) -> IntColumn:
+    (da, na), (db, nb) = a, b
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    out = {i: v * sa for i, v in na.items()}
+    for i, v in nb.items():
+        out[i] = out[i] + v * sb if i in out else v * sb
+    return _reduced(den, {i: v for i, v in out.items() if v})
+
+
+def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> Slices:
+    """sum_{h in H} alpha^nu(h) rho(h) on the invariant columns, by degree.
+
+    Returns T with T[e][c] the alpha^e coefficient of column c, sparse.
+    Column p of the block tableau holds x_q = p + (q-1) l, and each factor
+    1 + alpha L_k, L_k = sum_{i<k} (x_i x_k), maps T_e to T_e + L_k T_{e-1}.
+    The factors commute, so the costliest (largest k) go first, while T
+    has the fewest slices.  Columns stay integral over one denominator
+    until the end, which is several times faster than per-entry Fractions.
+    """
+    gens = _integer_generators(rep)
+    T: list[list[IntColumn]] = [[]]
+    for c in range(basis.d):
+        col = {i: row[c] for i, row in enumerate(basis.columns) if row[c]}
+        den = lcm(*(v.denominator for v in col.values()))
+        T[0].append((den, {i: int(v * den) for i, v in col.items()}))
+    for k in range(n - 1, 0, -1):
+        for p in range(1, l + 1):
+            xs = [p + q * l for q in range(n)]
+            T.append([(1, {}) for _ in range(basis.d)])
+            for e in range(len(T) - 1, 0, -1):
+                for c, col in enumerate(T[e - 1]):
+                    for i in range(k):
+                        T[e][c] = _add(T[e][c], _apply_transposition(gens, xs[i], xs[k], col))
+    return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
 
 
 def _assemble(
@@ -140,30 +213,32 @@ def _assemble(
     phi: ClassFunctionH | None,
     max_size: int | None,
 ) -> tuple[PolyMatrix, QMatrix]:
-    f = rep.dim
     d = basis.d
-    B = basis.column_matrix()
     D = rep.gram
-    T: PolyRows = [[PolyQ.constant(B[i][c]) for c in range(d)] for i in range(f)]
-    if phi is None or phi.kind == "alpha_nu":
-        for p in range(1, l + 1):
-            T = _pm_mul(_column_factor(rep, p, n, l), T)
+    if phi is None:
+        T = _jucys_murphy(rep, basis, n, l)
     else:
-        T = _pm_mul(_full_operator(rep, phi, n, l, max_size), T)
-    A: PolyRows = [[PolyQ.zero()] * d for _ in range(d)]
-    for r in range(d):
-        for i in range(f):
-            w = B[i][r] * D[i]
-            if w:
-                Ti = T[i]
-                Ar = A[r]
-                for c in range(d):
-                    if Ti[c]:
-                        Ar[c] = Ar[c] + w * Ti[c]
-    G = [[sum(B[i][r] * D[i] * B[i][c] for i in range(f)) for c in range(d)] for r in range(d)]
+        T = _full_operator(rep, basis, phi, n, l, max_size)
+    nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
+    # A = B^T D T slice by slice, and the Gram matrix G = B^T D B.
+    A = [[[Fraction(0)] * len(T) for _ in range(d)] for _ in range(d)]
+    for e, slice_e in enumerate(T):
+        for c, col in enumerate(slice_e):
+            for i, v in col.items():
+                w = D[i] * v
+                for r, x in nonzero[i]:
+                    A[r][c][e] += x * w
+    G = [[Fraction(0)] * d for _ in range(d)]
+    for i, row in enumerate(nonzero):
+        for r, x in row:
+            for c, y in row:
+                G[r][c] += x * D[i] * y
     Ginv = mat_inverse(G)
     F = [
-        [sum((Ginv[r][k] * A[k][c] for k in range(d)), PolyQ.zero()) for c in range(d)]
+        [
+            PolyQ(sum(g * A[k][c][e] for k, g in enumerate(Ginv[r]) if g) for e in range(len(T)))
+            for c in range(d)
+        ]
         for r in range(d)
     ]
     return PolyMatrix.from_rows(F), G
@@ -188,7 +263,7 @@ def transition_matrix(
     return _build_transition(n, l, lam, phi, max_size)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _cached_transition(
     n: int, l: int, parts: tuple[int, ...], max_size: int | None
 ) -> TransitionMatrix:

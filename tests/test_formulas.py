@@ -23,6 +23,8 @@ from alphadet.formulas import (
     n2_transition,
     pochhammer,
 )
+from alphadet.report import build_report
+from alphadet.seminormal import DEFAULT_REP_CAP
 from alphadet.symgrp import Partition, character, coset_rep_n2, partitions, zonal
 from alphadet.transition import transition_matrix
 
@@ -68,6 +70,15 @@ def test_n2_closed_form_matches_matrix():
             lam = Partition((2 * l - p, p)) if p else Partition((2 * l,))
             tm = transition_matrix(2, l, lam)
             assert tm.entries.entry(0, 0) == n2_transition(l, p)
+
+
+def test_n2_closed_form_at_the_rep_cap():
+    l = DEFAULT_REP_CAP // 2
+    doc = build_report(2, l, include_matrices=True)
+    assert len(doc.rows) == l + 1
+    for row in doc.rows:
+        p = row.shape.parts[1] if row.shape.length > 1 else 0
+        assert row.transition.to_rows() == [[n2_transition(l, p)]]
 
 
 def test_hahn_values_match_zonal():

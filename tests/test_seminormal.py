@@ -6,14 +6,22 @@ from fractions import Fraction
 import pytest
 
 from alphadet.errors import CapExceededError
-from alphadet.exact import mat_mul
+from alphadet.exact import mat_mul, mat_transpose, nullspace_q
+from alphadet.kernels import qm_rref
 from alphadet.seminormal import (
     build_rep,
     invariant_basis,
     rep_of,
     standard_tableaux,
 )
-from alphadet.symgrp import Partition, Permutation, character, dim_f, kostka
+from alphadet.symgrp import (
+    Partition,
+    Permutation,
+    admissible_shapes,
+    character,
+    dim_f,
+    kostka,
+)
 
 
 def all_perms(m):
@@ -111,6 +119,29 @@ def test_invariant_basis_is_fixed_by_row_group():
         for t in range((i - 1) * l + 1, i * l):
             M = rep.generator_matrix(t)
             assert mat_mul(M, B) == B
+
+
+def test_invariant_basis_is_canonical():
+    # The fixed space computed in one step from every row generator, put in
+    # reduced column-echelon form, is the basis invariant_basis returns.
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                f = rep.dim
+                stacked = []
+                for t in (t for t in range(1, m) if t % l):
+                    M = rep.generator_matrix(t)
+                    stacked.extend(
+                        [M[i][j] - int(i == j) for j in range(f)] for i in range(f)
+                    )
+                fixed = nullspace_q(stacked, f)
+                B = invariant_basis(rep, n, l).column_matrix()
+                assert B == mat_transpose(qm_rref(fixed)[0]), (n, l, lam)
+                assert qm_rref(mat_transpose(B))[0] == mat_transpose(B)
 
 
 def test_rep_cap():

@@ -12,7 +12,7 @@ from alphadet.errors import (
 )
 from alphadet.exact import PolyMatrix, PolyQ
 from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
-from alphadet.transition import trace_poly, transition_matrix
+from alphadet.transition import _cached_transition, trace_poly, transition_matrix
 
 A = PolyQ.variable()
 
@@ -94,10 +94,25 @@ def test_delta_gives_identity():
         assert tm.entries == PolyMatrix.identity(tm.d)
 
 
+def test_jucys_murphy_assembly_matches_sum_over_H():
+    # The default route applies prod (1 + a L_k) to the invariant columns;
+    # an explicit phi sums phi(h) rho(h) over all of H in the same basis.
+    for m in range(1, 7):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                phi = ClassFunctionH.alpha_nu(n, l)
+                direct = transition_matrix(n, l, lam, phi=phi)
+                assert transition_matrix(n, l, lam).entries == direct.entries, (n, l, lam)
+
+
 def test_cache_returns_same_object():
     a = transition_matrix(2, 2, Partition((3, 1)))
     b = transition_matrix(2, 2, Partition((3, 1)))
     assert a is b
+    assert _cached_transition.cache_info().maxsize is not None
 
 
 def test_errors():
