@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from alphadet.exact import PolyQ, QMatrix, mat_identity, mat_mul
+from alphadet import kernels
+from alphadet.exact import PolyQ, QMatrix, integer_row, mat_identity, mat_mul
 from alphadet.symgrp import Partition
 from alphadet.transition import transition_matrix
 
@@ -37,40 +38,13 @@ def charpoly(A: QMatrix) -> PolyQ:
     return PolyQ(reversed(cs))
 
 
-def poly_divmod(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ]:
-    if b.degree < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [Fraction(0)] * max(0, len(rem) - b.degree)
-    lead = b.coeffs[-1]
-    for top in range(len(rem) - 1, b.degree - 1, -1):
-        c = rem[top] / lead
-        if not c:
-            continue
-        quo[top - b.degree] = c
-        for k, bc in enumerate(b.coeffs):
-            rem[top - b.degree + k] -= c * bc
-    return PolyQ(quo), PolyQ(rem)
-
-
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic greatest common divisor over Q."""
-    while b.degree >= 0:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.degree < 0:
-        return a
-    return (1 / a.coeffs[-1]) * a
-
-
 def squarefree_part(p: PolyQ) -> PolyQ:
     """p divided by gcd(p, p'), made monic; shares the roots of p, each once."""
     if p.degree <= 0:
         return PolyQ.one() if p.degree == 0 else p
-    g = poly_gcd(p, p.derivative())
-    q, r = poly_divmod(p, g)
-    assert r.degree < 0
-    return (1 / q.coeffs[-1]) * q
+    pz, dz = integer_row([p, p.derivative()])
+    q = kernels.zp_divexact(pz, kernels.zp_gcd(pz, dz))
+    return PolyQ(Fraction(c, q[-1]) for c in q)
 
 
 def _poly_at_matrix(p: PolyQ, A: QMatrix) -> QMatrix:

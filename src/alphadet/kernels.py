@@ -70,6 +70,44 @@ def zp_divexact(a, b):
     return zp_trim(out)
 
 
+def _zp_primitive(a):
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def zp_gcd(a, b):
+    """Greatest common divisor over Q[x], as a primitive zp with positive lead.
+
+    Primitive pseudo-remainder sequence; returns [1] as soon as a remainder
+    is a nonzero constant, and [] only when both inputs are zero.
+    """
+    if not b:
+        return _zp_primitive(a) if a else []
+    if not a:
+        return _zp_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _zp_primitive(a), _zp_primitive(b)
+    while len(b) > 1:
+        rem = list(a)
+        lead = b[-1]
+        while len(rem) >= len(b):
+            c = rem[-1]
+            shift = len(rem) - len(b)
+            rem = [x * lead for x in rem]
+            for j, y in enumerate(b):
+                rem[shift + j] -= c * y
+            zp_trim(rem)
+        if not rem:
+            return b
+        a, b = b, _zp_primitive(rem)
+    return [1]
+
+
 def zp_row_strip(row):
     """Divide a row by its integer content and any common power of x; fix sign.
 

@@ -4,21 +4,24 @@ This module never touches the seminormal machinery.  It works directly with
 polynomials in the n^2 matrix entries x_ij: the alpha-determinant is expanded
 literally, the Lie algebra acts by polarization operators
 E_ij f = sum_s x_is d f / d x_js, and the cyclic module is the linear span of
-the generator's iterated images, closed by a worklist sweep over all E_ij and
-kept in echelon form.  Multiplicities are read off as dimensions of
-highest-weight spaces: among the module rows of weight lam (row-degree vector),
-the kernel of all raising operators E_i,i+1.
+the generator's iterated images.  By PBW, U(gl_n) = U(n-) U(h) U(n+), so the
+closure applies only the simple raising operators E_i,i+1 and then only the
+simple lowering operators E_i+1,i, keeping the span in echelon form and
+returning its reduced echelon basis.  Multiplicities are read off as
+dimensions of highest-weight spaces: among the module rows of weight lam
+(row-degree vector), the kernel of all raising operators E_i,i+1.
 
 Coefficients are PolyQ for the generic module over Q(alpha) or plain
 rationals after specializing alpha.  One sparse echelon reducer serves both
-rings; each ring supplies its per-row elimination and pivot normalization.
-Over Z[alpha] rows are scaled to integer coefficients as whole rows, reduced
-fraction-free and stripped of content; over Q pivots are kept monic.
-Highest-weight counts scale whole rows the same way before the fraction-free
-rank.  `vere_jones_check` is the single floating-point routine in the
-package: it compares det(I - a A)^(-1/a) against the truncated sum of
-alpha-determinants of index-repeated blocks, with an explicit geometric bound
-on the dropped tail.
+rings, fraction-free in both; each ring supplies its per-row elimination and
+pivot normalization.  Over Z[alpha] a pivot is divided by its integer content
+and by the polynomial gcd of its entries, so basis rows are primitive; over Q
+rows are integers divided by their content and made monic only when the
+basis is returned.  Generic highest-weight counts scale whole rows to
+integer coefficients before the fraction-free rank.  `vere_jones_check` is
+the single floating-point routine in the package: it compares
+det(I - a A)^(-1/a) against the truncated sum of alpha-determinants of
+index-repeated blocks, with an explicit geometric bound on the dropped tail.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from functools import cached_property
+from math import factorial, gcd, lcm, prod
 
 from alphadet import kernels
 from alphadet.errors import (
@@ -314,8 +318,8 @@ class _RowReducer:
         return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
 
 
-# Over Z[alpha]: fraction-free cross-multiplication; pivots stripped of
-# integer content, common alpha power and sign.
+# Over Z[alpha]: fraction-free cross-multiplication; pivots made primitive
+# (integer content, polynomial gcd of the entries, sign).
 
 
 def _eliminate_zp(row, piv, at):
@@ -333,40 +337,51 @@ def _eliminate_zp(row, piv, at):
 
 def _normalize_zp(row):
     mons = sorted(row, reverse=True)
-    stripped = kernels.zp_row_strip([row[m] for m in mons])
-    return {m: p for m, p in zip(mons, stripped) if p}
+    entries = kernels.zp_row_strip([row[m] for m in mons])
+    g = entries[0]
+    for p in entries[1:]:
+        if len(g) == 1:
+            break
+        g = kernels.zp_gcd(g, p)
+    if len(g) > 1:
+        entries = kernels.zp_row_strip([kernels.zp_divexact(p, g) for p in entries])
+    return dict(zip(mons, entries))
 
 
-# Over Q: pivots kept monic.
+# Over Q: integer rows, eliminated with the cofactors of the two leads over
+# their gcd; pivots divided by their content, lead positive.
 
 
-def _eliminate_q(row, piv, at):
-    coef = row[at]
-    out = {}
-    for m in row.keys() | piv.keys():
-        val = row.get(m, Fraction(0)) - coef * piv.get(m, Fraction(0))
+def _eliminate_int(row, piv, at):
+    g = gcd(row[at], piv[at])
+    rc, pc = row[at] // g, piv[at] // g
+    out = {m: pc * c for m, c in row.items()} if pc != 1 else dict(row)
+    for m, c in piv.items():
+        val = out.get(m, 0) - rc * c
         if val:
             out[m] = val
+        else:
+            out.pop(m, None)
     return out
 
 
-def _normalize_q(row):
-    lead = row[max(row)]
-    if lead == 1:
-        return row
-    inv = 1 / lead
-    return {m: c * inv for m, c in row.items()}
+def _normalize_int(row):
+    g = gcd(*row.values())
+    if row[max(row)] < 0:
+        g = -g
+    return row if g == 1 else {m: c // g for m, c in row.items()}
 
 
 @dataclass(frozen=True)
 class ModuleBasis:
-    """Echelon basis of the cyclic module, with its coefficient matrix.
+    """Reduced echelon basis of the cyclic module.
 
-    `generators` are the basis polynomials in row order; `monomials` label
-    the columns of `coefficient_matrix` (descending lex).  `alpha` is None
-    for the generic module over Q(alpha), otherwise the specialization
-    point.  Each row is weight-homogeneous; `weights` lists the row-degree
-    vectors.
+    `generators` are the basis polynomials in row order (descending lead
+    monomial); `monomials` label the columns of `coefficient_matrix`
+    (descending lex).  `alpha` is None for the generic module over Q(alpha),
+    whose generators have coprime Z[alpha] coefficients; otherwise it is the
+    specialization point and generators are monic over Q.  Each row is
+    weight-homogeneous; `weights` lists the row-degree vectors.
     """
 
     n: int
@@ -374,24 +389,41 @@ class ModuleBasis:
     alpha: Fraction | None
     generators: tuple[MultiPoly, ...]
     monomials: tuple[Monomial, ...]
-    coefficient_matrix: PolyMatrix
     weights: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def coefficient_matrix(self) -> PolyMatrix:
+        """Dense PolyQ coefficients of the generators, built on first read."""
+        if not self.generators:
+            return PolyMatrix(0, 0, ())
+        colindex = {m: c for c, m in enumerate(self.monomials)}
+        rows = []
+        for poly in self.generators:
+            line = [PolyQ.zero()] * len(self.monomials)
+            for m, c in poly.terms.items():
+                line[colindex[m]] = c if isinstance(c, PolyQ) else PolyQ.constant(c)
+            rows.append(line)
+        return PolyMatrix.from_rows(rows)
+
 
 def cyclic_closure(
     n: int, l: int, alpha: Fraction | int | None = None, max_size: int | None = None
 ) -> ModuleBasis:
-    """Span of the iterated E_ij images of the l-th alpha-determinant power.
+    """U(gl_n)-span of the l-th alpha-determinant power, in reduced echelon form.
 
-    Starts from adet(X)^l (specialized at alpha when given), repeatedly
-    applies every off-diagonal polarization operator E_ij in lex order to
-    newly found basis rows, reduces against the current echelon basis, and
-    stops when a full sweep adds nothing.  Diagonal operators E_ii act as
-    scalars on weight-homogeneous rows and cannot enlarge the span.
+    Starts from adet(X)^l (specialized at alpha when given).  Phase 1 closes
+    the span under the simple raising operators E_i,i+1, which gives
+    U(n+) gen; phase 2 closes that under the simple lowering operators
+    E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is U(gl_n) gen: the
+    Cartan part U(h) only scales weight-homogeneous rows, and the simple
+    operators generate n+ and n-.  Each image is reduced against the current
+    echelon rows and kept when it is new; the final back reduction makes the
+    basis the unique reduced echelon form of the module, whatever the
+    elimination order.
     """
     default_cap = (
         DEFAULT_GENERIC_CLOSURE_CAP if alpha is None else DEFAULT_SPECIAL_CLOSURE_CAP
@@ -402,56 +434,52 @@ def cyclic_closure(
             f"n*l = {n * l} exceeds the closure cap {cap}; pass max_size to override"
         )
     gen = adet_symbolic(n, max_size=max(n, cap)) ** l
-    if alpha is not None:
-        gen = gen.eval_alpha(Fraction(alpha))
 
     if alpha is None:
         reducer = _RowReducer(_eliminate_zp, _normalize_zp)
         to_row = lambda f: dict(zip(f.terms, integer_row(f.terms.values())))
         to_poly = lambda row: MultiPoly(n, {m: PolyQ(p) for m, p in row.items()})
+        to_generator = to_poly
     else:
-        reducer = _RowReducer(_eliminate_q, _normalize_q)
+        gen = gen.eval_alpha(Fraction(alpha))
+        scale = lcm(*(c.denominator for c in gen.terms.values()))
+        gen = MultiPoly(n, {m: int(c * scale) for m, c in gen.terms.items()})
+        reducer = _RowReducer(_eliminate_int, _normalize_int)
         to_row = lambda f: dict(f.terms)
-        to_poly = lambda row: MultiPoly(n, dict(row))
+        to_poly = lambda row: MultiPoly(n, row)
 
-    pairs = [
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    ]
-    queue: deque[MultiPoly] = deque([gen])
-    while queue:
-        f = queue.popleft()
-        if not f:
-            continue
-        row = reducer.reduce(to_row(f))
-        if not row:
-            continue
-        reducer.insert(row)
-        basis_poly = to_poly(row)
-        for i, j in pairs:
-            queue.append(basis_poly.apply_E(i, j))
+        def to_generator(row):
+            lead = row[max(row)]
+            return MultiPoly(n, {m: Fraction(c, lead) for m, c in row.items()})
+
+    def close(polys: list[MultiPoly], ops) -> list[MultiPoly]:
+        """Close span(polys) under ops; returns polys plus every new row."""
+        found = list(polys)
+        queue = deque(polys)
+        while queue:
+            f = queue.popleft()
+            for i, j in ops:
+                row = reducer.reduce(to_row(f.apply_E(i, j)))
+                if row:
+                    reducer.insert(row)
+                    poly = to_poly(row)
+                    found.append(poly)
+                    queue.append(poly)
+        return found
+
+    start = reducer.reduce(to_row(gen))
+    reducer.insert(start)
+    raised = close([to_poly(start)], [(i, i + 1) for i in range(1, n)])
+    close(raised, [(i + 1, i) for i in range(1, n)])
 
     rows = reducer.back_reduce()
-    polys = tuple(to_poly(r) for r in rows)
-    monomials = tuple(sorted({m for r in rows for m in r}, reverse=True))
-    colindex = {m: c for c, m in enumerate(monomials)}
-    prows = []
-    for r, poly in zip(rows, polys):
-        line = [PolyQ.zero()] * len(monomials)
-        for m, c in poly.terms.items():
-            line[colindex[m]] = c if isinstance(c, PolyQ) else PolyQ.constant(c)
-        prows.append(line)
-    matrix = (
-        PolyMatrix.from_rows(prows)
-        if prows
-        else PolyMatrix(0, 0, ())
-    )
+    polys = tuple(to_generator(r) for r in rows)
     return ModuleBasis(
         n=n,
         l=l,
         alpha=None if alpha is None else Fraction(alpha),
         generators=polys,
-        monomials=monomials,
-        coefficient_matrix=matrix,
+        monomials=tuple(sorted({m for r in rows for m in r}, reverse=True)),
         weights=tuple(p.weight() for p in polys),
     )
 

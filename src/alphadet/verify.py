@@ -179,7 +179,7 @@ def suite_vere_jones(
     return out
 
 
-ORACLE_CASES = ((2, 1), (2, 2), (2, 3), (3, 1))
+ORACLE_CASES = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
 ORACLE_ALPHAS = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
 
 

@@ -86,7 +86,7 @@ def test_criterion_05_hook():
 def test_criterion_06_oracle():
     _suite(6, "module oracle multiplicities equal transition ranks",
            "oracle",
-           cases=((2, 1), (2, 2), (2, 3), (3, 1)),
+           cases=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)),
            alphas=(Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2)))
 
 

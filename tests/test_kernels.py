@@ -79,6 +79,35 @@ def test_parity_scalar_ops(a, b):
     assert kernels.zp_mul(a, b) == list((PolyQ(a) * PolyQ(b)).coeffs)
 
 
+def _euclid_monic(a, b):
+    """Monic gcd over Q by the textbook Euclidean algorithm."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, y in enumerate(b):
+                a[shift + k] -= c * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a] if a else []
+
+
+@given(zp_st, zp_st, zp_st)
+@settings(max_examples=80, deadline=None)
+def test_parity_gcd(g, u, v):
+    a, b = kernels.zp_mul(g, u), kernels.zp_mul(g, v)
+    out = kernels.zp_gcd(a, b)
+    want = _euclid_monic(a, b)
+    if not want:
+        assert out == []
+        return
+    # primitive with positive lead, and a rational multiple of the Q-gcd
+    assert reduce(gcd, out, 0) == 1 and out[-1] > 0
+    assert [Fraction(c, out[-1]) for c in out] == want
+
+
 def _gauss_jordan(rows):
     """Reduced row echelon form by textbook Gauss-Jordan elimination."""
     mat = [list(r) for r in rows]

@@ -2,19 +2,21 @@
 cyclic closures, highest weight multiplicities, and the Vere-Jones series."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphadet import kernels
 from alphadet.errors import (
     CapExceededError,
     SizeMismatchError,
     SpectralRadiusError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ
+from alphadet.exact import PolyQ
 from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
@@ -306,13 +308,58 @@ def test_hwv_generic_scales_whole_rows():
             alpha=alpha,
             generators=(g1, g2),
             monomials=(),
-            coefficient_matrix=PolyMatrix(0, 0, ()),
             weights=((1, 1), (1, 1)),
         )
 
     lam = Partition((1, 1))
     assert hwv_multiplicity(basis(None, PolyQ.constant), lam) == 1
     assert hwv_multiplicity(basis(Fraction(1), Fraction), lam) == 1
+
+
+def _in_span(f, generators):
+    # Gaussian elimination against an echelon basis, descending lead order;
+    # cross-multiplied, so it needs no division in Q(alpha).
+    for g in sorted(generators, key=lambda g: max(g.terms), reverse=True):
+        lead = max(g.terms)
+        c = f.terms.get(lead)
+        if c:
+            f = f.scale(g.terms[lead]) - g.scale(c)
+    return not f
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(2, 2, None), (2, 3, None), (3, 1, None)]
+    + [
+        (n, l, a)
+        for n, l in ((3, 1), (2, 4), (3, 2))
+        for a in (Fraction(1), Fraction(-1), Fraction(-1, 2))
+    ],
+    ids=str,
+)
+def test_closure_is_stable_under_every_E_ij(n, l, alpha):
+    # The closure applies only the simple operators; the full gl_n action
+    # must still stay inside the returned span.
+    basis = cyclic_closure(n, l, alpha=alpha)
+    gen = adet_symbolic(n) ** l
+    if alpha is not None:
+        gen = gen.eval_alpha(alpha)
+    assert _in_span(gen, basis.generators)
+    for g in basis.generators:
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert _in_span(apply_E(i, j, g), basis.generators)
+
+
+def test_generic_closure_rows_are_primitive():
+    for n, l in ((2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
+        for g in cyclic_closure(n, l).generators:
+            coeffs = [c for p in g.terms.values() for c in p.coeffs]
+            assert all(c.denominator == 1 for c in coeffs)
+            assert math.gcd(*(c.numerator for c in coeffs)) == 1
+            common = []
+            for p in g.terms.values():
+                common = kernels.zp_gcd(common, [int(c) for c in p.coeffs])
+            assert common == [1]
 
 
 def test_closure_caps():
