@@ -17,11 +17,13 @@ rings, fraction-free in both; each ring supplies its per-row elimination and
 pivot normalization.  Over Z[alpha] a pivot is divided by its integer content
 and by the polynomial gcd of its entries, so basis rows are primitive; over Q
 rows are integers divided by their content and made monic only when the
-basis is returned.  Generic highest-weight counts scale whole rows to
-integer coefficients before the fraction-free rank.  `vere_jones_check` is
-the single floating-point routine in the package: it compares
-det(I - a A)^(-1/a) against the truncated sum of alpha-determinants of
-index-repeated blocks, with an explicit geometric bound on the dropped tail.
+basis is returned.  Highest-weight counts use the same reducer in both
+rings: the raising images of each weight-lam row, scaled as a whole to
+integer coefficients, form one sparse row, and the number of rows that
+reduce to zero is the multiplicity.  `vere_jones_check` is the single
+floating-point routine in the package: it compares det(I - a A)^(-1/a)
+against the truncated sum of alpha-determinants of index-repeated blocks,
+with an explicit geometric bound on the dropped tail.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, gcd, lcm, prod
 
 from alphadet import kernels
@@ -40,7 +42,7 @@ from alphadet.errors import (
     SpectralRadiusError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, QMatrix, integer_row, rank_q
+from alphadet.exact import PolyMatrix, PolyQ, QMatrix, integer_row
 from alphadet.symgrp import ClassFunctionH, Partition, Permutation, enumerate_H, nu, theta
 
 DEFAULT_ADET_CAP = 8
@@ -52,6 +54,12 @@ Monomial = tuple[int, ...]
 
 def _var(i: int, j: int, n: int) -> int:
     return (i - 1) * n + (j - 1)
+
+
+@cache
+def _polarization_shifts(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(source, target) variable indices (x_js, x_is) of E_ij, s = 1..n."""
+    return tuple((_var(j, s, n), _var(i, s, n)) for s in range(1, n + 1))
 
 
 class MultiPoly:
@@ -128,15 +136,15 @@ class MultiPoly:
 
     def apply_E(self, i: int, j: int) -> MultiPoly:
         """Polarization operator E_ij f = sum_s x_is df/dx_js."""
-        n = self.n
+        shifts = _polarization_shifts(i, j, self.n)
         out: dict[Monomial, object] = {}
         for m, c in self.terms.items():
-            for s in range(1, n + 1):
-                e = m[_var(j, s, n)]
+            for src, dst in shifts:
+                e = m[src]
                 if e:
                     newm = list(m)
-                    newm[_var(j, s, n)] -= 1
-                    newm[_var(i, s, n)] += 1
+                    newm[src] -= 1
+                    newm[dst] += 1
                     key = tuple(newm)
                     add = c * e
                     acc = out.get(key)
@@ -145,7 +153,7 @@ class MultiPoly:
                         out[key] = acc
                     elif key in out:
                         del out[key]
-        return MultiPoly(n, out)
+        return MultiPoly(self.n, out)
 
     def eval_alpha(self, a: Fraction) -> MultiPoly:
         return MultiPoly(
@@ -155,10 +163,9 @@ class MultiPoly:
 
     def weight(self) -> tuple[int, ...]:
         """Row-degree vector; requires all terms to share it."""
-        ws = {
-            tuple(sum(m[_var(i, j, self.n)] for j in range(1, self.n + 1)) for i in range(1, self.n + 1))
-            for m in self.terms
-        }
+        n = self.n
+        starts = range(0, n * n, n)
+        ws = {tuple(sum(m[k : k + n]) for k in starts) for m in self.terms}
         if len(ws) != 1:
             raise ValueError("polynomial is not weight-homogeneous")
         return next(iter(ws))
@@ -433,15 +440,16 @@ def cyclic_closure(
         raise CapExceededError(
             f"n*l = {n * l} exceeds the closure cap {cap}; pass max_size to override"
         )
-    gen = adet_symbolic(n, max_size=max(n, cap)) ** l
+    adet = adet_symbolic(n, max_size=max(n, cap))
 
     if alpha is None:
+        gen = adet**l
         reducer = _RowReducer(_eliminate_zp, _normalize_zp)
         to_row = lambda f: dict(zip(f.terms, integer_row(f.terms.values())))
         to_poly = lambda row: MultiPoly(n, {m: PolyQ(p) for m, p in row.items()})
         to_generator = to_poly
     else:
-        gen = gen.eval_alpha(Fraction(alpha))
+        gen = adet.eval_alpha(Fraction(alpha)) ** l
         scale = lcm(*(c.denominator for c in gen.terms.values()))
         gen = MultiPoly(n, {m: int(c * scale) for m, c in gen.terms.items()})
         reducer = _RowReducer(_eliminate_int, _normalize_int)
@@ -486,42 +494,47 @@ def cyclic_closure(
 
 def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     """Multiplicity of the highest weight lam in the module: the dimension of
-    the joint kernel of all raising operators on the weight-lam rows."""
+    the joint kernel of all raising operators on the weight-lam rows.
+
+    Each weight-lam generator maps to one sparse row, its images under the
+    simple raising operators E_i,i+1 keyed by (i, monomial), scaled as a
+    whole to integer coefficients (a row operation, so the rank is kept).
+    The rows go through the closure's fraction-free reducer for the basis
+    ring; the multiplicity is the number of rows less the number that
+    survive reduction.
+    """
     n = basis.n
-    if lam.length > n:
-        return 0
     if lam.size != n * basis.l:
         raise SizeMismatchError(f"|lam| = {lam.size} is not n*l = {n * basis.l}")
+    if lam.length > n:
+        return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [p for p, w in zip(basis.generators, basis.weights) if w == target]
-    w = len(rows)
-    if w == 0:
-        return 0
-    generic = basis.alpha is None
-    columns: dict[tuple[int, Monomial], int] = {}
-    data: list[dict[int, object]] = [dict() for _ in range(w)]
-    for r, poly in enumerate(rows):
-        for i in range(1, n):
-            raised = poly.apply_E(i, i + 1)
-            for m, c in raised.terms.items():
-                key = (i, m)
-                col = columns.setdefault(key, len(columns))
-                data[r][col] = c
-    ncols = len(columns)
-    if ncols == 0:
-        return w
-    if generic:
-        zero = PolyQ.zero()
-        zrows = [
-            integer_row(data[r].get(col, zero) for col in range(ncols)) for r in range(w)
-        ]
-        rank, _ = kernels.zpm_rank(zrows)
+    if basis.alpha is None:
+        reducer = _RowReducer(_eliminate_zp, _normalize_zp)
+
+        def to_row(image):
+            return dict(zip(image, integer_row(image.values())))
+
     else:
-        qrows = [
-            [data[r].get(col, Fraction(0)) for col in range(ncols)] for r in range(w)
-        ]
-        rank = rank_q(qrows)
-    return w - rank
+        reducer = _RowReducer(_eliminate_int, _normalize_int)
+
+        def to_row(image):
+            scale = lcm(*(c.denominator for c in image.values()))
+            return {key: int(c * scale) for key, c in image.items()}
+
+    rank = 0
+    for poly in rows:
+        image = {
+            (i, m): c
+            for i in range(1, n)
+            for m, c in poly.apply_E(i, i + 1).terms.items()
+        }
+        row = reducer.reduce(to_row(image))
+        if row:
+            reducer.insert(row)
+            rank += 1
+    return len(rows) - rank
 
 
 def weight_consistency_check(basis: ModuleBasis) -> bool:

@@ -184,8 +184,12 @@ ORACLE_ALPHAS = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
 
 
 def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
-    """Master property: module-closure multiplicities equal transition ranks."""
-    from alphadet.oracle import cyclic_closure, hwv_multiplicity
+    """Master property: module-closure multiplicities equal transition ranks.
+
+    Each closure also gets its weight count: the multiplicities times the
+    Weyl dimensions must add up to the closure dimension.
+    """
+    from alphadet.oracle import cyclic_closure, hwv_multiplicity, weight_consistency_check
 
     out = []
     for n, l in cases:
@@ -197,6 +201,9 @@ def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
             for lam, tm in zip(shapes, mats)
         )
         out.append(_result(f"oracle ({n},{l}) generic", ok))
+        out.append(
+            _result(f"oracle ({n},{l}) generic weight count", weight_consistency_check(basis))
+        )
         for a in alphas:
             sb = cyclic_closure(n, l, alpha=a)
             ok = all(
@@ -204,6 +211,9 @@ def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
                 for lam, tm in zip(shapes, mats)
             )
             out.append(_result(f"oracle ({n},{l}) alpha={a}", ok))
+            out.append(
+                _result(f"oracle ({n},{l}) alpha={a} weight count", weight_consistency_check(sb))
+            )
     return out
 
 

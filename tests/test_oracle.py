@@ -16,7 +16,7 @@ from alphadet.errors import (
     SpectralRadiusError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyQ
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_q
 from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
@@ -30,7 +30,7 @@ from alphadet.oracle import (
     weyl_dim,
     D_of,
 )
-from alphadet.symgrp import ClassFunctionH, Partition
+from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
 
 A = PolyQ.variable()
 
@@ -81,6 +81,23 @@ def _adet_by_sum(M, a):
     return total
 
 
+def _polarize(terms, i, j, n):
+    # E_ij = sum_s x_is d/dx_js on {exponent vector: coefficient}, with the
+    # exponent vector read as an n x n matrix of row-major exponents.
+    out = {}
+    for mono, c in terms.items():
+        for s in range(n):
+            grid = [list(mono[r * n : (r + 1) * n]) for r in range(n)]
+            e = grid[j - 1][s]
+            if not e:
+                continue
+            grid[j - 1][s] -= 1
+            grid[i - 1][s] += 1
+            key = tuple(x for row in grid for x in row)
+            out[key] = out.get(key, 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # MultiPoly
 
@@ -124,6 +141,23 @@ def test_apply_E_examples():
     assert not apply_E(2, 1, det)
     # diagonal operator scales by the row degree
     assert apply_E(1, 1, x11x12).terms == {(1, 1, 0, 0): Fraction(2)}
+
+
+@st.composite
+def _sparse_integer_polys(draw):
+    n = draw(st.sampled_from([2, 3]))
+    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * (n * n))
+    coeffs = st.integers(min_value=-5, max_value=5).filter(bool)
+    return n, draw(st.dictionaries(monos, coeffs, max_size=6))
+
+
+@given(_sparse_integer_polys())
+@settings(max_examples=60, deadline=None)
+def test_apply_E_matches_polarization(case):
+    n, terms = case
+    f = MultiPoly(n, terms)
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        assert apply_E(i, j, f).terms == _polarize(terms, i, j, n)
 
 
 def test_gl_commutation_relations():
@@ -293,6 +327,8 @@ def test_hwv_rejects_bad_shapes():
     assert hwv_multiplicity(basis, Partition((2, 1, 1))) == 0  # too many rows
     with pytest.raises(SizeMismatchError):
         hwv_multiplicity(basis, Partition((2, 1)))  # wrong total degree
+    with pytest.raises(SizeMismatchError):
+        hwv_multiplicity(basis, Partition((1, 1, 1)))  # both: the size decides
 
 
 def test_hwv_generic_scales_whole_rows():
@@ -314,6 +350,67 @@ def test_hwv_generic_scales_whole_rows():
     lam = Partition((1, 1))
     assert hwv_multiplicity(basis(None, PolyQ.constant), lam) == 1
     assert hwv_multiplicity(basis(Fraction(1), Fraction), lam) == 1
+
+
+def _dense_hwv_count(basis, lam):
+    # w minus the rank of the dense matrix whose rows are the weight-lam
+    # generators' images under E_12, ..., E_n-1,n, side by side.
+    n = basis.n
+    target = tuple(lam.part(i) for i in range(1, n + 1))
+    rows = [g for g, w in zip(basis.generators, basis.weights) if w == target]
+    images = [
+        {(i, m): c for i in range(1, n) for m, c in _polarize(g.terms, i, i + 1, n).items()}
+        for g in rows
+    ]
+    columns = sorted({key for image in images for key in image})
+    if not rows or not columns:
+        return len(rows)
+    if basis.alpha is None:
+        zero = PolyQ.zero()
+        dense = PolyMatrix.from_rows([[image.get(k, zero) for k in columns] for image in images])
+        return len(rows) - generic_rank(dense)
+    dense = [[Fraction(image.get(k, 0)) for k in columns] for image in images]
+    return len(rows) - rank_q(dense)
+
+
+def _mixed_denominator_basis(alpha, coeff):
+    # g1 = 1/2 x11 x22 + 1/3 x11 x21 and g2 = 3 x12 x21 + 2 x11 x21: their
+    # E_12 images differ by the factor 6, so lam = (1, 1) occurs once.
+    # Clearing each denominator on its own would make the images independent.
+    g1 = MultiPoly(
+        2, {(1, 0, 0, 1): coeff(Fraction(1, 2)), (1, 0, 1, 0): coeff(Fraction(1, 3))}
+    )
+    g2 = MultiPoly(2, {(0, 1, 1, 0): coeff(3), (1, 0, 1, 0): coeff(2)})
+    return ModuleBasis(
+        n=2, l=1, alpha=alpha, generators=(g1, g2), monomials=(), weights=((1, 1), (1, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(2, 2, None), (2, 3, None), (3, 1, None), (3, 2, None)]
+    + [
+        (n, l, a)
+        for n, l in ((3, 1), (2, 4), (3, 2))
+        for a in (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(3, 7))
+    ],
+    ids=str,
+)
+def test_hwv_counts_match_dense_rank(n, l, alpha):
+    basis = cyclic_closure(n, l, alpha=alpha)
+    for lam in admissible_shapes(n, l):
+        assert hwv_multiplicity(basis, lam) == _dense_hwv_count(basis, lam)
+
+
+def test_hwv_counts_match_dense_rank_mixed_denominators():
+    for basis in (
+        _mixed_denominator_basis(Fraction(1), Fraction),
+        _mixed_denominator_basis(None, PolyQ.constant),
+    ):
+        for shape in ((2,), (1, 1)):
+            lam = Partition(shape)
+            assert hwv_multiplicity(basis, lam) == _dense_hwv_count(basis, lam)
+        assert _dense_hwv_count(basis, Partition((1, 1))) == 1
 
 
 def _in_span(f, generators):
