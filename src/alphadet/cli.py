@@ -38,13 +38,23 @@ def _shape(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cases(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError(f"bad case {chunk!r}; want n,l")
-        out.append((int(parts[0]), int(parts[1])))
+        out.append((_positive(parts[0]), _positive(parts[1])))
     return tuple(out)
 
 
@@ -257,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, shape=False):
-        p.add_argument("--n", type=int, required=True, help="matrix size n")
-        p.add_argument("--l", type=int, required=True, help="power l")
+        p.add_argument("--n", type=_positive, required=True, help="matrix size n")
+        p.add_argument("--l", type=_positive, required=True, help="power l")
         if shape:
             p.add_argument(
                 "--lam", type=_shape, required=True,

@@ -35,3 +35,7 @@ class SpectralRadiusError(AlphadetError, ValueError):
 
 class ZeroAlphaError(AlphadetError, ZeroDivisionError):
     """alpha = 0 is outside the domain of the requested check."""
+
+
+class UncertifiedClosureError(AlphadetError):
+    """No specialized closure reached the dimension that certifies the generic one."""

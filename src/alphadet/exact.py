@@ -6,11 +6,14 @@ denominator, and `str()` already produces the canonical "p/q" text form.
 ascending degree; the zero polynomial has degree -1.  `PolyMatrix` is a dense
 matrix of `PolyQ` entries.
 
-Ranks over the rational function field are computed fraction-free: each row is
-scaled to integer coefficients (row scaling cannot change rank) and handed to
-the kernel's one-step Bareiss elimination, which never leaves Z[a].  Ranks,
-solves and nullspaces over Q use exact Gaussian elimination.  No floating
-point and no polynomial factorization anywhere.
+Ranks over the rational function field are certified by specialization:
+evaluating at a point can only lower a rank, so a matrix whose rank at a = 0
+is already min(rows, cols) has that generic rank.  Every transition matrix
+passes this test, because F(0) = I.  Only a matrix that is not full at 0 falls
+back to the kernel's fraction-free one-step Bareiss elimination over Z[a],
+after each row is scaled to integer coefficients (row scaling cannot change
+rank).  Ranks, solves and nullspaces over Q use exact Gaussian elimination.
+No floating point and no polynomial factorization anywhere.
 """
 
 from __future__ import annotations
@@ -284,20 +287,18 @@ def integer_row(entries: Iterable[PolyQ]) -> list[list[int]]:
     return [[int(c * scale) for c in e.coeffs] for e in entries]
 
 
-def generic_rank(mat: PolyMatrix, with_pivots: bool = False):
+def generic_rank(mat: PolyMatrix) -> int:
     """Rank of a PolyQ matrix over the rational function field Q(a).
 
-    With `with_pivots=True`, also returns the pivot polynomials chosen by the
-    fraction-free elimination; if none of them vanishes at a point a0, the
-    specialized rank at a0 equals the generic rank.
+    The rank at a = 0 is a lower bound; when it is already min(rows, cols) it
+    is the generic rank.  Otherwise fraction-free Bareiss decides.
     """
-    if mat.rows == 0 or mat.cols == 0:
-        return (0, []) if with_pivots else 0
-    rank, pivots = kernels.zpm_rank(
-        [integer_row(mat.row(i)) for i in range(mat.rows)]
-    )
-    if with_pivots:
-        return rank, [PolyQ(p) for p in pivots]
+    full = min(mat.rows, mat.cols)
+    if full == 0:
+        return 0
+    if rank_at(mat, 0) == full:
+        return full
+    rank, _ = kernels.zpm_rank([integer_row(mat.row(i)) for i in range(mat.rows)])
     return rank
 
 

@@ -108,34 +108,6 @@ def zp_gcd(a, b):
     return [1]
 
 
-def zp_row_strip(row):
-    """Divide a row by its integer content and any common power of x; fix sign.
-
-    The sign convention makes the lowest-degree coefficient of the first
-    nonzero entry positive, so stripped rows are canonical.
-    """
-    g = 0
-    val = None
-    for p in row:
-        if p:
-            v = 0
-            while p[v] == 0:
-                v += 1
-            val = v if val is None else min(val, v)
-            for c in p:
-                if c:
-                    g = gcd(g, c)
-    if g == 0:
-        return [list(p) for p in row]
-    first = next(p for p in row if p)
-    v0 = 0
-    while first[v0] == 0:
-        v0 += 1
-    if first[v0] < 0:
-        g = -g
-    return [[c // g for c in p[val:]] if p else [] for p in row]
-
-
 def zpm_rank(rows):
     """Rank of a matrix over Q(x) via fraction-free one-step Bareiss.
 

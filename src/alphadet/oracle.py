@@ -11,43 +11,49 @@ returning its reduced echelon basis.  Multiplicities are read off as
 dimensions of highest-weight spaces: among the module rows of weight lam
 (row-degree vector), the kernel of all raising operators E_i,i+1.
 
-Coefficients are PolyQ for the generic module over Q(alpha) or plain
-rationals after specializing alpha.  One sparse echelon reducer serves both
-rings, fraction-free in both; each ring supplies its per-row elimination and
-pivot normalization.  Over Z[alpha] a pivot is divided by its integer content
-and by the polynomial gcd of its entries, so basis rows are primitive; over Q
+All elimination is over Q, in one sparse fraction-free echelon reducer:
 rows are integers divided by their content and made monic only when the
-basis is returned.  Highest-weight counts use the same reducer in both
-rings: the raising images of each weight-lam row, scaled as a whole to
-integer coefficients, form one sparse row, and the number of rows that
-reduce to zero is the multiplicity.  `vere_jones_check` is the single
-floating-point routine in the package: it compares det(I - a A)^(-1/a)
-against the truncated sum of alpha-determinants of index-repeated blocks,
-with an explicit geometric bound on the dropped tail.
+basis is returned.  The generic module over Q(alpha) is certified by
+specialization.  It lies in the space of polynomials whose every column has
+degree l, of dimension C(n+l-1, l)^n, and specializing alpha can only lower
+its dimension; so one closure at a rational alpha that fills the space proves
+that the generic module is the whole space, and its reduced echelon basis is
+the unit monomials.  Highest-weight counts use the same reducer: the raising
+images of each weight-lam row, scaled as a whole to integer coefficients,
+form one sparse row, and the number of rows that reduce to zero is the
+multiplicity.
+
+`vere_jones_check` is the single floating-point routine in the package: it
+compares det(I - a A)^(-1/a) against the truncated sum of alpha-determinants
+of index-repeated blocks, with an explicit geometric bound on the dropped
+tail.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
-from alphadet import kernels
 from alphadet.errors import (
     CapExceededError,
     SizeMismatchError,
     SpectralRadiusError,
+    UncertifiedClosureError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, QMatrix, integer_row
+from alphadet.exact import PolyMatrix, PolyQ, QMatrix
 from alphadet.symgrp import ClassFunctionH, Partition, Permutation, enumerate_H, nu, theta
 
 DEFAULT_ADET_CAP = 8
 DEFAULT_GENERIC_CLOSURE_CAP = 6
 DEFAULT_SPECIAL_CLOSURE_CAP = 8
+
+# Specialization points tried, in order, to certify the generic closure.
+CERTIFYING_ALPHAS = (Fraction(2), Fraction(7, 3))
 
 Monomial = tuple[int, ...]
 
@@ -280,83 +286,8 @@ def weyl_dim(lam: Partition, n: int) -> int:
 # Cyclic closure
 
 
-class _RowReducer:
-    """Echelon reducer for sparse rows keyed by monomial, over either ring.
-
-    The ring enters through two row functions.  `eliminate(row, piv, at)`
-    returns `row` with its entry at monomial `at` cleared against pivot row
-    `piv`; `normalize(row)` returns a new pivot row in canonical form.
-    """
-
-    def __init__(self, eliminate, normalize):
-        self.eliminate = eliminate
-        self.normalize = normalize
-        self.pivots: dict[Monomial, dict[Monomial, object]] = {}
-
-    def reduce(self, row: dict[Monomial, object]) -> dict[Monomial, object]:
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return self.normalize(row)
-            row = self.eliminate(row, piv, lead)
-        return row
-
-    def insert(self, row: dict[Monomial, object]) -> None:
-        self.pivots[max(row)] = row
-
-    def back_reduce(self) -> list[dict[Monomial, object]]:
-        """Eliminate every pivot lead from every other row.
-
-        Ascending lead order: once a row is clean, reducing against it cannot
-        reintroduce pivot leads, so one elimination per occurrence suffices.
-        """
-        for lead in sorted(self.pivots):
-            row = self.pivots[lead]
-            while True:
-                hit = max(
-                    (m for m in row if m != lead and m in self.pivots),
-                    default=None,
-                )
-                if hit is None:
-                    break
-                row = self.eliminate(row, self.pivots[hit], hit)
-            self.pivots[lead] = self.normalize(row)
-        return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
-
-
-# Over Z[alpha]: fraction-free cross-multiplication; pivots made primitive
-# (integer content, polynomial gcd of the entries, sign).
-
-
-def _eliminate_zp(row, piv, at):
-    rc, pc = row[at], piv[at]
-    out = {}
-    for m in row.keys() | piv.keys():
-        val = kernels.zp_sub(
-            kernels.zp_mul(pc, row.get(m, [])),
-            kernels.zp_mul(rc, piv.get(m, [])),
-        )
-        if val:
-            out[m] = val
-    return out
-
-
-def _normalize_zp(row):
-    mons = sorted(row, reverse=True)
-    entries = kernels.zp_row_strip([row[m] for m in mons])
-    g = entries[0]
-    for p in entries[1:]:
-        if len(g) == 1:
-            break
-        g = kernels.zp_gcd(g, p)
-    if len(g) > 1:
-        entries = kernels.zp_row_strip([kernels.zp_divexact(p, g) for p in entries])
-    return dict(zip(mons, entries))
-
-
-# Over Q: integer rows, eliminated with the cofactors of the two leads over
-# their gcd; pivots divided by their content, lead positive.
+# Integer rows, eliminated with the cofactors of the two leads over their gcd;
+# pivots divided by their content, lead positive.
 
 
 def _eliminate_int(row, piv, at):
@@ -379,16 +310,58 @@ def _normalize_int(row):
     return row if g == 1 else {m: c // g for m, c in row.items()}
 
 
+class _RowReducer:
+    """Fraction-free echelon reducer for sparse integer rows keyed by monomial."""
+
+    def __init__(self):
+        self.pivots: dict[Monomial, dict[Monomial, int]] = {}
+
+    def reduce(self, row: dict[Monomial, int]) -> dict[Monomial, int]:
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return _normalize_int(row)
+            row = _eliminate_int(row, piv, lead)
+        return row
+
+    def insert(self, row: dict[Monomial, int]) -> None:
+        self.pivots[max(row)] = row
+
+    def back_reduce(self) -> list[dict[Monomial, int]]:
+        """Eliminate every pivot lead from every other row.
+
+        Ascending lead order: once a row is clean, reducing against it cannot
+        reintroduce pivot leads, so one elimination per occurrence suffices.
+        """
+        for lead in sorted(self.pivots):
+            row = self.pivots[lead]
+            while True:
+                hit = max(
+                    (m for m in row if m != lead and m in self.pivots),
+                    default=None,
+                )
+                if hit is None:
+                    break
+                row = _eliminate_int(row, self.pivots[hit], hit)
+            self.pivots[lead] = _normalize_int(row)
+        return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
+
+
 @dataclass(frozen=True)
 class ModuleBasis:
     """Reduced echelon basis of the cyclic module.
 
     `generators` are the basis polynomials in row order (descending lead
     monomial); `monomials` label the columns of `coefficient_matrix`
-    (descending lex).  `alpha` is None for the generic module over Q(alpha),
-    whose generators have coprime Z[alpha] coefficients; otherwise it is the
-    specialization point and generators are monic over Q.  Each row is
-    weight-homogeneous; `weights` lists the row-degree vectors.
+    (descending lex).  `alpha` is None for the generic module over Q(alpha):
+    a closure at a specialization certified it to be the whole space, so its
+    generators are the unit monomials with coefficient PolyQ.one().
+    Otherwise `alpha` is the specialization point and generators are monic
+    over Q.  `hwv_multiplicity` reads a generic basis's coefficients as
+    rationals, so a hand-built generic basis must have coefficients free of
+    alpha.  Each row is weight-homogeneous; `weights` lists the row-degree
+    vectors.
     """
 
     n: int
@@ -422,15 +395,12 @@ def cyclic_closure(
 ) -> ModuleBasis:
     """U(gl_n)-span of the l-th alpha-determinant power, in reduced echelon form.
 
-    Starts from adet(X)^l (specialized at alpha when given).  Phase 1 closes
-    the span under the simple raising operators E_i,i+1, which gives
-    U(n+) gen; phase 2 closes that under the simple lowering operators
-    E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is U(gl_n) gen: the
-    Cartan part U(h) only scales weight-homogeneous rows, and the simple
-    operators generate n+ and n-.  Each image is reduced against the current
-    echelon rows and kept when it is new; the final back reduction makes the
-    basis the unique reduced echelon form of the module, whatever the
-    elimination order.
+    With `alpha` given, the closure of adet(X)^l specialized there.  The
+    generic module (alpha None) is the whole space of polynomials whose
+    every column has degree l when a closure at some alpha reaches the
+    dimension C(n+l-1, l)^n of that space: the first alpha of
+    CERTIFYING_ALPHAS that does certifies it, and the returned basis is the
+    unit monomials over PolyQ.  Raises UncertifiedClosureError when none does.
     """
     default_cap = (
         DEFAULT_GENERIC_CLOSURE_CAP if alpha is None else DEFAULT_SPECIAL_CLOSURE_CAP
@@ -440,25 +410,41 @@ def cyclic_closure(
         raise CapExceededError(
             f"n*l = {n * l} exceeds the closure cap {cap}; pass max_size to override"
         )
-    adet = adet_symbolic(n, max_size=max(n, cap))
+    adet_cap = max(n, cap)
+    if alpha is not None:
+        return _closure(n, l, Fraction(alpha), adet_cap)
+    full = comb(n + l - 1, l) ** n
+    for a in CERTIFYING_ALPHAS:
+        basis = _closure(n, l, a, adet_cap)
+        if basis.dim == full:
+            one = PolyQ.one()
+            return replace(
+                basis,
+                alpha=None,
+                generators=tuple(MultiPoly(n, {m: one}) for m in basis.monomials),
+            )
+    tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
+    raise UncertifiedClosureError(
+        f"no closure for n = {n}, l = {l} reached the generic dimension {full}; "
+        f"tried alpha = {tried}"
+    )
 
-    if alpha is None:
-        gen = adet**l
-        reducer = _RowReducer(_eliminate_zp, _normalize_zp)
-        to_row = lambda f: dict(zip(f.terms, integer_row(f.terms.values())))
-        to_poly = lambda row: MultiPoly(n, {m: PolyQ(p) for m, p in row.items()})
-        to_generator = to_poly
-    else:
-        gen = adet.eval_alpha(Fraction(alpha)) ** l
-        scale = lcm(*(c.denominator for c in gen.terms.values()))
-        gen = MultiPoly(n, {m: int(c * scale) for m, c in gen.terms.items()})
-        reducer = _RowReducer(_eliminate_int, _normalize_int)
-        to_row = lambda f: dict(f.terms)
-        to_poly = lambda row: MultiPoly(n, row)
 
-        def to_generator(row):
-            lead = row[max(row)]
-            return MultiPoly(n, {m: Fraction(c, lead) for m, c in row.items()})
+def _closure(n: int, l: int, a: Fraction, adet_cap: int) -> ModuleBasis:
+    """Closure of adet(X)^l at alpha = a, on integer rows.
+
+    Phase 1 closes the span under the simple raising operators E_i,i+1,
+    which gives U(n+) gen; phase 2 closes that under the simple lowering
+    operators E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is
+    U(gl_n) gen: the Cartan part U(h) only scales weight-homogeneous rows,
+    and the simple operators generate n+ and n-.  Each image is reduced
+    against the current echelon rows and kept when it is new; the final back
+    reduction makes the basis the unique reduced echelon form of the module,
+    whatever the elimination order.
+    """
+    gen = adet_symbolic(n, max_size=adet_cap).eval_alpha(a) ** l
+    scale = lcm(*(c.denominator for c in gen.terms.values()))
+    reducer = _RowReducer()
 
     def close(polys: list[MultiPoly], ops) -> list[MultiPoly]:
         """Close span(polys) under ops; returns polys plus every new row."""
@@ -467,29 +453,41 @@ def cyclic_closure(
         while queue:
             f = queue.popleft()
             for i, j in ops:
-                row = reducer.reduce(to_row(f.apply_E(i, j)))
+                row = reducer.reduce(dict(f.apply_E(i, j).terms))
                 if row:
                     reducer.insert(row)
-                    poly = to_poly(row)
+                    poly = MultiPoly(n, row)
                     found.append(poly)
                     queue.append(poly)
         return found
 
-    start = reducer.reduce(to_row(gen))
+    start = reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()})
     reducer.insert(start)
-    raised = close([to_poly(start)], [(i, i + 1) for i in range(1, n)])
+    raised = close([MultiPoly(n, start)], [(i, i + 1) for i in range(1, n)])
     close(raised, [(i + 1, i) for i in range(1, n)])
 
     rows = reducer.back_reduce()
-    polys = tuple(to_generator(r) for r in rows)
+    polys = tuple(
+        MultiPoly(n, {m: Fraction(c, row[max(row)]) for m, c in row.items()})
+        for row in rows
+    )
     return ModuleBasis(
         n=n,
         l=l,
-        alpha=None if alpha is None else Fraction(alpha),
+        alpha=a,
         generators=polys,
         monomials=tuple(sorted({m for r in rows for m in r}, reverse=True)),
         weights=tuple(p.weight() for p in polys),
     )
+
+
+def _constant(c: PolyQ) -> Fraction:
+    if c.degree > 0:
+        raise ValueError(
+            f"generic basis coefficient {c} depends on alpha; "
+            "only alpha-free coefficients can be counted"
+        )
+    return c.coeff(0)
 
 
 def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
@@ -499,9 +497,11 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     Each weight-lam generator maps to one sparse row, its images under the
     simple raising operators E_i,i+1 keyed by (i, monomial), scaled as a
     whole to integer coefficients (a row operation, so the rank is kept).
-    The rows go through the closure's fraction-free reducer for the basis
-    ring; the multiplicity is the number of rows less the number that
-    survive reduction.
+    The rows go through the closure's fraction-free reducer; the
+    multiplicity is the number of rows less the number that survive
+    reduction.  The count is over Q for every basis: a generic basis's PolyQ
+    coefficients are read as their constant terms, and a coefficient of
+    positive degree in alpha raises ValueError.
     """
     n = basis.n
     if lam.size != n * basis.l:
@@ -511,18 +511,8 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [p for p, w in zip(basis.generators, basis.weights) if w == target]
     if basis.alpha is None:
-        reducer = _RowReducer(_eliminate_zp, _normalize_zp)
-
-        def to_row(image):
-            return dict(zip(image, integer_row(image.values())))
-
-    else:
-        reducer = _RowReducer(_eliminate_int, _normalize_int)
-
-        def to_row(image):
-            scale = lcm(*(c.denominator for c in image.values()))
-            return {key: int(c * scale) for key, c in image.items()}
-
+        rows = [MultiPoly(n, {m: _constant(c) for m, c in p.terms.items()}) for p in rows]
+    reducer = _RowReducer()
     rank = 0
     for poly in rows:
         image = {
@@ -530,7 +520,8 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
             for i in range(1, n)
             for m, c in poly.apply_E(i, i + 1).terms.items()
         }
-        row = reducer.reduce(to_row(image))
+        scale = lcm(*(c.denominator for c in image.values()))
+        row = reducer.reduce({key: int(c * scale) for key, c in image.items()})
         if row:
             reducer.insert(row)
             rank += 1

@@ -222,15 +222,19 @@ SELFADJOINT_CASES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
 
 def suite_selfadjoint(cases=SELFADJOINT_CASES) -> list[CheckResult]:
     """Structural invariants of every computed transition matrix:
-    F(0) = I, Gram self-adjointness, and the block dimension count."""
+    F(0) = I, Gram self-adjointness, generic rank K(lam, (l^n)), and the
+    block dimension count."""
     out = []
     for n, l in cases:
         ok_zero = True
         ok_adj = True
+        ok_kostka = True
         for lam in admissible_shapes(n, l):
             tm = transition_matrix(n, l, lam)
             F = tm.entries
             d = tm.d
+            if tm.generic_rank() != kostka(lam, n, l):
+                ok_kostka = False
             at0 = F.eval_at(0)
             if at0 != [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]:
                 ok_zero = False
@@ -246,6 +250,7 @@ def suite_selfadjoint(cases=SELFADJOINT_CASES) -> list[CheckResult]:
                         ok_adj = False
         out.append(_result(f"selfadjoint ({n},{l}) F(0)=I", ok_zero))
         out.append(_result(f"selfadjoint ({n},{l}) G F = F^T G", ok_adj))
+        out.append(_result(f"selfadjoint ({n},{l}) generic rank = K(lam, (l^n))", ok_kostka))
     for n in range(1, 9):
         for l in range(1, 8 // n + 1):
             total = sum(

@@ -134,18 +134,6 @@ def test_rank_at_drops_on_zero_set():
     assert rank_at(m, Fraction(1, 2)) == 2
 
 
-def test_with_pivots_certifies_specialization():
-    m = PolyMatrix.from_rows([[1 + A, PolyQ.one()], [PolyQ.zero(), 1 - A]])
-    rank, pivots = generic_rank(m, with_pivots=True)
-    assert rank == 2
-    for a in (0, 2, Fraction(1, 3)):
-        if all(p(a) != 0 for p in pivots):
-            assert rank_at(m, a) == rank
-    # a pivot vanishes at 1 or -1, and indeed the rank drops there
-    assert rank_at(m, 1) == 1
-    assert rank_at(m, -1) == 1
-
-
 entry_st = st.lists(st.integers(min_value=-2, max_value=2), min_size=0, max_size=3)
 
 

@@ -32,12 +32,6 @@ def test_zp_basics():
         kernels.zp_divexact([1], [])
 
 
-def test_zp_row_ops():
-    # strip: content 2, common factor x, sign flip
-    assert kernels.zp_row_strip([[0, -2], [0, 0, -4]]) == [[1], [0, 2]]
-    assert kernels.zp_row_strip([[], []]) == [[], []]
-
-
 def test_zpm_rank_known():
     # diag(1, x, x(1-x)) has full rank over Q(x)
     rows = [
@@ -152,32 +146,3 @@ def test_parity_matrix_ops():
             for _ in range(nr)
         ]
         assert kernels.qm_rref(qrows) == _gauss_jordan(qrows)
-
-
-def _valuation(p):
-    return next(k for k, c in enumerate(p) if c)
-
-
-def test_parity_row_strip():
-    rng = random.Random(11)
-    for _ in range(50):
-        row = [
-            kernels.zp_trim([2 * rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
-            for _ in range(rng.randint(1, 4))
-        ]
-        out = kernels.zp_row_strip(row)
-        coeffs = [c for p in row for c in p]
-        if not any(coeffs):
-            assert out == row
-            continue
-        # row = sign * content * x^v * out, with out primitive, v maximal and
-        # the lowest coefficient of out's first nonzero entry positive.
-        content = reduce(gcd, coeffs, 0)
-        v = min(_valuation(p) for p in row if p)
-        first = next(p for p in row if p)
-        sign = 1 if first[_valuation(first)] > 0 else -1
-        assert [[0] * v + [sign * content * c for c in q] if q else [] for q in out] == row
-        assert reduce(gcd, (c for q in out for c in q), 0) == 1
-        assert min(_valuation(q) for q in out if q) == 0
-        lead = next(q for q in out if q)
-        assert lead[_valuation(lead)] > 0

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphadet import kernels
+from alphadet import kernels, oracle
 from alphadet.errors import (
     CapExceededError,
     SizeMismatchError,
     SpectralRadiusError,
+    UncertifiedClosureError,
     ZeroAlphaError,
 )
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_q
@@ -31,6 +32,7 @@ from alphadet.oracle import (
     D_of,
 )
 from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
+from alphadet.verify import ORACLE_CASES
 
 A = PolyQ.variable()
 
@@ -457,6 +459,54 @@ def test_generic_closure_rows_are_primitive():
             for p in g.terms.values():
                 common = kernels.zp_gcd(common, [int(c) for c in p.coeffs])
             assert common == [1]
+
+
+@pytest.mark.parametrize(
+    "n, l, max_size", [(n, l, None) for n, l in ORACLE_CASES] + [(2, 4, 8)], ids=str
+)
+def test_generic_closure_is_the_whole_space(n, l, max_size):
+    # Every monomial whose columns each have degree l, once, with coefficient 1.
+    basis = cyclic_closure(n, l, max_size=max_size)
+    assert basis.alpha is None
+    assert basis.dim == math.comb(n + l - 1, l) ** n
+    assert [list(g.terms.items()) for g in basis.generators] == [
+        [(m, PolyQ.one())] for m in basis.monomials
+    ]
+    assert list(basis.monomials) == sorted(basis.monomials, reverse=True)
+    for m in basis.monomials:
+        assert all(sum(m[j::n]) == l for j in range(n))
+
+
+def test_generic_closure_needs_a_full_certificate(monkeypatch):
+    # At alpha = 1 the (2,1) closure is Sym^2, dimension 3, not 4.
+    assert cyclic_closure(2, 1, alpha=1).dim == 3
+    monkeypatch.setattr(oracle, "CERTIFYING_ALPHAS", (Fraction(1),))
+    with pytest.raises(UncertifiedClosureError, match=r"n = 2, l = 1.*alpha = 1$"):
+        cyclic_closure(2, 1)
+
+
+def test_generic_closure_is_one_call(monkeypatch):
+    # The certifying closures must not go back through the public entry point,
+    # which a tracer may have wrapped.
+    calls = []
+    inner = oracle.cyclic_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "cyclic_closure", counted)
+    oracle.cyclic_closure(3, 1)
+    assert calls == [(3, 1)]
+
+
+def test_hwv_refuses_alpha_dependent_generic_coefficients():
+    g1 = MultiPoly(2, {(1, 0, 0, 1): PolyQ.one(), (0, 1, 1, 0): A})
+    basis = ModuleBasis(
+        n=2, l=1, alpha=None, generators=(g1,), monomials=(), weights=((1, 1),)
+    )
+    with pytest.raises(ValueError, match="depends on alpha"):
+        hwv_multiplicity(basis, Partition((1, 1)))
 
 
 def test_closure_caps():

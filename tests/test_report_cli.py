@@ -190,6 +190,24 @@ def test_cli_usage_errors():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--n", "0", "--l", "1"],
+        ["decompose", "--n", "2", "--l", "0"],
+        ["decompose", "--n", "-1", "--l", "2"],
+        ["verify", "oracle", "--cases", "0,1"],
+        ["verify", "selfadjoint", "--cases", "2,0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_sizes_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_cli_version():
     with pytest.raises(SystemExit) as err:
         cli.main(["--version"])

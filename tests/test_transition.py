@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from alphadet import kernels
 from alphadet.errors import (
     CapExceededError,
     EmptyInvariantSpaceError,
     SizeMismatchError,
 )
-from alphadet.exact import PolyMatrix, PolyQ
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank, integer_row
 from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
 from alphadet.transition import _cached_transition, trace_poly, transition_matrix
 
@@ -85,6 +86,20 @@ def test_rank_bounds():
             assert 0 < g <= tm.d
             for a in (1, -1, 2):
                 assert tm.rank_at(a) <= g
+
+
+def test_generic_rank_certificate_matches_bareiss():
+    # F(0) = I certifies full rank d; Bareiss over Z[a] is the reference.
+    for m in range(1, 7):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                tm = transition_matrix(n, l, lam)
+                rows = [integer_row(tm.entries.row(i)) for i in range(tm.d)]
+                bareiss = kernels.zpm_rank(rows)[0]
+                assert generic_rank(tm.entries) == bareiss == tm.d, (n, l, lam)
 
 
 def test_delta_gives_identity():
