@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -199,25 +200,26 @@ def cmd_adet(args) -> int:
     return 0
 
 
+# Each `verify` option (as an argparse dest) and the suite parameter it sets.
+VERIFY_OPTIONS = {
+    "max_n": "max_n", "max_l": "max_l", "cases": "cases", "alpha": "alphas",
+    "seed": "seed", "k_max": "k_max", "tol": "tol", "paper_variant": "paper_variant",
+}
+
+
 def cmd_verify(args) -> int:
+    params = inspect.signature(SUITES[args.suite]).parameters
     kwargs = {}
-    if args.suite == "frobenius" and args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.suite in ("n2-theorem", "gkp", "jacobi") and args.max_l is not None:
-        kwargs["max_l"] = args.max_l
-    if args.suite in ("hook-trace", "oracle", "selfadjoint") and args.cases is not None:
-        kwargs["cases"] = args.cases
-    if args.suite == "hook-trace" and args.paper_variant:
-        kwargs["paper_variant"] = True
-    if args.suite == "oracle" and args.alpha:
-        kwargs["alphas"] = tuple(args.alpha)
-    if args.suite == "vere-jones":
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.k_max is not None:
-            kwargs["k_max"] = args.k_max
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
+    refused = []
+    for dest, param in VERIFY_OPTIONS.items():
+        value = getattr(args, dest)
+        if value is None or value is False:
+            continue
+        if param not in params:
+            refused.append("--" + dest.replace("_", "-"))
+        kwargs[param] = tuple(value) if isinstance(value, list) else value
+    if refused:
+        raise ValueError(f"suite {args.suite} does not take {', '.join(refused)}")
     results = run_suite(args.suite, **kwargs)
     for r in results:
         line = f"[{'PASS' if r.passed else 'FAIL'}] {r.name}"
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"alphadet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, shape=False):
+    def common(p, formats, shape=False):
         p.add_argument("--n", type=_positive, required=True, help="matrix size n")
         p.add_argument("--l", type=_positive, required=True, help="power l")
         if shape:
@@ -276,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--max-size", type=int, default=None, help="override size caps")
         p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
+            "--format", choices=formats, default="text",
             help="output format",
         )
 
     p = sub.add_parser("decompose", help="full multiplicity table for (n, l)")
-    common(p)
+    common(p, ("text", "json", "csv"))
     p.add_argument(
         "--alpha", type=_alpha, action="append",
         help="also report multiplicities at this alpha (repeatable, p/q)",
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("transition", help="one transition matrix")
-    common(p, shape=True)
+    common(p, ("text", "json", "csv"), shape=True)
     p.add_argument(
         "--check", action="store_true",
         help="cross-validate the trace (and the n=2 closed form)",
@@ -304,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("trace", help="trace of a transition matrix, summed directly")
-    common(p, shape=True)
+    common(p, ("text", "json"), shape=True)
     p.add_argument("--check", action="store_true", help="compare with the matrix trace")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("zonal", help="zonal spherical values of a shape")
-    common(p, shape=True)
+    common(p, ("text", "json"), shape=True)
     p.add_argument("--s", type=int, default=None, help="n=2 double-coset index")
     p.add_argument("--g", type=str, default=None, help="permutation images, e.g. 2,1,3")
     p.set_defaults(func=cmd_zonal)
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore-diagonalizable",
         help="probe semisimplicity of F(alpha) at sample points",
     )
-    common(p, shape=True)
+    common(p, ("text", "json"), shape=True)
     p.add_argument(
         "--alpha", type=_alpha, action="append",
         help="probe point (repeatable; default: a standard sample)",

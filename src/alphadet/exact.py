@@ -7,26 +7,23 @@ ascending degree; the zero polynomial has degree -1.  `PolyMatrix` is a dense
 matrix of `PolyQ` entries.
 
 Ranks over the rational function field are certified by specialization:
-evaluating at a point can only lower a rank, so a matrix whose rank at a = 0
-is already min(rows, cols) has that generic rank.  Every transition matrix
-passes this test, because F(0) = I.  Only a matrix that is not full at 0 falls
-back to the kernel's fraction-free one-step Bareiss elimination over Z[a],
-after each row is scaled to integer coefficients (row scaling cannot change
-rank).  Ranks, solves and nullspaces over Q use exact Gaussian elimination.
-No floating point and no polynomial factorization anywhere.
+evaluating at a point can only lower a rank, so the largest rank over the
+points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
+or once enough points have been tried that no nonzero minor can vanish at
+all of them.  Every transition matrix stops at the first point, because
+F(0) = I.  Ranks, solves and nullspaces over Q use exact Gaussian
+elimination, and polynomial gcds use Euclid over Q.  No floating point and
+no polynomial factorization anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from alphadet import kernels
 from alphadet.errors import SingularMatrixError
-
-Rational = Fraction
 
 QMatrix = list[list[Fraction]]
 
@@ -156,6 +153,36 @@ class PolyQ:
     def derivative(self) -> PolyQ:
         return PolyQ(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
+    def __divmod__(self, other) -> tuple[PolyQ, PolyQ]:
+        """Long division over Q: (q, r) with self = q*other + r, deg r < deg other."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = other.degree
+        lead = other.coeffs[-1]
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(len(rem) - db, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + db] / lead
+            if c:
+                quot[k] = c
+                for j, y in enumerate(other.coeffs):
+                    rem[k + j] -= c * y
+        return PolyQ(quot), PolyQ(rem)
+
+    def monic(self) -> PolyQ:
+        """Divided by its leading coefficient; the zero polynomial stays zero."""
+        return PolyQ(c / self.coeffs[-1] for c in self.coeffs) if self.coeffs else self
+
+    def gcd(self, other: PolyQ) -> PolyQ:
+        """Monic greatest common divisor by Euclid over Q; gcd(0, 0) = 0."""
+        a, b = self, other
+        while b:
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
@@ -263,9 +290,6 @@ class PolyMatrix:
     def eval_at(self, a: Fraction | int) -> QMatrix:
         return [[self.entry(i, j)(a) for j in range(self.cols)] for i in range(self.rows)]
 
-    def map_entries(self, fn: Callable[[PolyQ], PolyQ]) -> PolyMatrix:
-        return PolyMatrix(self.rows, self.cols, tuple(fn(e) for e in self.entries))
-
     def __str__(self) -> str:
         cells = [[self.entry(i, j).format() for j in range(self.cols)] for i in range(self.rows)]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)] if self.rows else []
@@ -275,30 +299,21 @@ class PolyMatrix:
         )
 
 
-def integer_row(entries: Iterable[PolyQ]) -> list[list[int]]:
-    """Scale a row of PolyQ entries by the lcm of all their denominators.
-
-    Returns kernel zp polynomials.  One factor for the whole row is a row
-    operation, so ranks and kernels over Q(a) are unchanged.
-    """
-    entries = list(entries)
-    denoms = [c.denominator for e in entries for c in e.coeffs]
-    scale = lcm(*denoms) if denoms else 1
-    return [[int(c * scale) for c in e.coeffs] for e in entries]
-
-
 def generic_rank(mat: PolyMatrix) -> int:
     """Rank of a PolyQ matrix over the rational function field Q(a).
 
-    The rank at a = 0 is a lower bound; when it is already min(rows, cols) it
-    is the generic rank.  Otherwise fraction-free Bareiss decides.
+    The largest rank at a = 0, 1, 2, ..., stopping once it reaches
+    full = min(rows, cols) and otherwise after a = full*D, D the largest
+    entry degree: a nonzero r x r minor has degree at most r*D <= full*D, so
+    it cannot vanish at all full*D + 1 points.
     """
     full = min(mat.rows, mat.cols)
-    if full == 0:
-        return 0
-    if rank_at(mat, 0) == full:
-        return full
-    rank, _ = kernels.zpm_rank([integer_row(mat.row(i)) for i in range(mat.rows)])
+    degree = max((e.degree for e in mat.entries), default=0)
+    rank = 0
+    for a in range(full * max(degree, 0) + 1):
+        if rank == full:
+            break
+        rank = max(rank, rank_at(mat, a))
     return rank
 
 

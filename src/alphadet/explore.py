@@ -3,9 +3,10 @@
 Whether the transition matrix is semisimple is open in general; this module
 lets one probe it numerically-in-spirit but with exact arithmetic: pick a
 rational alpha, compute the characteristic polynomial of F(alpha) by
-Faddeev-LeVerrier, strip repeated factors via gcd with the derivative, and
-test whether the squarefree part annihilates the matrix.  That is exactly
-the condition for diagonalizability over the algebraic closure of Q.
+Faddeev-LeVerrier, strip repeated factors by dividing out its gcd with the
+derivative (Euclid over Q, in `PolyQ`), and test whether the squarefree part
+annihilates the matrix.  That is exactly the condition for
+diagonalizability over the algebraic closure of Q.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from alphadet import kernels
-from alphadet.exact import PolyQ, QMatrix, integer_row, mat_identity, mat_mul
+from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_identity, mat_mul
 from alphadet.symgrp import Partition
 from alphadet.transition import transition_matrix
 
@@ -42,9 +42,7 @@ def squarefree_part(p: PolyQ) -> PolyQ:
     """p divided by gcd(p, p'), made monic; shares the roots of p, each once."""
     if p.degree <= 0:
         return PolyQ.one() if p.degree == 0 else p
-    pz, dz = integer_row([p, p.derivative()])
-    q = kernels.zp_divexact(pz, kernels.zp_gcd(pz, dz))
-    return PolyQ(Fraction(c, q[-1]) for c in q)
+    return divmod(p, p.gcd(p.derivative()))[0].monic()
 
 
 def _poly_at_matrix(p: PolyQ, A: QMatrix) -> QMatrix:
@@ -65,16 +63,20 @@ class DiagonalizabilityProbe:
     diagonalizable: bool
 
 
+def _probe(F: PolyMatrix, alpha: Fraction | int) -> DiagonalizabilityProbe:
+    a = Fraction(alpha)
+    Fa = F.eval_at(a)
+    p = charpoly(Fa)
+    s = squarefree_part(p)
+    value = _poly_at_matrix(s, Fa)
+    zero = all(not x for row in value for x in row)
+    return DiagonalizabilityProbe(alpha=a, char=p, squarefree=s, diagonalizable=zero)
+
+
 def probe_diagonalizable(
     n: int, l: int, lam: Partition, alpha: Fraction | int, max_size: int | None = None
 ) -> DiagonalizabilityProbe:
-    a = Fraction(alpha)
-    F = transition_matrix(n, l, lam, max_size=max_size).entries.eval_at(a)
-    p = charpoly(F)
-    s = squarefree_part(p)
-    value = _poly_at_matrix(s, F)
-    zero = all(not x for row in value for x in row)
-    return DiagonalizabilityProbe(alpha=a, char=p, squarefree=s, diagonalizable=zero)
+    return probe_many(n, l, lam, (alpha,), max_size=max_size)[0]
 
 
 DEFAULT_PROBE_ALPHAS = (
@@ -94,4 +96,6 @@ def probe_many(
     alphas=DEFAULT_PROBE_ALPHAS,
     max_size: int | None = None,
 ) -> list[DiagonalizabilityProbe]:
-    return [probe_diagonalizable(n, l, lam, a, max_size=max_size) for a in alphas]
+    """Probe F(alpha) at each alpha; F is built once."""
+    F = transition_matrix(n, l, lam, max_size=max_size).entries
+    return [_probe(F, a) for a in alphas]

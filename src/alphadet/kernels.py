@@ -1,16 +1,21 @@
-"""Exact kernels: the inner loops of every rank and echelon computation.
+"""Exact kernels: the inner loop of every rank and echelon computation.
 
-Integer polynomials ("zp") are lists of int coefficients in ascending degree
-with no trailing zeros; [] is the zero polynomial.  Rational rows ("q") are
-lists of fractions.Fraction.  Callers reach these functions as module
-attributes (`kernels.zp_mul`, not a from-import), so one wrapper installed
-on the module sees every call, including the ones made inside `zpm_rank`.
+`qm_rref` reduces rational rows (lists of fractions.Fraction) and serves
+every rank, solve and nullspace in the package.  Callers reach it as a
+module attribute (`kernels.qm_rref`, not a from-import), so one wrapper
+installed on the module sees every call.
+
+The integer-polynomial ("zp") functions work over Z[x]: lists of int
+coefficients in ascending degree with no trailing zeros, [] the zero
+polynomial.  No other module of the package calls them.  `zpm_rank`, a
+fraction-free Bareiss elimination, stays as the tests' independent
+reference for generic ranks, and the benchmark wraps `zp_mul` and
+`zpm_rank` as layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 # The one implementation; benchmark records carry it as their backend tag.
 BACKEND = "python"
@@ -68,44 +73,6 @@ def zp_divexact(a, b):
     if any(rem):
         raise ValueError("inexact polynomial division")
     return zp_trim(out)
-
-
-def _zp_primitive(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def zp_gcd(a, b):
-    """Greatest common divisor over Q[x], as a primitive zp with positive lead.
-
-    Primitive pseudo-remainder sequence; returns [1] as soon as a remainder
-    is a nonzero constant, and [] only when both inputs are zero.
-    """
-    if not b:
-        return _zp_primitive(a) if a else []
-    if not a:
-        return _zp_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _zp_primitive(a), _zp_primitive(b)
-    while len(b) > 1:
-        rem = list(a)
-        lead = b[-1]
-        while len(rem) >= len(b):
-            c = rem[-1]
-            shift = len(rem) - len(b)
-            rem = [x * lead for x in rem]
-            for j, y in enumerate(b):
-                rem[shift + j] -= c * y
-            zp_trim(rem)
-        if not rem:
-            return b
-        a, b = b, _zp_primitive(rem)
-    return [1]
 
 
 def zpm_rank(rows):

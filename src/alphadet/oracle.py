@@ -35,7 +35,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 
 from alphadet.errors import (
@@ -45,7 +45,7 @@ from alphadet.errors import (
     UncertifiedClosureError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, QMatrix
+from alphadet.exact import PolyQ, QMatrix
 from alphadet.symgrp import ClassFunctionH, Partition, Permutation, enumerate_H, nu, theta
 
 DEFAULT_ADET_CAP = 8
@@ -353,7 +353,7 @@ class ModuleBasis:
     """Reduced echelon basis of the cyclic module.
 
     `generators` are the basis polynomials in row order (descending lead
-    monomial); `monomials` label the columns of `coefficient_matrix`
+    monomial); `monomials` lists every monomial that occurs in them
     (descending lex).  `alpha` is None for the generic module over Q(alpha):
     a closure at a specialization certified it to be the whole space, so its
     generators are the unit monomials with coefficient PolyQ.one().
@@ -374,20 +374,6 @@ class ModuleBasis:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    @cached_property
-    def coefficient_matrix(self) -> PolyMatrix:
-        """Dense PolyQ coefficients of the generators, built on first read."""
-        if not self.generators:
-            return PolyMatrix(0, 0, ())
-        colindex = {m: c for c, m in enumerate(self.monomials)}
-        rows = []
-        for poly in self.generators:
-            line = [PolyQ.zero()] * len(self.monomials)
-            for m, c in poly.terms.items():
-                line[colindex[m]] = c if isinstance(c, PolyQ) else PolyQ.constant(c)
-            rows.append(line)
-        return PolyMatrix.from_rows(rows)
 
 
 def cyclic_closure(

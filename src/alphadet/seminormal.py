@@ -205,10 +205,6 @@ class InvariantBasis:
     columns: tuple[tuple[Fraction, ...], ...]  # dim f rows, d columns
 
     @property
-    def dim_rep(self) -> int:
-        return len(self.columns)
-
-    @property
     def d(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 

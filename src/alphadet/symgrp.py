@@ -467,8 +467,8 @@ class ClassFunctionH:
 
     Stored as a function of the theta image's tuple of cycle types, which
     indexes the H-conjugacy classes, so constancy on classes holds by
-    construction.  `kind` tags the two built-in functions ("custom" for the
-    rest); equality compares it, since the stored function cannot be.
+    construction.  `kind` tags which of the two built-in functions it is;
+    equality compares it, since the stored function cannot be.
     """
 
     n: int
@@ -496,15 +496,6 @@ class ClassFunctionH:
             return PolyQ.zero()
 
         return cls(n, l, "delta", fn)
-
-    @classmethod
-    def from_function(
-        cls, n: int, l: int, fn: Callable[[tuple[tuple[int, ...], ...]], PolyQ]
-    ) -> ClassFunctionH:
-        return cls(n, l, "custom", fn)
-
-    def value_of_types(self, types: tuple[tuple[int, ...], ...]) -> PolyQ:
-        return self._fn(types)
 
     def value(self, h: Permutation) -> PolyQ:
         types = tuple(c.cycle_type().parts for c in theta(h, self.n, self.l))

@@ -35,7 +35,6 @@ spherical values averaged over K, summed over H with alpha^nu weights.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,25 +257,6 @@ def transition_matrix(
     """
     if lam.size != n * l:
         raise SizeMismatchError(f"|lam| = {lam.size} is not n*l = {n * l}")
-    if phi is None:
-        return _cached_transition(n, l, lam.parts, max_size)
-    return _build_transition(n, l, lam, phi, max_size)
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_transition(
-    n: int, l: int, parts: tuple[int, ...], max_size: int | None
-) -> TransitionMatrix:
-    return _build_transition(n, l, Partition(parts), None, max_size)
-
-
-def _build_transition(
-    n: int,
-    l: int,
-    lam: Partition,
-    phi: ClassFunctionH | None,
-    max_size: int | None,
-) -> TransitionMatrix:
     rep = build_rep(lam, max_size=max_size)
     basis = invariant_basis(rep, n, l)
     if basis.d == 0:

@@ -17,7 +17,6 @@ from alphadet.exact import PolyQ
 from alphadet.formulas import (
     HahnParams,
     binomial_q,
-    content_poly,
     frobenius_specialization,
     gkp_identity_check,
     hahn_Q,
@@ -26,7 +25,7 @@ from alphadet.formulas import (
     n2_transition,
 )
 from alphadet.symgrp import Partition, admissible_shapes, character, dim_f, kostka, partitions
-from alphadet.transition import transition_matrix, trace_poly
+from alphadet.transition import transition_matrix
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Exact scalar/matrix layer: polynomial ring laws, ranks, specialization."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphadet import kernels
 from alphadet.errors import SingularMatrixError
 from alphadet.exact import (
     PolyMatrix,
@@ -20,6 +22,7 @@ from alphadet.exact import (
     rank_q,
     solve_exact,
 )
+from alphadet.explore import squarefree_part
 
 A = PolyQ.variable()
 
@@ -94,6 +97,75 @@ def test_polyq_eval_is_hom(p, x):
     assert (p + q)(x) == p(x) + q(x)
 
 
+rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+qpoly_st = st.lists(rational_st, max_size=4).map(PolyQ)
+
+
+@given(qpoly_st, qpoly_st)
+@settings(max_examples=80, deadline=None)
+def test_polyq_divmod(a, b):
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+def _sylvester(a, b):
+    """Coefficients of a, ..., a^(deg b - 1) * a and b, ..., a^(deg a - 1) * b."""
+    m, n = a.degree, b.degree
+    zero = [Fraction(0)]
+    rows = [zero * i + list(a.coeffs) + zero * (n - 1 - i) for i in range(n)]
+    return rows + [zero * i + list(b.coeffs) + zero * (m - 1 - i) for i in range(m)]
+
+
+@given(qpoly_st, qpoly_st, qpoly_st)
+@settings(max_examples=80, deadline=None)
+def test_polyq_gcd(g, u, v):
+    a, b = g * u, g * v
+    out = a.gcd(b)
+    if not a and not b:
+        assert out.is_zero
+        return
+    assert out.coeffs[-1] == 1
+    assert not divmod(a, out)[1] and not divmod(b, out)[1]
+    if a and b:
+        # The Sylvester matrix loses one rank per degree of the gcd.
+        assert out.degree == a.degree + b.degree - rank_q(_sylvester(a, b))
+    else:
+        assert out == (a or b).monic()
+
+
+factor_st = st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=3).map(
+    PolyQ
+).filter(lambda p: p.degree >= 1)
+
+
+@given(
+    st.lists(st.tuples(factor_st, st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
+    rational_st.filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_squarefree_part(factors, scale):
+    p = PolyQ.constant(scale)
+    for f, e in factors:
+        p = p * f**e
+    s = squarefree_part(p)
+    assert s.coeffs[-1] == 1
+    assert not divmod(p, s)[1]
+    assert s.gcd(s.derivative()) == PolyQ.one()
+    # No root is lost: with s holding each root once, no root of p has
+    # multiplicity above deg p - deg s + 1, so p divides that power of s.
+    assert not divmod(s ** (p.degree - s.degree + 1), p)[1]
+
+
+def test_squarefree_part_of_constants():
+    assert squarefree_part(PolyQ.constant(Fraction(-2, 3))) == PolyQ.one()
+    assert squarefree_part(PolyQ.zero()) == PolyQ.zero()
+
+
 def test_polymatrix_basics():
     m = PolyMatrix.from_rows([[PolyQ.one(), A], [PolyQ.zero(), 1 - A]])
     assert m.entry(0, 1) == A
@@ -124,6 +196,49 @@ def test_generic_rank_known():
     assert generic_rank(dep) == 1
     assert generic_rank(PolyMatrix.from_rows([[PolyQ.zero()]])) == 0
     assert generic_rank(PolyMatrix(0, 0, ())) == 0
+
+
+def test_generic_rank_needs_every_certified_point():
+    # full = 2 and D = 2 give the points a = 0..4; only a = 4 shows rank 2.
+    m = PolyMatrix.from_rows([[A * (A - 1), PolyQ.zero()], [PolyQ.zero(), (A - 2) * (A - 3)]])
+    assert [rank_at(m, a) for a in range(5)] == [1, 1, 1, 1, 2]
+    assert generic_rank(m) == 2
+
+
+def _integer_rows(mat):
+    """Each row as zp polynomials, scaled by one positive factor (rank is unchanged)."""
+    rows = []
+    for i in range(mat.rows):
+        entries = mat.row(i)
+        scale = lcm(*(c.denominator for e in entries for c in e.coeffs))
+        rows.append([[int(c * scale) for c in e.coeffs] for e in entries])
+    return rows
+
+
+@st.composite
+def factored_matrices(draw):
+    """P diag(a^e (a - c)^f) Q: rank at most k, and singular at 0 when an e > 0."""
+    nr, nc, k = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = [[PolyQ(draw(st.lists(entry, max_size=2))) for _ in range(k)] for _ in range(nr)]
+    Q = [[draw(entry) for _ in range(nc)] for _ in range(k)]
+    diag = [
+        A ** draw(st.integers(min_value=0, max_value=2))
+        * (A - draw(entry)) ** draw(st.integers(min_value=0, max_value=1))
+        for _ in range(k)
+    ]
+    return PolyMatrix.from_rows(
+        [
+            [sum((P[i][t] * diag[t] * Q[t][j] for t in range(k)), PolyQ.zero()) for j in range(nc)]
+            for i in range(nr)
+        ]
+    )
+
+
+@given(factored_matrices())
+@settings(max_examples=80, deadline=None)
+def test_generic_rank_matches_bareiss(m):
+    assert generic_rank(m) == kernels.zpm_rank(_integer_rows(m))[0]
 
 
 def test_rank_at_drops_on_zero_set():

@@ -1,6 +1,7 @@
 """Report serialization round trips and command line entry points."""
 
 import csv
+import inspect
 import io
 import json
 from dataclasses import replace
@@ -17,7 +18,7 @@ from alphadet.report import (
     to_json,
     to_text,
 )
-from alphadet.verify import CheckResult
+from alphadet.verify import SUITES, CheckResult
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,71 @@ def test_cli_rejects_sizes_below_one(argv, capsys):
         cli.main(argv)
     assert err.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["trace", "--n", "2", "--l", "2", "--lam", "3,1"],
+        ["zonal", "--n", "2", "--l", "2", "--lam", "3,1"],
+        ["explore-diagonalizable", "--n", "2", "--l", "2", "--lam", "3,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_csv_where_it_has_no_encoding(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--format", "csv"])
+    assert err.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["verify", "gkp", "--cases", "2,2"], "--cases"),
+        (["verify", "frobenius", "--seed", "3"], "--seed"),
+        (["verify", "oracle", "--cases", "2,1", "--tol", "0.1", "--paper-variant"],
+         "--tol, --paper-variant"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_cli_verify_refuses_options_the_suite_does_not_take(argv, refused, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: suite {argv[1]} does not take {refused}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs",
+    [
+        (["frobenius", "--max-n", "3"], {"max_n": 3}),
+        (["jacobi", "--max-l", "2"], {"max_l": 2}),
+        (["hook-trace", "--cases", "2,2;3,1", "--paper-variant"],
+         {"cases": ((2, 2), (3, 1)), "paper_variant": True}),
+        (["oracle", "--alpha=1/2", "--alpha=2"], {"alphas": (Fraction(1, 2), Fraction(2))}),
+        (["vere-jones", "--seed", "3", "--k-max", "4", "--tol", "1e-6"],
+         {"seed": 3, "k_max": 4, "tol": 1e-6}),
+        (["selfadjoint"], {}),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_cli_verify_passes_each_option_to_its_parameter(argv, kwargs, monkeypatch):
+    seen = {}
+
+    def fake(name, **kw):
+        seen.update(kw)
+        return []
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    assert cli.main(["verify"] + argv) == 0
+    assert seen == kwargs
+
+
+def test_cli_verify_reaches_every_suite_parameter():
+    params = {p for suite in SUITES.values() for p in inspect.signature(suite).parameters}
+    assert set(cli.VERIFY_OPTIONS.values()) <= params
+    assert params - set(cli.VERIFY_OPTIONS.values()) == {"count"}
 
 
 def test_cli_version():

@@ -1,6 +1,7 @@
 """Transition matrices: frozen small cases, structural invariants, and the
 independent trace route."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,9 @@ from alphadet.errors import (
     EmptyInvariantSpaceError,
     SizeMismatchError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, generic_rank, integer_row
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank
 from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
-from alphadet.transition import _cached_transition, trace_poly, transition_matrix
+from alphadet.transition import trace_poly, transition_matrix
 
 A = PolyQ.variable()
 
@@ -90,6 +91,11 @@ def test_rank_bounds():
 
 def test_generic_rank_certificate_matches_bareiss():
     # F(0) = I certifies full rank d; Bareiss over Z[a] is the reference.
+    def integer_row(entries):
+        # One positive factor per row clears every denominator; rank is unchanged.
+        scale = math.lcm(*(c.denominator for e in entries for c in e.coeffs))
+        return [[int(c * scale) for c in e.coeffs] for e in entries]
+
     for m in range(1, 7):
         for n in range(1, m + 1):
             if m % n:
@@ -121,13 +127,6 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 phi = ClassFunctionH.alpha_nu(n, l)
                 direct = transition_matrix(n, l, lam, phi=phi)
                 assert transition_matrix(n, l, lam).entries == direct.entries, (n, l, lam)
-
-
-def test_cache_returns_same_object():
-    a = transition_matrix(2, 2, Partition((3, 1)))
-    b = transition_matrix(2, 2, Partition((3, 1)))
-    assert a is b
-    assert _cached_transition.cache_info().maxsize is not None
 
 
 def test_errors():
