@@ -60,6 +60,8 @@ def _cases(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_decompose(args) -> int:
+    if args.matrices and args.format == "csv":
+        raise ValueError("--matrices has no CSV encoding; use --format json or text")
     report = build_report(
         args.n,
         args.l,

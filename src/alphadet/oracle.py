@@ -11,17 +11,24 @@ returning its reduced echelon basis.  Multiplicities are read off as
 dimensions of highest-weight spaces: among the module rows of weight lam
 (row-degree vector), the kernel of all raising operators E_i,i+1.
 
-All elimination is over Q, in one sparse fraction-free echelon reducer:
-rows are integers divided by their content and made monic only when the
-basis is returned.  The generic module over Q(alpha) is certified by
-specialization.  It lies in the space of polynomials whose every column has
-degree l, of dimension C(n+l-1, l)^n, and specializing alpha can only lower
-its dimension; so one closure at a rational alpha that fills the space proves
-that the generic module is the whole space, and its reduced echelon basis is
-the unit monomials.  Highest-weight counts use the same reducer: the raising
-images of each weight-lam row, scaled as a whole to integer coefficients,
-form one sparse row, and the number of rows that reduce to zero is the
-multiplicity.
+Only the cone part of the module is built: the weight spaces of weight mu
+with mu_1 + ... + mu_k >= k*l for every k.  Every dominant weight of size
+n*l lies in the cone, so the counts read nothing else, and a lowering image
+that leaves the cone can never come back to it (each simple lowering lowers
+one partial sum by one), so dropping those images loses nothing inside it.
+
+All elimination is over Q, in one sparse fraction-free echelon reducer on
+integer rows keyed by monomial: rows are divided by their content while the
+closure runs and made monic only when the basis is returned.  The generic
+module over Q(alpha) is certified by specialization.  It lies in the space
+of polynomials whose every column has degree l, and specializing alpha can
+only lower the dimension of each weight space; so one closure at a rational
+alpha whose cone part has as many rows as there are monomials of cone
+weight proves that the generic cone part is all of them, and its reduced
+echelon basis is those unit monomials.  Highest-weight counts use the same
+reducer: the raising images of each weight-lam row, scaled as a whole to
+integer coefficients, form one sparse row, and the number of rows that
+reduce to zero is the multiplicity.
 
 `vere_jones_check` is the single floating-point routine in the package: it
 compares det(I - a A)^(-1/a) against the truncated sum of alpha-determinants
@@ -32,11 +39,11 @@ tail.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from alphadet.errors import (
     CapExceededError,
@@ -46,7 +53,16 @@ from alphadet.errors import (
     ZeroAlphaError,
 )
 from alphadet.exact import PolyQ, QMatrix
-from alphadet.symgrp import ClassFunctionH, Partition, Permutation, enumerate_H, nu, theta
+from alphadet.symgrp import (
+    ClassFunctionH,
+    Partition,
+    Permutation,
+    admissible_shapes,
+    enumerate_H,
+    kostka_content,
+    nu,
+    theta,
+)
 
 DEFAULT_ADET_CAP = 8
 DEFAULT_GENERIC_CLOSURE_CAP = 6
@@ -66,6 +82,37 @@ def _var(i: int, j: int, n: int) -> int:
 def _polarization_shifts(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
     """(source, target) variable indices (x_js, x_is) of E_ij, s = 1..n."""
     return tuple((_var(j, s, n), _var(i, s, n)) for s in range(1, n + 1))
+
+
+def _polarize(terms: dict[Monomial, object], i: int, j: int, n: int) -> dict[Monomial, object]:
+    """E_ij = sum_s x_is d/dx_js on {monomial: coefficient}, zero terms dropped.
+
+    Coefficients may be int, Fraction or PolyQ: each is only multiplied by
+    an exponent and added.
+    """
+    shifts = _polarization_shifts(i, j, n)
+    out: dict[Monomial, object] = {}
+    for m, c in terms.items():
+        for src, dst in shifts:
+            e = m[src]
+            if e:
+                newm = list(m)
+                newm[src] -= 1
+                newm[dst] += 1
+                key = tuple(newm)
+                add = c * e
+                acc = out.get(key)
+                acc = add if acc is None else acc + add
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
+    return out
+
+
+def _monomial_weight(m: Monomial, n: int) -> tuple[int, ...]:
+    """Row-degree vector of a monomial in x11, x12, ..., xnn."""
+    return tuple(sum(m[k : k + n]) for k in range(0, n * n, n))
 
 
 class MultiPoly:
@@ -142,24 +189,7 @@ class MultiPoly:
 
     def apply_E(self, i: int, j: int) -> MultiPoly:
         """Polarization operator E_ij f = sum_s x_is df/dx_js."""
-        shifts = _polarization_shifts(i, j, self.n)
-        out: dict[Monomial, object] = {}
-        for m, c in self.terms.items():
-            for src, dst in shifts:
-                e = m[src]
-                if e:
-                    newm = list(m)
-                    newm[src] -= 1
-                    newm[dst] += 1
-                    key = tuple(newm)
-                    add = c * e
-                    acc = out.get(key)
-                    acc = add if acc is None else acc + add
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
-        return MultiPoly(self.n, out)
+        return MultiPoly(self.n, _polarize(self.terms, i, j, self.n))
 
     def eval_alpha(self, a: Fraction) -> MultiPoly:
         return MultiPoly(
@@ -169,9 +199,7 @@ class MultiPoly:
 
     def weight(self) -> tuple[int, ...]:
         """Row-degree vector; requires all terms to share it."""
-        n = self.n
-        starts = range(0, n * n, n)
-        ws = {tuple(sum(m[k : k + n]) for k in starts) for m in self.terms}
+        ws = {_monomial_weight(m, self.n) for m in self.terms}
         if len(ws) != 1:
             raise ValueError("polynomial is not weight-homogeneous")
         return next(iter(ws))
@@ -332,36 +360,85 @@ class _RowReducer:
         """Eliminate every pivot lead from every other row.
 
         Ascending lead order: once a row is clean, reducing against it cannot
-        reintroduce pivot leads, so one elimination per occurrence suffices.
+        reintroduce pivot leads, so one elimination per occurrence suffices,
+        and the occurrences can be listed once, before the first.
         """
         for lead in sorted(self.pivots):
             row = self.pivots[lead]
-            while True:
-                hit = max(
-                    (m for m in row if m != lead and m in self.pivots),
-                    default=None,
-                )
-                if hit is None:
-                    break
+            for hit in [m for m in row if m != lead and m in self.pivots]:
                 row = _eliminate_int(row, self.pivots[hit], hit)
             self.pivots[lead] = _normalize_int(row)
         return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
 
 
+def _in_cone(w: tuple[int, ...], l: int) -> bool:
+    """True when every partial sum w_1 + ... + w_k is at least k*l."""
+    s = 0
+    for k, x in enumerate(w, 1):
+        s += x
+        if s < k * l:
+            return False
+    return True
+
+
+def _cone_weights(n: int, l: int) -> list[tuple[int, ...]]:
+    """Every weight of size n*l in the cone {mu_1 + ... + mu_k >= k*l for all k},
+    in descending lex order."""
+    out = []
+
+    def extend(prefix: tuple[int, ...], s: int) -> None:
+        k = len(prefix)
+        if k == n - 1:
+            out.append(prefix + (n * l - s,))
+            return
+        for x in range(n * l - s, max(0, (k + 1) * l - s) - 1, -1):
+            extend(prefix + (x,), s + x)
+
+    extend((), 0)
+    return out
+
+
+def cone_monomial_count(n: int, l: int) -> int:
+    """Number of monomials whose every column has degree l and whose weight
+    lies in the cone: the dimension of the generic module's cone part.
+
+    A DP over the columns on the weight reached so far; for l = 1 it is
+    (n+1)^(n-1).
+    """
+    columns = []
+    for rows in itertools.combinations_with_replacement(range(n), l):
+        c = [0] * n
+        for i in rows:
+            c[i] += 1
+        columns.append(c)
+    states = {(0,) * n: 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for w, count in states.items():
+            for c in columns:
+                v = tuple(a + b for a, b in zip(w, c))
+                nxt[v] = nxt.get(v, 0) + count
+        states = nxt
+    return sum(count for w, count in states.items() if _in_cone(w, l))
+
+
 @dataclass(frozen=True)
 class ModuleBasis:
-    """Reduced echelon basis of the cyclic module.
+    """Reduced echelon basis of the cone part of the cyclic module.
 
-    `generators` are the basis polynomials in row order (descending lead
-    monomial); `monomials` lists every monomial that occurs in them
-    (descending lex).  `alpha` is None for the generic module over Q(alpha):
-    a closure at a specialization certified it to be the whole space, so its
-    generators are the unit monomials with coefficient PolyQ.one().
-    Otherwise `alpha` is the specialization point and generators are monic
-    over Q.  `hwv_multiplicity` reads a generic basis's coefficients as
-    rationals, so a hand-built generic basis must have coefficients free of
-    alpha.  Each row is weight-homogeneous; `weights` lists the row-degree
-    vectors.
+    The cone part is the sum of the module's weight spaces M_mu with mu in
+    the cone {mu_1 + ... + mu_k >= k*l for all k}; it holds every dominant
+    weight, which is all the highest-weight counts read.  `generators` are
+    the basis polynomials in row order (descending lead monomial);
+    `monomials` lists every monomial that occurs in them (descending lex).
+    `alpha` is None for the generic module over Q(alpha): a closure at a
+    specialization certified its cone part to be the whole cone part of the
+    space, so its generators are the unit monomials of cone weight with
+    coefficient PolyQ.one().  Otherwise `alpha` is the specialization point
+    and generators are monic over Q.  `hwv_multiplicity` reads a generic
+    basis's coefficients as rationals, so a hand-built generic basis must
+    have coefficients free of alpha.  Each row is weight-homogeneous;
+    `weights` lists the row-degree vectors.
     """
 
     n: int
@@ -379,14 +456,16 @@ class ModuleBasis:
 def cyclic_closure(
     n: int, l: int, alpha: Fraction | int | None = None, max_size: int | None = None
 ) -> ModuleBasis:
-    """U(gl_n)-span of the l-th alpha-determinant power, in reduced echelon form.
+    """Cone part of the U(gl_n)-span of the l-th alpha-determinant power, in
+    reduced echelon form.
 
     With `alpha` given, the closure of adet(X)^l specialized there.  The
-    generic module (alpha None) is the whole space of polynomials whose
-    every column has degree l when a closure at some alpha reaches the
-    dimension C(n+l-1, l)^n of that space: the first alpha of
-    CERTIFYING_ALPHAS that does certifies it, and the returned basis is the
-    unit monomials over PolyQ.  Raises UncertifiedClosureError when none does.
+    generic module (alpha None) lies in the space of polynomials whose every
+    column has degree l; its cone part is the whole cone part of that space
+    when a closure at some alpha reaches `cone_monomial_count(n, l)`: the
+    first alpha of CERTIFYING_ALPHAS that does certifies it, and the
+    returned basis is the unit monomials of cone weight over PolyQ.  Raises
+    UncertifiedClosureError when none does.
     """
     default_cap = (
         DEFAULT_GENERIC_CLOSURE_CAP if alpha is None else DEFAULT_SPECIAL_CLOSURE_CAP
@@ -398,73 +477,91 @@ def cyclic_closure(
         )
     adet_cap = max(n, cap)
     if alpha is not None:
-        return _closure(n, l, Fraction(alpha), adet_cap)
-    full = comb(n + l - 1, l) ** n
+        a = Fraction(alpha)
+        rows = _close(n, l, a, adet_cap).back_reduce()
+        generators = tuple(
+            MultiPoly(n, {m: Fraction(c, row[max(row)]) for m, c in row.items()})
+            for row in rows
+        )
+        return _module_basis(n, l, a, generators)
+    full = cone_monomial_count(n, l)
     for a in CERTIFYING_ALPHAS:
-        basis = _closure(n, l, a, adet_cap)
-        if basis.dim == full:
+        leads = sorted(_close(n, l, a, adet_cap).pivots, reverse=True)
+        if len(leads) == full:
+            # full distinct leads of cone weight are every monomial of cone
+            # weight, so the reduced echelon basis is the unit monomials and
+            # needs no back reduction.
             one = PolyQ.one()
-            return replace(
-                basis,
-                alpha=None,
-                generators=tuple(MultiPoly(n, {m: one}) for m in basis.monomials),
-            )
+            return _module_basis(n, l, None, tuple(MultiPoly(n, {m: one}) for m in leads))
     tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
     raise UncertifiedClosureError(
-        f"no closure for n = {n}, l = {l} reached the generic dimension {full}; "
-        f"tried alpha = {tried}"
+        f"no closure for n = {n}, l = {l} reached the dimension {full} of the "
+        f"generic module's cone part; tried alpha = {tried}"
     )
 
 
-def _closure(n: int, l: int, a: Fraction, adet_cap: int) -> ModuleBasis:
-    """Closure of adet(X)^l at alpha = a, on integer rows.
+def _module_basis(
+    n: int, l: int, alpha: Fraction | None, generators: tuple[MultiPoly, ...]
+) -> ModuleBasis:
+    """Wrap reduced echelon rows, in descending lead order, as a ModuleBasis."""
+    leads = [max(g.terms) for g in generators]
+    return ModuleBasis(
+        n=n,
+        l=l,
+        alpha=alpha,
+        generators=generators,
+        monomials=tuple(sorted({m for g in generators for m in g.terms}, reverse=True)),
+        weights=tuple(_monomial_weight(lead, n) for lead in leads),
+    )
+
+
+def _close(n: int, l: int, a: Fraction, adet_cap: int) -> _RowReducer:
+    """Echelon rows spanning the cone part of the closure of adet(X)^l at
+    alpha = a, on integer rows.
 
     Phase 1 closes the span under the simple raising operators E_i,i+1,
     which gives U(n+) gen; phase 2 closes that under the simple lowering
     operators E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is
     U(gl_n) gen: the Cartan part U(h) only scales weight-homogeneous rows,
-    and the simple operators generate n+ and n-.  Each image is reduced
-    against the current echelon rows and kept when it is new; the final back
-    reduction makes the basis the unique reduced echelon form of the module,
-    whatever the elimination order.
+    and the simple operators generate n+ and n-.  Raising from (l^n) never
+    leaves the cone.  A lowering E_j+1,j lowers the partial sum
+    mu_1 + ... + mu_j by one and no operator of phase 2 raises one, so an
+    image that leaves the cone never returns to it: phase 2 skips those
+    images, and what remains is exactly the module's cone part.  Each image
+    is reduced against the current echelon rows and kept when it is new;
+    the caller's back reduction makes the basis the unique reduced echelon
+    form of the cone part, whatever the elimination order.
     """
     gen = adet_symbolic(n, max_size=adet_cap).eval_alpha(a) ** l
     scale = lcm(*(c.denominator for c in gen.terms.values()))
     reducer = _RowReducer()
+    raising = [(i, i + 1) for i in range(1, n)]
 
-    def close(polys: list[MultiPoly], ops) -> list[MultiPoly]:
-        """Close span(polys) under ops; returns polys plus every new row."""
-        found = list(polys)
-        queue = deque(polys)
+    def lowering(row):
+        """The simple lowering operators whose image of row stays in the cone."""
+        ops = []
+        s = 0
+        for j, x in enumerate(_monomial_weight(max(row), n)[:-1], 1):
+            s += x
+            if s > j * l:
+                ops.append((j + 1, j))
+        return ops
+
+    def close(ops_of):
+        """Close the span of the current rows under ops_of(row)."""
+        queue = deque(reducer.pivots.values())
         while queue:
-            f = queue.popleft()
-            for i, j in ops:
-                row = reducer.reduce(dict(f.apply_E(i, j).terms))
-                if row:
-                    reducer.insert(row)
-                    poly = MultiPoly(n, row)
-                    found.append(poly)
-                    queue.append(poly)
-        return found
+            row = queue.popleft()
+            for i, j in ops_of(row):
+                new = reducer.reduce(_polarize(row, i, j, n))
+                if new:
+                    reducer.insert(new)
+                    queue.append(new)
 
-    start = reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()})
-    reducer.insert(start)
-    raised = close([MultiPoly(n, start)], [(i, i + 1) for i in range(1, n)])
-    close(raised, [(i + 1, i) for i in range(1, n)])
-
-    rows = reducer.back_reduce()
-    polys = tuple(
-        MultiPoly(n, {m: Fraction(c, row[max(row)]) for m, c in row.items()})
-        for row in rows
-    )
-    return ModuleBasis(
-        n=n,
-        l=l,
-        alpha=a,
-        generators=polys,
-        monomials=tuple(sorted({m for r in rows for m in r}, reverse=True)),
-        weights=tuple(p.weight() for p in polys),
-    )
+    reducer.insert(reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()}))
+    close(lambda row: raising)
+    close(lowering)
+    return reducer
 
 
 def _constant(c: PolyQ) -> Fraction:
@@ -495,16 +592,16 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     if lam.length > n:
         return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
-    rows = [p for p, w in zip(basis.generators, basis.weights) if w == target]
+    rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
     if basis.alpha is None:
-        rows = [MultiPoly(n, {m: _constant(c) for m, c in p.terms.items()}) for p in rows]
+        rows = [{m: _constant(c) for m, c in terms.items()} for terms in rows]
     reducer = _RowReducer()
     rank = 0
-    for poly in rows:
+    for terms in rows:
         image = {
             (i, m): c
             for i in range(1, n)
-            for m, c in poly.apply_E(i, i + 1).terms.items()
+            for m, c in _polarize(terms, i, i + 1, n).items()
         }
         scale = lcm(*(c.denominator for c in image.values()))
         row = reducer.reduce({key: int(c * scale) for key, c in image.items()})
@@ -515,15 +612,29 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
 
 
 def weight_consistency_check(basis: ModuleBasis) -> bool:
-    """sum over admissible lam of multiplicity times Weyl dimension must equal
-    the closure dimension."""
-    from alphadet.symgrp import admissible_shapes
-
-    total = sum(
-        hwv_multiplicity(basis, lam) * weyl_dim(lam, basis.n)
-        for lam in admissible_shapes(basis.n, basis.l)
-    )
-    return total == basis.dim
+    """Per-weight identity of the cone part: every row weight lies in the
+    cone, and for every weight mu of the cone
+    dim M_mu = sum over lam of m_lam K(lam, mu), with m_lam the
+    highest-weight multiplicities and K the Kostka number (symmetric in the
+    content, so read at mu sorted)."""
+    n, l = basis.n, basis.l
+    dims = Counter(basis.weights)
+    cone = _cone_weights(n, l)
+    if not dims.keys() <= set(cone):
+        return False
+    mults = [
+        (lam, m)
+        for lam in admissible_shapes(n, l)
+        if (m := hwv_multiplicity(basis, lam))
+    ]
+    expected: dict[tuple[int, ...], int] = {}
+    for mu in cone:
+        content = tuple(sorted(mu, reverse=True))
+        if content not in expected:
+            expected[content] = sum(m * kostka_content(lam, content) for lam, m in mults)
+        if dims.get(mu, 0) != expected[content]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

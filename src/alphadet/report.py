@@ -226,6 +226,8 @@ def to_csv(report: DecompositionReport) -> str:
         header.append(f"mult@{a}")
     if report.oracle is not None:
         header.append("oracle_generic")
+        for a, _ in report.oracle.specialized:
+            header.append(f"oracle@{a}")
     writer.writerow(header)
     for idx, r in enumerate(report.rows):
         line = [
@@ -240,6 +242,8 @@ def to_csv(report: DecompositionReport) -> str:
             line.append(mults[idx])
         if report.oracle is not None:
             line.append(report.oracle.generic[idx])
+            for _, mults in report.oracle.specialized:
+                line.append(mults[idx])
         writer.writerow(line)
     return buf.getvalue()
 

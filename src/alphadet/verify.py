@@ -185,8 +185,9 @@ ORACLE_ALPHAS = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
 def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
     """Master property: module-closure multiplicities equal transition ranks.
 
-    Each closure also gets its weight count: the multiplicities times the
-    Weyl dimensions must add up to the closure dimension.
+    Each closure also gets its weight count: every row weight lies in the
+    cone the closure keeps, and each weight space of the cone has dimension
+    sum over lam of multiplicity times K(lam, mu).
     """
     from alphadet.oracle import cyclic_closure, hwv_multiplicity, weight_consistency_check
 

@@ -3,6 +3,7 @@ cyclic closures, highest weight multiplicities, and the Vere-Jones series."""
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,46 @@ def _polarize(terms, i, j, n):
             key = tuple(x for row in grid for x in row)
             out[key] = out.get(key, 0) + c * e
     return {m: c for m, c in out.items() if c}
+
+
+def _in_cone(w, l):
+    # mu_1 + ... + mu_k >= k*l for every k
+    return all(sum(w[:k]) >= k * l for k in range(1, len(w) + 1))
+
+
+def _unfiltered_closure(n, l, a):
+    # The whole module at alpha = a by PBW (simple raising operators, then
+    # simple lowering ones, no cone filter), with the oracle's reducer and the
+    # polarization above; monic reduced echelon rows, descending lead.
+    gen = (adet_symbolic(n) ** l).eval_alpha(a)
+    scale = math.lcm(*(c.denominator for c in gen.terms.values()))
+    reducer = oracle._RowReducer()
+
+    def close(rows, ops):
+        found = list(rows)
+        stack = list(rows)
+        while stack:
+            row = stack.pop()
+            for i, j in ops:
+                new = reducer.reduce(_polarize(row, i, j, n))
+                if new:
+                    reducer.insert(new)
+                    found.append(new)
+                    stack.append(new)
+        return found
+
+    start = reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()})
+    reducer.insert(start)
+    raised = close([start], [(i, i + 1) for i in range(1, n)])
+    close(raised, [(i + 1, i) for i in range(1, n)])
+    return [
+        {m: Fraction(c, row[max(row)]) for m, c in row.items()}
+        for row in reducer.back_reduce()
+    ]
+
+
+def _row_weight(terms, n):
+    return tuple(sum(max(terms)[k * n : (k + 1) * n]) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +318,25 @@ def test_weyl_dim():
 # cyclic closure and highest weight multiplicities (frozen from full runs)
 
 CLOSURE_TABLE = {
-    # (n, l, alpha): (dim, {shape: multiplicity})
-    (2, 1, None): (4, {(2,): 1, (1, 1): 1}),
-    (2, 1, Fraction(1)): (3, {(2,): 1, (1, 1): 0}),
-    (2, 1, Fraction(-1)): (1, {(2,): 0, (1, 1): 1}),
-    (2, 1, Fraction(-1, 2)): (4, {(2,): 1, (1, 1): 1}),
-    (2, 2, None): (9, {(4,): 1, (3, 1): 1, (2, 2): 1}),
-    (2, 2, Fraction(1)): (6, {(4,): 1, (3, 1): 0, (2, 2): 1}),
-    (2, 2, Fraction(-1)): (1, {(4,): 0, (3, 1): 0, (2, 2): 1}),
-    (2, 3, None): (16, {(6,): 1, (5, 1): 1, (4, 2): 1, (3, 3): 1}),
-    (2, 3, Fraction(1)): (10, {(6,): 1, (5, 1): 0, (4, 2): 1, (3, 3): 0}),
-    (2, 3, Fraction(-1)): (1, {(6,): 0, (5, 1): 0, (4, 2): 0, (3, 3): 1}),
-    (3, 1, None): (27, {(3,): 1, (2, 1): 2, (1, 1, 1): 1}),
-    (3, 1, Fraction(1)): (10, {(3,): 1, (2, 1): 0, (1, 1, 1): 0}),
-    (3, 1, Fraction(-1)): (1, {(3,): 0, (2, 1): 0, (1, 1, 1): 1}),
-    (3, 1, Fraction(-1, 2)): (17, {(3,): 0, (2, 1): 2, (1, 1, 1): 1}),
-    (3, 1, Fraction(2)): (27, {(3,): 1, (2, 1): 2, (1, 1, 1): 1}),
+    # (n, l, alpha): (module dim, cone-part dim, {shape: multiplicity})
+    (2, 1, None): (4, 3, {(2,): 1, (1, 1): 1}),
+    (2, 1, Fraction(1)): (3, 2, {(2,): 1, (1, 1): 0}),
+    (2, 1, Fraction(-1)): (1, 1, {(2,): 0, (1, 1): 1}),
+    (2, 1, Fraction(-1, 2)): (4, 3, {(2,): 1, (1, 1): 1}),
+    (2, 2, None): (9, 6, {(4,): 1, (3, 1): 1, (2, 2): 1}),
+    (2, 2, Fraction(1)): (6, 4, {(4,): 1, (3, 1): 0, (2, 2): 1}),
+    (2, 2, Fraction(-1)): (1, 1, {(4,): 0, (3, 1): 0, (2, 2): 1}),
+    (2, 3, None): (16, 10, {(6,): 1, (5, 1): 1, (4, 2): 1, (3, 3): 1}),
+    (2, 3, Fraction(1)): (10, 6, {(6,): 1, (5, 1): 0, (4, 2): 1, (3, 3): 0}),
+    (2, 3, Fraction(-1)): (1, 1, {(6,): 0, (5, 1): 0, (4, 2): 0, (3, 3): 1}),
+    (3, 1, None): (27, 16, {(3,): 1, (2, 1): 2, (1, 1, 1): 1}),
+    (3, 1, Fraction(1)): (10, 5, {(3,): 1, (2, 1): 0, (1, 1, 1): 0}),
+    (3, 1, Fraction(-1)): (1, 1, {(3,): 0, (2, 1): 0, (1, 1, 1): 1}),
+    (3, 1, Fraction(-1, 2)): (17, 11, {(3,): 0, (2, 1): 2, (1, 1, 1): 1}),
+    (3, 1, Fraction(2)): (27, 16, {(3,): 1, (2, 1): 2, (1, 1, 1): 1}),
     (2, 4, Fraction(1)): (
         15,
+        9,
         {(8,): 1, (7, 1): 0, (6, 2): 1, (5, 3): 0, (4, 4): 1},
     ),
 }
@@ -303,24 +345,68 @@ CLOSURE_TABLE = {
 @pytest.mark.parametrize("key", sorted(CLOSURE_TABLE, key=repr))
 def test_closure_frozen(key):
     n, l, alpha = key
-    dim, mults = CLOSURE_TABLE[key]
+    dim, cone_dim, mults = CLOSURE_TABLE[key]
     basis = cyclic_closure(n, l, alpha=alpha)
-    assert basis.dim == dim
+    assert basis.dim == cone_dim
     for shape, m in mults.items():
         assert hwv_multiplicity(basis, Partition(shape)) == m
-    # dims decompose: sum of mult * weyl_dim equals the module dimension
+    assert weight_consistency_check(basis)
+    # the whole module decomposes: sum of mult * weyl_dim is its dimension,
+    # which the unfiltered closure (at the first certifying alpha when
+    # generic) reaches
     assert sum(
         m * weyl_dim(Partition(shape), n) for shape, m in mults.items()
     ) == dim
+    at = oracle.CERTIFYING_ALPHAS[0] if alpha is None else alpha
+    assert len(_unfiltered_closure(n, l, at)) == dim
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(2, 2, None), (3, 1, None), (4, 1, None)]
+    + [
+        (n, l, a)
+        for n, l in ((3, 1), (2, 4), (3, 2), (4, 1))
+        for a in (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
+    ],
+    ids=str,
+)
+def test_cone_closure_is_the_cone_part_of_the_unfiltered_closure(n, l, alpha):
+    # Second route: the unfiltered closure's rows of cone weight are the
+    # reduced echelon basis of the module's cone part, row for row.
+    basis = cyclic_closure(n, l, alpha=alpha)
+    at = oracle.CERTIFYING_ALPHAS[0] if alpha is None else alpha
+    expected = [
+        row for row in _unfiltered_closure(n, l, at) if _in_cone(_row_weight(row, n), l)
+    ]
+    got = [g.terms for g in basis.generators]
+    if alpha is None:
+        assert all(c == PolyQ.one() for terms in got for c in terms.values())
+        got = [{m: c.coeff(0) for m, c in terms.items()} for terms in got]
+    assert got == expected
+    assert list(basis.weights) == [_row_weight(row, n) for row in expected]
 
 
 def test_closure_weight_consistency():
-    for n, l in ((2, 2), (3, 1)):
-        basis = cyclic_closure(n, l)
+    for n, l, alpha in ((2, 2, None), (3, 1, None), (3, 1, Fraction(-1, 2)), (2, 4, 1)):
+        basis = cyclic_closure(n, l, alpha=alpha)
         assert weight_consistency_check(basis)
         assert len(basis.weights) == basis.dim
-        # every row weight sums to n*l
+        # every row weight sums to n*l and lies in the cone
         assert all(sum(w) == n * l for w in basis.weights)
+        assert all(_in_cone(w, l) for w in basis.weights)
+        # a row short of some weight space, or a row outside the cone, fails
+        assert not weight_consistency_check(
+            replace(basis, generators=basis.generators[1:], weights=basis.weights[1:])
+        )
+        outside = (0,) * (n - 1) + (n * l,)
+        assert not weight_consistency_check(
+            replace(
+                basis,
+                generators=basis.generators + (basis.generators[0],),
+                weights=basis.weights + (outside,),
+            )
+        )
 
 
 def test_hwv_rejects_bad_shapes():
@@ -436,8 +522,8 @@ def _in_span(f, generators):
     ids=str,
 )
 def test_closure_is_stable_under_every_E_ij(n, l, alpha):
-    # The closure applies only the simple operators; the full gl_n action
-    # must still stay inside the returned span.
+    # The closure applies only the simple operators and keeps only the cone
+    # part; every E_ij image of cone weight must still lie in the span.
     basis = cyclic_closure(n, l, alpha=alpha)
     gen = adet_symbolic(n) ** l
     if alpha is not None:
@@ -445,7 +531,11 @@ def test_closure_is_stable_under_every_E_ij(n, l, alpha):
     assert _in_span(gen, basis.generators)
     for g in basis.generators:
         for i, j in itertools.permutations(range(1, n + 1), 2):
-            assert _in_span(apply_E(i, j, g), basis.generators)
+            image = apply_E(i, j, g)
+            if image and _in_cone(image.weight(), l):
+                assert _in_span(image, basis.generators)
+    # and no generator lies outside the cone
+    assert all(_in_cone(g.weight(), l) for g in basis.generators)
 
 
 def test_generic_closure_rows_are_primitive():
@@ -464,21 +554,30 @@ def test_generic_closure_rows_are_primitive():
     "n, l, max_size", [(n, l, None) for n, l in ORACLE_CASES] + [(2, 4, 8)], ids=str
 )
 def test_generic_closure_is_the_whole_space(n, l, max_size):
-    # Every monomial whose columns each have degree l, once, with coefficient 1.
+    # Every monomial whose columns each have degree l and whose weight lies
+    # in the cone, once, with coefficient 1.
     basis = cyclic_closure(n, l, max_size=max_size)
     assert basis.alpha is None
-    assert basis.dim == math.comb(n + l - 1, l) ** n
+    cone_monomials = [
+        m
+        for m in itertools.product(range(l + 1), repeat=n * n)
+        if all(sum(m[j::n]) == l for j in range(n))
+        and _in_cone(tuple(sum(m[i * n : (i + 1) * n]) for i in range(n)), l)
+    ]
+    assert basis.dim == len(cone_monomials) == oracle.cone_monomial_count(n, l)
+    if l == 1:
+        assert basis.dim == (n + 1) ** (n - 1)
+    assert list(basis.monomials) == sorted(cone_monomials, reverse=True)
     assert [list(g.terms.items()) for g in basis.generators] == [
         [(m, PolyQ.one())] for m in basis.monomials
     ]
-    assert list(basis.monomials) == sorted(basis.monomials, reverse=True)
-    for m in basis.monomials:
-        assert all(sum(m[j::n]) == l for j in range(n))
 
 
 def test_generic_closure_needs_a_full_certificate(monkeypatch):
-    # At alpha = 1 the (2,1) closure is Sym^2, dimension 3, not 4.
-    assert cyclic_closure(2, 1, alpha=1).dim == 3
+    # At alpha = 1 the (2,1) closure is Sym^2, dimension 3, not 4; its cone
+    # part, weights (2,0) and (1,1), has 2 of the 3 cone monomials.
+    assert cyclic_closure(2, 1, alpha=1).dim == 2
+    assert oracle.cone_monomial_count(2, 1) == 3
     monkeypatch.setattr(oracle, "CERTIFYING_ALPHAS", (Fraction(1),))
     with pytest.raises(UncertifiedClosureError, match=r"n = 2, l = 1.*alpha = 1$"):
         cyclic_closure(2, 1)
@@ -513,10 +612,10 @@ def test_closure_caps():
         cyclic_closure(4, 2)  # generic cap is nl <= 6
     with pytest.raises(CapExceededError):
         cyclic_closure(3, 3, alpha=Fraction(1))  # specialized cap is nl <= 8
-    # specialized nl = 8 sits inside its default cap
-    assert cyclic_closure(2, 4, alpha=Fraction(1)).dim == 15
-    # generic nl = 8 needs an explicit override
-    assert cyclic_closure(2, 4, max_size=8).dim == 25
+    # specialized nl = 8 sits inside its default cap: module dim 15, cone part 9
+    assert cyclic_closure(2, 4, alpha=Fraction(1)).dim == 9
+    # generic nl = 8 needs an explicit override: 25 monomials, 15 in the cone
+    assert cyclic_closure(2, 4, max_size=8).dim == 15
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,20 @@ def test_to_csv_structure():
     assert [row[6] for row in rows[1:]] == ["1", "0", "1"]
 
 
+def test_to_csv_carries_every_oracle_count():
+    r = build_report(3, 1, alphas=(Fraction(1), Fraction(-1, 2)), with_oracle=True)
+    rows = list(csv.reader(io.StringIO(to_csv(r))))
+    assert rows[0][6:] == [
+        "mult@1", "mult@-1/2", "oracle_generic", "oracle@1", "oracle@-1/2",
+    ]
+    assert [row[8:] for row in rows[1:]] == [
+        ["1", "1", "0"], ["2", "0", "2"], ["1", "0", "1"],
+    ]
+    # each oracle column repeats its rank column
+    for rank_col, oracle_col in ((4, 8), (6, 9), (7, 10)):
+        assert [row[rank_col] for row in rows[1:]] == [row[oracle_col] for row in rows[1:]]
+
+
 def test_to_text_mentions_shapes():
     text = to_text(build_report(2, 2))
     assert "(3,1)" in text
@@ -112,6 +126,30 @@ def test_cli_decompose_json_with_oracle(capsys):
     assert doc["oracle"]["agrees"] is True
     alphas = [s["alpha"] for s in doc["alpha_specializations"]]
     assert alphas == ["1", "-1/2"]
+
+
+def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
+    rc = cli.main(
+        ["decompose", "--n", "2", "--l", "2", "--alpha=1", "--alpha=-1/2",
+         "--oracle", "--format", "csv"]
+    )
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][6:] == [
+        "mult@1", "mult@-1/2", "oracle_generic", "oracle@1", "oracle@-1/2",
+    ]
+    assert [row[9:] for row in rows[1:]] == [["1", "1"], ["0", "1"], ["1", "1"]]
+
+
+def test_cli_decompose_refuses_csv_matrices(capsys):
+    argv = ["decompose", "--n", "2", "--l", "2", "--matrices", "--format", "csv"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --matrices has no CSV encoding; use --format json or text\n"
+    )
+    assert cli.main(argv[:-2] + ["--format", "json"]) == 0
 
 
 def test_cli_transition_check(capsys):
