@@ -223,6 +223,8 @@ def cmd_verify(args) -> int:
     if refused:
         raise ValueError(f"suite {args.suite} does not take {', '.join(refused)}")
     results = run_suite(args.suite, **kwargs)
+    if not results:
+        raise ValueError(f"suite {args.suite} ran no check with these options")
     for r in results:
         line = f"[{'PASS' if r.passed else 'FAIL'}] {r.name}"
         if r.detail:
@@ -314,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zonal", help="zonal spherical values of a shape")
     common(p, ("text", "json"), shape=True)
-    p.add_argument("--s", type=int, default=None, help="n=2 double-coset index")
-    p.add_argument("--g", type=str, default=None, help="permutation images, e.g. 2,1,3")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--s", type=int, default=None, help="n=2 double-coset index")
+    at.add_argument("--g", type=str, default=None, help="permutation images, e.g. 2,1,3")
     p.set_defaults(func=cmd_zonal)
 
     p = sub.add_parser("adet", help="alpha-determinant of a CSV matrix")

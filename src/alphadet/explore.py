@@ -73,12 +73,6 @@ def _probe(F: PolyMatrix, alpha: Fraction | int) -> DiagonalizabilityProbe:
     return DiagonalizabilityProbe(alpha=a, char=p, squarefree=s, diagonalizable=zero)
 
 
-def probe_diagonalizable(
-    n: int, l: int, lam: Partition, alpha: Fraction | int, max_size: int | None = None
-) -> DiagonalizabilityProbe:
-    return probe_many(n, l, lam, (alpha,), max_size=max_size)[0]
-
-
 DEFAULT_PROBE_ALPHAS = (
     Fraction(0),
     Fraction(1),

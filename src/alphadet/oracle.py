@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -54,10 +55,8 @@ from alphadet.errors import (
 )
 from alphadet.exact import PolyQ, QMatrix
 from alphadet.symgrp import (
-    ClassFunctionH,
     Partition,
     Permutation,
-    admissible_shapes,
     enumerate_H,
     kostka_content,
     nu,
@@ -279,13 +278,11 @@ def adet_symbolic(n: int, max_size: int | None = None) -> MultiPoly:
     return MultiPoly(n, out)
 
 
-def D_of(n: int, l: int, phi: ClassFunctionH, max_size: int | None = None) -> MultiPoly:
-    """Column-group average sum_h phi(h) prod_{p,q} x_{theta(h)_p(q), q}."""
-    acc: dict[Monomial, object] = {}
+def D_of(n: int, l: int, max_size: int | None = None) -> MultiPoly:
+    """Sum over h in H of alpha^nu(h) prod_{p,q} x_{theta(h)_p(q), q}."""
+    acc: dict[Monomial, PolyQ] = {}
     for h in enumerate_H(n, l, max_size=max_size):
-        c = phi.value(h)
-        if not c:
-            continue
+        c = PolyQ.monomial(nu(h))
         comps = theta(h, n, l)
         m = [0] * (n * n)
         for p in range(1, l + 1):
@@ -611,27 +608,25 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     return len(rows) - rank
 
 
-def weight_consistency_check(basis: ModuleBasis) -> bool:
+def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int]) -> bool:
     """Per-weight identity of the cone part: every row weight lies in the
     cone, and for every weight mu of the cone
-    dim M_mu = sum over lam of m_lam K(lam, mu), with m_lam the
-    highest-weight multiplicities and K the Kostka number (symmetric in the
-    content, so read at mu sorted)."""
+    dim M_mu = sum over lam of m_lam K(lam, mu), with m_lam = mults[lam]
+    the highest-weight multiplicities being checked (a shape left out
+    counts 0) and K the Kostka number (symmetric in the content, so read
+    at mu sorted)."""
     n, l = basis.n, basis.l
     dims = Counter(basis.weights)
     cone = _cone_weights(n, l)
     if not dims.keys() <= set(cone):
         return False
-    mults = [
-        (lam, m)
-        for lam in admissible_shapes(n, l)
-        if (m := hwv_multiplicity(basis, lam))
-    ]
     expected: dict[tuple[int, ...], int] = {}
     for mu in cone:
         content = tuple(sorted(mu, reverse=True))
         if content not in expected:
-            expected[content] = sum(m * kostka_content(lam, content) for lam, m in mults)
+            expected[content] = sum(
+                m * kostka_content(lam, content) for lam, m in mults.items() if m
+            )
         if dims.get(mu, 0) != expected[content]:
             return False
     return True

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from alphadet.errors import CapExceededError, NotInSubgroupError, SizeMismatchError
-from alphadet.exact import PolyQ
 
 DEFAULT_ENUM_CAP = 10
 
@@ -325,27 +324,6 @@ def theta(h: Permutation, n: int, l: int) -> tuple[Permutation, ...]:
     return tuple(comps)
 
 
-def theta_inv(components: Sequence[Permutation], n: int, l: int) -> Permutation:
-    """Inverse of `theta`: assemble an H-element from l permutations of S_n."""
-    if len(components) != l:
-        raise SizeMismatchError(f"expected {l} components, got {len(components)}")
-    imgs = [0] * (n * l)
-    for p in range(1, l + 1):
-        sigma = components[p - 1]
-        if sigma.size != n:
-            raise SizeMismatchError("component size must be n")
-        for q in range(1, n + 1):
-            imgs[(q - 1) * l + p - 1] = (sigma(q) - 1) * l + p
-    return Permutation(imgs)
-
-
-def embed_column(sigma: Permutation, p: int, n: int, l: int) -> Permutation:
-    """Embed sigma in S_n as the column-p factor of H, identity elsewhere."""
-    comps = [Permutation.identity(n)] * l
-    comps[p - 1] = sigma
-    return theta_inv(comps, n, l)
-
-
 def coset_rep_n2(l: int, s: int) -> Permutation:
     """The double-coset representative (1,l+1)(2,l+2)...(s,l+s) in S_{2l}."""
     if not 0 <= s <= l:
@@ -459,44 +437,3 @@ def zonal(
         count += 1
     total = sum(mult * _chi(lam.parts, t) for t, mult in buckets.items())
     return Fraction(total, count)
-
-
-@dataclass(frozen=True)
-class ClassFunctionH:
-    """A class function on the column group H, valued in Q[alpha].
-
-    Stored as a function of the theta image's tuple of cycle types, which
-    indexes the H-conjugacy classes, so constancy on classes holds by
-    construction.  `kind` tags which of the two built-in functions it is;
-    equality compares it, since the stored function cannot be.
-    """
-
-    n: int
-    l: int
-    kind: str
-    _fn: Callable[[tuple[tuple[int, ...], ...]], PolyQ] = field(compare=False)
-
-    @classmethod
-    def alpha_nu(cls, n: int, l: int) -> ClassFunctionH:
-        """h -> alpha^{nu(h)}; nu is additive across the theta components."""
-
-        def fn(types: tuple[tuple[int, ...], ...]) -> PolyQ:
-            e = sum(n - len(t) for t in types)
-            return PolyQ.monomial(e)
-
-        return cls(n, l, "alpha_nu", fn)
-
-    @classmethod
-    def delta_identity(cls, n: int, l: int) -> ClassFunctionH:
-        """Indicator of the identity element."""
-
-        def fn(types: tuple[tuple[int, ...], ...]) -> PolyQ:
-            if all(t == (1,) * n for t in types):
-                return PolyQ.one()
-            return PolyQ.zero()
-
-        return cls(n, l, "delta", fn)
-
-    def value(self, h: Permutation) -> PolyQ:
-        types = tuple(c.cycle_type().parts for c in theta(h, self.n, self.l))
-        return self._fn(types)

@@ -25,8 +25,8 @@ and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
 applied straight to the sparse columns through the seminormal generators,
 along its palindromic word s_x ... s_{y-1} ... s_x.
 
-Any explicit class function phi on H, alpha^nu included, takes the direct
-sum over H instead, which gives the tests an independent second route to
+This is the only assembly in the library.  The tests carry the direct sum
+of alpha^nu(h) rho(h) over every h in H as an independent second route to
 the same matrix in the same (canonical) basis.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
@@ -47,18 +47,11 @@ from alphadet.exact import (
     QMatrix,
     generic_rank,
     mat_inverse,
-    mat_mul,
     rank_at,
 )
-from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis, rep_of
-from alphadet.symgrp import (
-    ClassFunctionH,
-    Partition,
-    _chi,
-    enumerate_H,
-    enumerate_K,
-    nu,
-)
+from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis
+from alphadet.seminormal import rep_of  # noqa: F401  (perfbench traces transition.rep_of)
+from alphadet.symgrp import Partition, _chi, enumerate_H, enumerate_K, nu
 
 
 @dataclass(frozen=True)
@@ -86,48 +79,6 @@ class TransitionMatrix:
 
 
 Slices = list[list[dict[int, Fraction]]]
-
-
-def _full_operator(
-    rep: SeminormalRep,
-    basis: InvariantBasis,
-    phi: ClassFunctionH,
-    n: int,
-    l: int,
-    max_size: int | None,
-) -> Slices:
-    """Direct sum over H of phi(h) rho(h) on the invariant columns, by degree.
-
-    The rho(h) are summed over Q within each value of phi, and each sum is
-    applied to the columns once.  Works for any class function; phi = None
-    (alpha^nu) takes the Jucys-Murphy route instead.
-    """
-    sums: dict[PolyQ, QMatrix] = {}
-    for h in enumerate_H(n, l, max_size=max_size):
-        v = phi.value(h)
-        if v.is_zero:
-            continue
-        R = rep_of(rep, h)
-        S = sums.setdefault(v, R)
-        if S is not R:
-            for Si, Ri in zip(S, R):
-                for j, x in enumerate(Ri):
-                    if x:
-                        Si[j] += x
-    B = basis.column_matrix()
-    T: Slices = [
-        [{} for _ in range(basis.d)] for _ in range(max((v.degree for v in sums), default=-1) + 1)
-    ]
-    for v, S in sums.items():
-        SB = mat_mul(S, B)
-        for e, x in enumerate(v.coeffs):
-            if not x:
-                continue
-            for c, col in enumerate(T[e]):
-                for i, row in enumerate(SB):
-                    if row[c]:
-                        col[i] = col.get(i, 0) + x * row[c]
-    return [[{i: v for i, v in col.items() if v} for col in slice_e] for slice_e in T]
 
 
 # A sparse rational column as one positive denominator over integer numerators.
@@ -205,19 +156,11 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
 
 
 def _assemble(
-    rep: SeminormalRep,
-    basis: InvariantBasis,
-    n: int,
-    l: int,
-    phi: ClassFunctionH | None,
-    max_size: int | None,
+    rep: SeminormalRep, basis: InvariantBasis, n: int, l: int
 ) -> tuple[PolyMatrix, QMatrix]:
     d = basis.d
     D = rep.gram
-    if phi is None:
-        T = _jucys_murphy(rep, basis, n, l)
-    else:
-        T = _full_operator(rep, basis, phi, n, l, max_size)
+    T = _jucys_murphy(rep, basis, n, l)
     nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
     # A = B^T D T slice by slice, and the Gram matrix G = B^T D B.
     A = [[[Fraction(0)] * len(T) for _ in range(d)] for _ in range(d)]
@@ -244,13 +187,9 @@ def _assemble(
 
 
 def transition_matrix(
-    n: int,
-    l: int,
-    lam: Partition,
-    phi: ClassFunctionH | None = None,
-    max_size: int | None = None,
+    n: int, l: int, lam: Partition, max_size: int | None = None
 ) -> TransitionMatrix:
-    """The d x d operator matrix for shape lam; phi defaults to alpha^nu.
+    """The d x d operator matrix of sum_h alpha^nu(h) h for shape lam.
 
     Raises EmptyInvariantSpaceError when the rectangular Kostka number is 0
     (more than n rows), and SizeMismatchError when |lam| != n*l.
@@ -263,7 +202,7 @@ def transition_matrix(
         raise EmptyInvariantSpaceError(
             f"shape {lam!r} has no row-group invariants for (n, l) = ({n}, {l})"
         )
-    F, G = _assemble(rep, basis, n, l, phi, max_size)
+    F, G = _assemble(rep, basis, n, l)
     return TransitionMatrix(
         shape=lam,
         n=n,

@@ -185,9 +185,10 @@ ORACLE_ALPHAS = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
 def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
     """Master property: module-closure multiplicities equal transition ranks.
 
-    Each closure also gets its weight count: every row weight lies in the
-    cone the closure keeps, and each weight space of the cone has dimension
-    sum over lam of multiplicity times K(lam, mu).
+    Each closure also gets its weight count, on the same multiplicities:
+    every row weight lies in the cone the closure keeps, and each weight
+    space of the cone has dimension sum over lam of multiplicity times
+    K(lam, mu).
     """
     from alphadet.oracle import cyclic_closure, hwv_multiplicity, weight_consistency_check
 
@@ -195,25 +196,16 @@ def suite_oracle(cases=ORACLE_CASES, alphas=ORACLE_ALPHAS) -> list[CheckResult]:
     for n, l in cases:
         shapes = admissible_shapes(n, l)
         mats = [transition_matrix(n, l, lam) for lam in shapes]
-        basis = cyclic_closure(n, l)
-        ok = all(
-            hwv_multiplicity(basis, lam) == tm.generic_rank()
-            for lam, tm in zip(shapes, mats)
-        )
-        out.append(_result(f"oracle ({n},{l}) generic", ok))
-        out.append(
-            _result(f"oracle ({n},{l}) generic weight count", weight_consistency_check(basis))
-        )
-        for a in alphas:
-            sb = cyclic_closure(n, l, alpha=a)
+        for a in (None, *alphas):
+            basis = cyclic_closure(n, l, alpha=a)
+            mults = {lam: hwv_multiplicity(basis, lam) for lam in shapes}
             ok = all(
-                hwv_multiplicity(sb, lam) == tm.rank_at(a)
+                mults[lam] == (tm.generic_rank() if a is None else tm.rank_at(a))
                 for lam, tm in zip(shapes, mats)
             )
-            out.append(_result(f"oracle ({n},{l}) alpha={a}", ok))
-            out.append(
-                _result(f"oracle ({n},{l}) alpha={a} weight count", weight_consistency_check(sb))
-            )
+            label = f"oracle ({n},{l}) " + ("generic" if a is None else f"alpha={a}")
+            out.append(_result(label, ok))
+            out.append(_result(f"{label} weight count", weight_consistency_check(basis, mults)))
     return out
 
 

@@ -32,8 +32,8 @@ from alphadet.oracle import (
     weyl_dim,
     D_of,
 )
-from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
-from alphadet.verify import ORACLE_CASES
+from alphadet.symgrp import Partition, admissible_shapes
+from alphadet.verify import ORACLE_CASES, suite_oracle
 
 A = PolyQ.variable()
 
@@ -294,10 +294,11 @@ def test_adet_symbolic_consistent_with_eval():
 
 def test_D_of_delta_and_alpha_nu():
     for n, l in ((2, 1), (2, 2), (3, 1)):
-        delta = D_of(n, l, ClassFunctionH.delta_identity(n, l))
+        D = D_of(n, l)
+        # at alpha = 0 only the identity of H is left: the diagonal monomial
         mono = tuple(l if k // n == k % n else 0 for k in range(n * n))
-        assert delta.terms == {mono: PolyQ.one()}
-        assert D_of(n, l, ClassFunctionH.alpha_nu(n, l)) == adet_symbolic(n) ** l
+        assert D.eval_alpha(Fraction(0)).terms == {mono: 1}
+        assert D == adet_symbolic(n) ** l
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +349,10 @@ def test_closure_frozen(key):
     dim, cone_dim, mults = CLOSURE_TABLE[key]
     basis = cyclic_closure(n, l, alpha=alpha)
     assert basis.dim == cone_dim
+    counts = {lam: hwv_multiplicity(basis, lam) for lam in admissible_shapes(n, l)}
     for shape, m in mults.items():
-        assert hwv_multiplicity(basis, Partition(shape)) == m
-    assert weight_consistency_check(basis)
+        assert counts[Partition(shape)] == m
+    assert weight_consistency_check(basis, counts)
     # the whole module decomposes: sum of mult * weyl_dim is its dimension,
     # which the unfiltered closure (at the first certifying alpha when
     # generic) reaches
@@ -390,14 +392,15 @@ def test_cone_closure_is_the_cone_part_of_the_unfiltered_closure(n, l, alpha):
 def test_closure_weight_consistency():
     for n, l, alpha in ((2, 2, None), (3, 1, None), (3, 1, Fraction(-1, 2)), (2, 4, 1)):
         basis = cyclic_closure(n, l, alpha=alpha)
-        assert weight_consistency_check(basis)
+        counts = {lam: hwv_multiplicity(basis, lam) for lam in admissible_shapes(n, l)}
+        assert weight_consistency_check(basis, counts)
         assert len(basis.weights) == basis.dim
         # every row weight sums to n*l and lies in the cone
         assert all(sum(w) == n * l for w in basis.weights)
         assert all(_in_cone(w, l) for w in basis.weights)
         # a row short of some weight space, or a row outside the cone, fails
         assert not weight_consistency_check(
-            replace(basis, generators=basis.generators[1:], weights=basis.weights[1:])
+            replace(basis, generators=basis.generators[1:], weights=basis.weights[1:]), counts
         )
         outside = (0,) * (n - 1) + (n * l,)
         assert not weight_consistency_check(
@@ -405,8 +408,28 @@ def test_closure_weight_consistency():
                 basis,
                 generators=basis.generators + (basis.generators[0],),
                 weights=basis.weights + (outside,),
-            )
+            ),
+            counts,
         )
+        # the check reads the multiplicities it is given: one count off fails
+        top = Partition((n * l,))
+        assert not weight_consistency_check(basis, {**counts, top: counts[top] + 1})
+
+
+def test_suite_oracle_counts_each_highest_weight_once(monkeypatch):
+    # the rank comparison and the weight count share one count per
+    # (closure, lam) pair
+    calls = []
+    count = oracle.hwv_multiplicity
+
+    def counting(basis, lam):
+        calls.append((basis.alpha, lam))
+        return count(basis, lam)
+
+    monkeypatch.setattr(oracle, "hwv_multiplicity", counting)
+    results = suite_oracle(cases=((2, 1), (3, 1)), alphas=(Fraction(1), Fraction(-1)))
+    assert all(r.passed for r in results) and len(results) == 12
+    assert len(calls) == len(set(calls)) == 3 * (2 + 3)
 
 
 def test_hwv_rejects_bad_shapes():

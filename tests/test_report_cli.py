@@ -181,6 +181,15 @@ def test_cli_zonal(capsys):
     assert cli.main(["zonal", "--n", "3", "--l", "1", "--lam", "2,1", "--g", "2,1,3"]) == 0
 
 
+def test_cli_zonal_refuses_g_with_s(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["zonal", "--n", "2", "--l", "2", "--lam", "3,1", "--g", "2,1,3,4", "--s", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err.splitlines()[-1]
+
+
 def test_cli_adet(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
@@ -281,6 +290,27 @@ def test_cli_verify_refuses_options_the_suite_does_not_take(argv, refused, capsy
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "frobenius", "--max-n", "0"],
+        ["verify", "jacobi", "--max-l", "0"],
+        ["verify", "n2-theorem", "--max-l", "0"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_cli_verify_refuses_a_run_with_no_check(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: suite {argv[1]} ran no check with these options\n"
+
+
+def test_cli_verify_gkp_at_l_zero_runs_its_one_check(capsys):
+    assert cli.main(["verify", "gkp", "--max-l", "0"]) == 0
+    assert capsys.readouterr().out == "[PASS] gkp l=0\n1/1 checks passed\n"
+
+
+@pytest.mark.parametrize(
     "argv, kwargs",
     [
         (["frobenius", "--max-n", "3"], {"max_n": 3}),
@@ -299,7 +329,7 @@ def test_cli_verify_passes_each_option_to_its_parameter(argv, kwargs, monkeypatc
 
     def fake(name, **kw):
         seen.update(kw)
-        return []
+        return [CheckResult(name=name, passed=True)]
 
     monkeypatch.setattr(cli, "run_suite", fake)
     assert cli.main(["verify"] + argv) == 0

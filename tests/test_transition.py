@@ -12,8 +12,9 @@ from alphadet.errors import (
     EmptyInvariantSpaceError,
     SizeMismatchError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, generic_rank
-from alphadet.symgrp import ClassFunctionH, Partition, admissible_shapes
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_inverse, mat_mul
+from alphadet.seminormal import build_rep, invariant_basis, rep_of
+from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
 from alphadet.transition import trace_poly, transition_matrix
 
 A = PolyQ.variable()
@@ -108,25 +109,44 @@ def test_generic_rank_certificate_matches_bareiss():
                 assert generic_rank(tm.entries) == bareiss == tm.d, (n, l, lam)
 
 
-def test_delta_gives_identity():
-    for n, l, parts in ((2, 2, (3, 1)), (3, 2, (5, 1)), (2, 3, (4, 2))):
-        delta = ClassFunctionH.delta_identity(n, l)
-        tm = transition_matrix(n, l, Partition(parts), phi=delta)
-        assert tm.entries == PolyMatrix.identity(tm.d)
+def direct_sum_over_H(n, l, lam):
+    """F and G by the direct route: S_e = sum of rho(h) over the h in H with
+    nu(h) = e, compressed slice by slice to G^-1 B^T D S_e B, where B holds
+    the invariant columns, D is the seminormal Gram diagonal and
+    G = B^T D B."""
+    rep = build_rep(lam)
+    B = invariant_basis(rep, n, l).column_matrix()
+    f, d = rep.dim, len(B[0])
+    sums = {}
+    for h in enumerate_H(n, l):
+        S = sums.setdefault(nu(h), [[Fraction(0)] * f for _ in range(f)])
+        for Si, Ri in zip(S, rep_of(rep, h)):
+            for j, x in enumerate(Ri):
+                if x:
+                    Si[j] += x
+    BtD = [[B[i][c] * rep.gram[i] for i in range(f)] for c in range(d)]
+    G = mat_mul(BtD, B)
+    Ginv_BtD = mat_mul(mat_inverse(G), BtD)
+    slices = [mat_mul(Ginv_BtD, mat_mul(sums[e], B)) for e in range(max(sums) + 1)]
+    F = PolyMatrix.from_rows(
+        [[PolyQ([sl[r][c] for sl in slices]) for c in range(d)] for r in range(d)]
+    )
+    return F, G
 
 
 def test_jucys_murphy_assembly_matches_sum_over_H():
-    # The default route applies prod (1 + a L_k) to the invariant columns;
-    # an explicit phi sums phi(h) rho(h) over all of H in the same basis.
+    # The library applies prod (1 + a L_k) to the invariant columns; the
+    # direct route sums a^nu(h) rho(h) over every h in H in the same basis.
     for m in range(1, 7):
         for n in range(1, m + 1):
             if m % n:
                 continue
             l = m // n
             for lam in admissible_shapes(n, l):
-                phi = ClassFunctionH.alpha_nu(n, l)
-                direct = transition_matrix(n, l, lam, phi=phi)
-                assert transition_matrix(n, l, lam).entries == direct.entries, (n, l, lam)
+                tm = transition_matrix(n, l, lam)
+                F, G = direct_sum_over_H(n, l, lam)
+                assert tm.entries == F, (n, l, lam)
+                assert tm.gram_matrix() == G, (n, l, lam)
 
 
 def test_errors():
