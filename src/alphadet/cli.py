@@ -88,6 +88,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_transition(args) -> int:
+    if args.check and args.format == "csv":
+        raise ValueError("--check has no CSV encoding; use --format json or text")
     tm = transition_matrix(args.n, args.l, args.lam, max_size=args.max_size)
     checks: dict[str, bool] = {}
     if args.check:

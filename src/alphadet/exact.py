@@ -259,12 +259,6 @@ class PolyMatrix:
             flat.extend(_coerce(x) for x in row)
         return cls(nrows, ncols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        return cls.from_rows(
-            [[PolyQ.one() if i == j else PolyQ.zero() for j in range(n)] for i in range(n)]
-        )
-
     def entry(self, i: int, j: int) -> PolyQ:
         return self.entries[i * self.cols + j]
 
@@ -273,11 +267,6 @@ class PolyMatrix:
 
     def to_rows(self) -> list[list[PolyQ]]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> PolyMatrix:
-        return PolyMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def trace(self) -> PolyQ:
         if self.rows != self.cols:

@@ -2,10 +2,10 @@
 
 Everything here is an independent route to quantities the representation
 machinery also computes: the content-product polynomial governing the l = 1
-case, terminating hypergeometric sums, Hahn polynomial values that equal the
-n = 2 zonal spherical values, the (1+a)^(l-p) G_p^l closed form for the
-1 x 1 transition matrices of n = 2, the hook-shape trace, and the binomial
-and Jacobi identities used to prove them.  Generalized binomial coefficients
+case, Hahn polynomial values that equal the n = 2 zonal spherical values,
+the (1+a)^(l-p) G_p^l closed form for the 1 x 1 transition matrices of
+n = 2, the hook-shape trace, and the binomial and Jacobi identities used
+to prove them.  Generalized binomial coefficients
 C(x, j) = x(x-1)...(x-j+1)/j! are over Q and accept negative upper entries.
 """
 
@@ -21,9 +21,7 @@ from alphadet.symgrp import Partition, dim_f, partitions
 
 __all__ = [
     "binomial_q",
-    "pochhammer",
     "content_poly",
-    "hyp_poly",
     "HahnParams",
     "hahn_Q",
     "G_poly",
@@ -45,14 +43,6 @@ def binomial_q(x: Fraction | int, j: int) -> Fraction:
     return num / factorial(j)
 
 
-def pochhammer(a: Fraction | int, j: int) -> Fraction:
-    """Rising factorial (a)_j = a (a+1) ... (a+j-1)."""
-    out = Fraction(1)
-    for t in range(j):
-        out *= Fraction(a) + t
-    return out
-
-
 def content_poly(lam: Partition) -> PolyQ:
     """prod over cells (i, j) of (1 + (j - i) a).
 
@@ -63,39 +53,6 @@ def content_poly(lam: Partition) -> PolyQ:
     for i, j in lam.cells():
         out = out * PolyQ([1, j - i])
     return out
-
-
-def hyp_poly(upper: list[int], lower: list[int], N: int, x):
-    """Terminating hypergeometric sum with extra lower parameter -N:
-
-        sum_{j=0}^{N} prod(a in upper)(a)_j / (prod(b in lower)(b)_j (-N)_j) x^j / j!
-
-    x may be a rational or a PolyQ.  Raises PochhammerZeroError if a lower
-    Pochhammer vanishes while the numerator is still nonzero.
-    """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    poly_mode = isinstance(x, PolyQ)
-    acc = PolyQ.zero() if poly_mode else Fraction(0)
-    num = Fraction(1)
-    den = Fraction(1)
-    xpow = PolyQ.one() if poly_mode else Fraction(1)
-    for j in range(N + 1):
-        if j > 0:
-            for a in upper:
-                num *= a + j - 1
-            if not num:
-                break
-            for b in lower:
-                den *= b + j - 1
-            den *= (-N + j - 1) * j
-            if not den:
-                raise PochhammerZeroError(
-                    f"lower parameter hit zero at term {j} before truncation"
-                )
-            xpow = xpow * x
-        acc = acc + (num / den) * xpow
-    return acc
 
 
 @dataclass(frozen=True)

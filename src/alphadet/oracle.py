@@ -18,17 +18,18 @@ that leaves the cone can never come back to it (each simple lowering lowers
 one partial sum by one), so dropping those images loses nothing inside it.
 
 All elimination is over Q, in one sparse fraction-free echelon reducer on
-integer rows keyed by monomial: rows are divided by their content while the
-closure runs and made monic only when the basis is returned.  The generic
+integer rows keyed by monomial, and that row is the only format of a module
+row: a dict from monomial to int, primitive, with a positive lead.  The
+closure's reduced echelon rows go into the basis as they are.  The generic
 module over Q(alpha) is certified by specialization.  It lies in the space
 of polynomials whose every column has degree l, and specializing alpha can
 only lower the dimension of each weight space; so one closure at a rational
 alpha whose cone part has as many rows as there are monomials of cone
 weight proves that the generic cone part is all of them, and its reduced
-echelon basis is those unit monomials.  Highest-weight counts use the same
-reducer: the raising images of each weight-lam row, scaled as a whole to
-integer coefficients, form one sparse row, and the number of rows that
-reduce to zero is the multiplicity.
+echelon basis is those unit monomials, with coefficient 1.  Highest-weight
+counts use the same reducer: the raising images of each weight-lam row form
+one sparse integer row, and the number of rows that reduce to zero is the
+multiplicity.
 
 `vere_jones_check` is the single floating-point routine in the package: it
 compares det(I - a A)^(-1/a) against the truncated sum of alpha-determinants
@@ -86,8 +87,8 @@ def _polarization_shifts(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
 def _polarize(terms: dict[Monomial, object], i: int, j: int, n: int) -> dict[Monomial, object]:
     """E_ij = sum_s x_is d/dx_js on {monomial: coefficient}, zero terms dropped.
 
-    Coefficients may be int, Fraction or PolyQ: each is only multiplied by
-    an exponent and added.
+    Coefficients may be ints, rationals or polynomials in alpha: each is
+    only multiplied by an exponent and added.
     """
     shifts = _polarization_shifts(i, j, n)
     out: dict[Monomial, object] = {}
@@ -118,8 +119,9 @@ class MultiPoly:
     """Sparse polynomial in the n^2 entries of an n x n variable matrix.
 
     Terms map exponent vectors (length n^2, variable order x11, x12, ...,
-    xnn) to coefficients.  Coefficients may be PolyQ or Fraction; both
-    support the ring operations used here, and falsy means zero.
+    xnn) to coefficients, and falsy means zero.  The alpha-determinant and
+    D_of have coefficients in Q[alpha], specialized ones are rational, and a
+    module row is an integer row (see the module docstring).
     """
 
     __slots__ = ("n", "terms")
@@ -139,10 +141,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, n: int, c) -> MultiPoly:
         return cls(n, {(0,) * (n * n): c})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -210,15 +208,8 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("MultiPoly is mutable by construction; not hashable")
-
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, {len(self.terms)} terms)"
-
-
-def apply_E(i: int, j: int, f: MultiPoly) -> MultiPoly:
-    return f.apply_E(i, j)
 
 
 def adet_eval(A: QMatrix, a: Fraction | int, max_size: int | None = None) -> Fraction:
@@ -426,23 +417,18 @@ class ModuleBasis:
     The cone part is the sum of the module's weight spaces M_mu with mu in
     the cone {mu_1 + ... + mu_k >= k*l for all k}; it holds every dominant
     weight, which is all the highest-weight counts read.  `generators` are
-    the basis polynomials in row order (descending lead monomial);
-    `monomials` lists every monomial that occurs in them (descending lex).
-    `alpha` is None for the generic module over Q(alpha): a closure at a
-    specialization certified its cone part to be the whole cone part of the
-    space, so its generators are the unit monomials of cone weight with
-    coefficient PolyQ.one().  Otherwise `alpha` is the specialization point
-    and generators are monic over Q.  `hwv_multiplicity` reads a generic
-    basis's coefficients as rationals, so a hand-built generic basis must
-    have coefficients free of alpha.  Each row is weight-homogeneous;
-    `weights` lists the row-degree vectors.
+    the basis rows in descending lead order, with int coefficients: each
+    row primitive, its lead positive, and no other row's lead among its
+    terms.  `alpha` is the specialization point, or None for the generic
+    module over Q(alpha), whose certified basis is the unit monomials of
+    cone weight.  Each row is weight-homogeneous; `weights` lists the
+    row-degree vectors.
     """
 
     n: int
     l: int
     alpha: Fraction | None
     generators: tuple[MultiPoly, ...]
-    monomials: tuple[Monomial, ...]
     weights: tuple[tuple[int, ...], ...]
 
     @property
@@ -461,7 +447,7 @@ def cyclic_closure(
     column has degree l; its cone part is the whole cone part of that space
     when a closure at some alpha reaches `cone_monomial_count(n, l)`: the
     first alpha of CERTIFYING_ALPHAS that does certifies it, and the
-    returned basis is the unit monomials of cone weight over PolyQ.  Raises
+    returned basis is the unit monomials of cone weight.  Raises
     UncertifiedClosureError when none does.
     """
     default_cap = (
@@ -476,11 +462,7 @@ def cyclic_closure(
     if alpha is not None:
         a = Fraction(alpha)
         rows = _close(n, l, a, adet_cap).back_reduce()
-        generators = tuple(
-            MultiPoly(n, {m: Fraction(c, row[max(row)]) for m, c in row.items()})
-            for row in rows
-        )
-        return _module_basis(n, l, a, generators)
+        return _module_basis(n, l, a, tuple(MultiPoly(n, row) for row in rows))
     full = cone_monomial_count(n, l)
     for a in CERTIFYING_ALPHAS:
         leads = sorted(_close(n, l, a, adet_cap).pivots, reverse=True)
@@ -488,8 +470,7 @@ def cyclic_closure(
             # full distinct leads of cone weight are every monomial of cone
             # weight, so the reduced echelon basis is the unit monomials and
             # needs no back reduction.
-            one = PolyQ.one()
-            return _module_basis(n, l, None, tuple(MultiPoly(n, {m: one}) for m in leads))
+            return _module_basis(n, l, None, tuple(MultiPoly(n, {m: 1}) for m in leads))
     tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
     raise UncertifiedClosureError(
         f"no closure for n = {n}, l = {l} reached the dimension {full} of the "
@@ -501,14 +482,12 @@ def _module_basis(
     n: int, l: int, alpha: Fraction | None, generators: tuple[MultiPoly, ...]
 ) -> ModuleBasis:
     """Wrap reduced echelon rows, in descending lead order, as a ModuleBasis."""
-    leads = [max(g.terms) for g in generators]
     return ModuleBasis(
         n=n,
         l=l,
         alpha=alpha,
         generators=generators,
-        monomials=tuple(sorted({m for g in generators for m in g.terms}, reverse=True)),
-        weights=tuple(_monomial_weight(lead, n) for lead in leads),
+        weights=tuple(_monomial_weight(max(g.terms), n) for g in generators),
     )
 
 
@@ -561,27 +540,16 @@ def _close(n: int, l: int, a: Fraction, adet_cap: int) -> _RowReducer:
     return reducer
 
 
-def _constant(c: PolyQ) -> Fraction:
-    if c.degree > 0:
-        raise ValueError(
-            f"generic basis coefficient {c} depends on alpha; "
-            "only alpha-free coefficients can be counted"
-        )
-    return c.coeff(0)
-
-
 def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     """Multiplicity of the highest weight lam in the module: the dimension of
     the joint kernel of all raising operators on the weight-lam rows.
 
-    Each weight-lam generator maps to one sparse row, its images under the
-    simple raising operators E_i,i+1 keyed by (i, monomial), scaled as a
-    whole to integer coefficients (a row operation, so the rank is kept).
-    The rows go through the closure's fraction-free reducer; the
-    multiplicity is the number of rows less the number that survive
-    reduction.  The count is over Q for every basis: a generic basis's PolyQ
-    coefficients are read as their constant terms, and a coefficient of
-    positive degree in alpha raises ValueError.
+    Each weight-lam generator maps to one sparse integer row, its images
+    under the simple raising operators E_i,i+1 keyed by (i, monomial).  The
+    rows go through the closure's fraction-free reducer; the multiplicity
+    is the number of rows less the number that survive reduction.  The
+    generators must have int coefficients, as every closure's do; the
+    reducer raises TypeError on a nonzero image of any other kind.
     """
     n = basis.n
     if lam.size != n * basis.l:
@@ -590,18 +558,12 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
         return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
-    if basis.alpha is None:
-        rows = [{m: _constant(c) for m, c in terms.items()} for terms in rows]
     reducer = _RowReducer()
     rank = 0
     for terms in rows:
-        image = {
-            (i, m): c
-            for i in range(1, n)
-            for m, c in _polarize(terms, i, i + 1, n).items()
-        }
-        scale = lcm(*(c.denominator for c in image.values()))
-        row = reducer.reduce({key: int(c * scale) for key, c in image.items()})
+        row = reducer.reduce(
+            {(i, m): c for i in range(1, n) for m, c in _polarize(terms, i, i + 1, n).items()}
+        )
         if row:
             reducer.insert(row)
             rank += 1

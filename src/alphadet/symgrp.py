@@ -79,12 +79,6 @@ class Permutation:
         simgs = self.images
         return Permutation(simgs[y - 1] for y in other.images)
 
-    def inverse(self) -> Permutation:
-        inv = [0] * self.size
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Permutation(inv)
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.size
         out = []
@@ -419,21 +413,24 @@ def kostka_content(lam: Partition, content: Sequence[int]) -> int:
 def zonal(
     lam: Partition, g: Permutation, n: int, l: int, max_size: int | None = None
 ) -> Fraction:
-    """Average of chi^lam over the coset Kg: (1/|K|) sum_k chi^lam(k g).
-
-    Products k*g are bucketed by cycle type so each character value is
-    computed once per class.
-    """
+    """Average of chi^lam over the coset Kg: (1/|K|) sum_k chi^lam(k g)."""
     m = n * l
     if lam.size != m:
         raise SizeMismatchError(f"|lam| = {lam.size} is not n*l = {m}")
     if g.size != m:
         raise SizeMismatchError(f"|g| = {g.size} is not n*l = {m}")
+    return _coset_average(lam, g, enumerate_K(n, l, max_size=max_size))
+
+
+def _coset_average(lam: Partition, g: Permutation, K: Sequence[Permutation]) -> Fraction:
+    """(1/|K|) sum over k in K of chi^lam(k g).
+
+    Products k*g are bucketed by cycle type so each character value is
+    computed once per class.
+    """
     buckets: dict[tuple[int, ...], int] = {}
-    count = 0
-    for k in enumerate_K(n, l, max_size=max_size):
+    for k in K:
         t = (k * g).cycle_type().parts
         buckets[t] = buckets.get(t, 0) + 1
-        count += 1
     total = sum(mult * _chi(lam.parts, t) for t, mult in buckets.items())
-    return Fraction(total, count)
+    return Fraction(total, len(K))

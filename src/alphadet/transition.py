@@ -51,7 +51,7 @@ from alphadet.exact import (
 )
 from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis
 from alphadet.seminormal import rep_of  # noqa: F401  (perfbench traces transition.rep_of)
-from alphadet.symgrp import Partition, _chi, enumerate_H, enumerate_K, nu
+from alphadet.symgrp import Partition, _coset_average, enumerate_H, enumerate_K, nu
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,5 @@ def trace_poly(n: int, l: int, lam: Partition, max_size: int | None = None) -> P
     K = enumerate_K(n, l, max_size=max_size)
     coeffs = [Fraction(0)] * (m + 1)
     for h in enumerate_H(n, l, max_size=max_size):
-        total = 0
-        buckets: dict[tuple[int, ...], int] = {}
-        for k in K:
-            t = (k * h).cycle_type().parts
-            buckets[t] = buckets.get(t, 0) + 1
-        for t, mult in buckets.items():
-            total += mult * _chi(lam.parts, t)
-        coeffs[nu(h)] += Fraction(total, len(K))
+        coeffs[nu(h)] += _coset_average(lam, h, K)
     return PolyQ(coeffs)

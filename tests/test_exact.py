@@ -169,10 +169,8 @@ def test_squarefree_part_of_constants():
 def test_polymatrix_basics():
     m = PolyMatrix.from_rows([[PolyQ.one(), A], [PolyQ.zero(), 1 - A]])
     assert m.entry(0, 1) == A
-    assert m.transpose().entry(1, 0) == A
     assert m.trace() == 2 - A
     assert m.eval_at(2) == [[1, 2], [0, -1]]
-    assert PolyMatrix.identity(3).trace() == PolyQ.constant(3)
     with pytest.raises(ValueError):
         PolyMatrix.from_rows([[A], [A, A]])
 

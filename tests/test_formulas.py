@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphadet.errors import PochhammerZeroError
 from alphadet.exact import PolyQ
 from alphadet.formulas import (
     G_poly,
@@ -18,10 +17,8 @@ from alphadet.formulas import (
     gkp_identity_check,
     hahn_Q,
     hook_trace_closed_form,
-    hyp_poly,
     jacobi_relation_check,
     n2_transition,
-    pochhammer,
 )
 from alphadet.report import build_report
 from alphadet.seminormal import DEFAULT_REP_CAP
@@ -36,9 +33,6 @@ def test_binomial_and_pochhammer():
     assert binomial_q(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binomial_q(-3, 2) == 6
     assert binomial_q(4, 0) == 1
-    assert pochhammer(3, 3) == 60
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
@@ -95,16 +89,6 @@ def test_hahn_normalization_and_params():
     assert hahn_Q(params, 0) == 1
     with pytest.raises(ValueError):
         HahnParams(3, -3, -3, 2)
-
-
-def test_hyp_poly():
-    # doubled upper parameter cancels the implicit (-N)_j: (1-x)^2 expanded
-    p = hyp_poly([-2, -2], [], 2, PolyQ.variable())
-    assert p == 1 - 2 * A + A**2
-    # rational argument mode
-    assert hyp_poly([-2, -2], [], 2, Fraction(1, 2)) == Fraction(1, 4)
-    with pytest.raises(PochhammerZeroError):
-        hyp_poly([-3], [-1], 3, PolyQ.variable())
 
 
 def test_gkp_exhaustive():

@@ -18,13 +18,12 @@ from alphadet.errors import (
     UncertifiedClosureError,
     ZeroAlphaError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_q
+from alphadet.exact import PolyQ, rank_q
 from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
     adet_eval,
     adet_symbolic,
-    apply_E,
     cyclic_closure,
     hwv_multiplicity,
     vere_jones_check,
@@ -33,7 +32,7 @@ from alphadet.oracle import (
     D_of,
 )
 from alphadet.symgrp import Partition, admissible_shapes
-from alphadet.verify import ORACLE_CASES, suite_oracle
+from alphadet.verify import ORACLE_ALPHAS, ORACLE_CASES, suite_oracle
 
 A = PolyQ.variable()
 
@@ -109,7 +108,7 @@ def _in_cone(w, l):
 def _unfiltered_closure(n, l, a):
     # The whole module at alpha = a by PBW (simple raising operators, then
     # simple lowering ones, no cone filter), with the oracle's reducer and the
-    # polarization above; monic reduced echelon rows, descending lead.
+    # polarization above; reduced echelon integer rows, descending lead.
     gen = (adet_symbolic(n) ** l).eval_alpha(a)
     scale = math.lcm(*(c.denominator for c in gen.terms.values()))
     reducer = oracle._RowReducer()
@@ -131,10 +130,7 @@ def _unfiltered_closure(n, l, a):
     reducer.insert(start)
     raised = close([start], [(i, i + 1) for i in range(1, n)])
     close(raised, [(i + 1, i) for i in range(1, n)])
-    return [
-        {m: Fraction(c, row[max(row)]) for m, c in row.items()}
-        for row in reducer.back_reduce()
-    ]
+    return reducer.back_reduce()
 
 
 def _row_weight(terms, n):
@@ -172,7 +168,7 @@ def test_multipoly_weight_and_hash():
 
 def test_apply_E_examples():
     x11x12 = MultiPoly(2, {(1, 1, 0, 0): Fraction(1)})
-    out = apply_E(2, 1, x11x12)
+    out = x11x12.apply_E(2, 1)
     assert out.terms == {
         (0, 1, 1, 0): Fraction(1),
         (1, 0, 0, 1): Fraction(1),
@@ -180,10 +176,10 @@ def test_apply_E_examples():
     det = MultiPoly(
         2, {(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): Fraction(-1)}
     )
-    assert not apply_E(1, 2, det)
-    assert not apply_E(2, 1, det)
+    assert not det.apply_E(1, 2)
+    assert not det.apply_E(2, 1)
     # diagonal operator scales by the row degree
-    assert apply_E(1, 1, x11x12).terms == {(1, 1, 0, 0): Fraction(2)}
+    assert x11x12.apply_E(1, 1).terms == {(1, 1, 0, 0): Fraction(2)}
 
 
 @st.composite
@@ -200,7 +196,7 @@ def test_apply_E_matches_polarization(case):
     n, terms = case
     f = MultiPoly(n, terms)
     for i, j in itertools.product(range(1, n + 1), repeat=2):
-        assert apply_E(i, j, f).terms == _polarize(terms, i, j, n)
+        assert f.apply_E(i, j).terms == _polarize(terms, i, j, n)
 
 
 def test_gl_commutation_relations():
@@ -215,12 +211,12 @@ def test_gl_commutation_relations():
     ):
         f = f + MultiPoly(n, {mono: Fraction(k + 1, 2)})
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-        lhs = apply_E(i, j, apply_E(k, l, f)) - apply_E(k, l, apply_E(i, j, f))
+        lhs = f.apply_E(k, l).apply_E(i, j) - f.apply_E(i, j).apply_E(k, l)
         rhs = MultiPoly.zero(n)
         if j == k:
-            rhs = rhs + apply_E(i, l, f)
+            rhs = rhs + f.apply_E(i, l)
         if l == i:
-            rhs = rhs - apply_E(k, j, f)
+            rhs = rhs - f.apply_E(k, j)
         assert lhs == rhs
 
 
@@ -381,11 +377,7 @@ def test_cone_closure_is_the_cone_part_of_the_unfiltered_closure(n, l, alpha):
     expected = [
         row for row in _unfiltered_closure(n, l, at) if _in_cone(_row_weight(row, n), l)
     ]
-    got = [g.terms for g in basis.generators]
-    if alpha is None:
-        assert all(c == PolyQ.one() for terms in got for c in terms.values())
-        got = [{m: c.coeff(0) for m, c in terms.items()} for terms in got]
-    assert got == expected
+    assert [g.terms for g in basis.generators] == expected
     assert list(basis.weights) == [_row_weight(row, n) for row in expected]
 
 
@@ -441,25 +433,29 @@ def test_hwv_rejects_bad_shapes():
         hwv_multiplicity(basis, Partition((1, 1, 1)))  # both: the size decides
 
 
-def test_hwv_generic_scales_whole_rows():
-    # g1 = 1/2 x11 x22 + x11 x21 and g2 = x12 x21 + 2 x11 x21 have weight
-    # (1, 1), and 2 g1 - g2 = det is a highest-weight vector, so lam = (1, 1)
-    # occurs once.  Clearing the 1/2 in g1 alone would change the span.
-    def basis(alpha, coeff):
-        g1 = MultiPoly(2, {(1, 0, 0, 1): coeff(Fraction(1, 2)), (1, 0, 1, 0): coeff(1)})
-        g2 = MultiPoly(2, {(0, 1, 1, 0): coeff(1), (1, 0, 1, 0): coeff(2)})
-        return ModuleBasis(
-            n=2,
-            l=1,
-            alpha=alpha,
-            generators=(g1, g2),
-            monomials=(),
-            weights=((1, 1), (1, 1)),
-        )
+def _hand_built_basis(alpha, g1, g2):
+    # two weight-(1, 1) rows of an n = 2, l = 1 basis
+    return ModuleBasis(
+        n=2,
+        l=1,
+        alpha=alpha,
+        generators=(MultiPoly(2, g1), MultiPoly(2, g2)),
+        weights=((1, 1), (1, 1)),
+    )
 
+
+def test_hwv_generic_scales_whole_rows():
+    # g1 = 2 x11 x22 + 4 x11 x21 and g2 = 3 x12 x21 + 6 x11 x21 have weight
+    # (1, 1) and contents 2 and 3, and 3 g1 - 2 g2 = 6 det is a highest-weight
+    # vector, so lam = (1, 1) occurs once.  Dividing the entries of one row
+    # by different factors would change the span.  A generic and a
+    # specialized basis take the same path.
     lam = Partition((1, 1))
-    assert hwv_multiplicity(basis(None, PolyQ.constant), lam) == 1
-    assert hwv_multiplicity(basis(Fraction(1), Fraction), lam) == 1
+    for alpha in (None, Fraction(1)):
+        basis = _hand_built_basis(
+            alpha, {(1, 0, 0, 1): 2, (1, 0, 1, 0): 4}, {(0, 1, 1, 0): 3, (1, 0, 1, 0): 6}
+        )
+        assert hwv_multiplicity(basis, lam) == _dense_hwv_count(basis, lam) == 1
 
 
 def _dense_hwv_count(basis, lam):
@@ -475,24 +471,17 @@ def _dense_hwv_count(basis, lam):
     columns = sorted({key for image in images for key in image})
     if not rows or not columns:
         return len(rows)
-    if basis.alpha is None:
-        zero = PolyQ.zero()
-        dense = PolyMatrix.from_rows([[image.get(k, zero) for k in columns] for image in images])
-        return len(rows) - generic_rank(dense)
     dense = [[Fraction(image.get(k, 0)) for k in columns] for image in images]
     return len(rows) - rank_q(dense)
 
 
-def _mixed_denominator_basis(alpha, coeff):
-    # g1 = 1/2 x11 x22 + 1/3 x11 x21 and g2 = 3 x12 x21 + 2 x11 x21: their
-    # E_12 images differ by the factor 6, so lam = (1, 1) occurs once.
-    # Clearing each denominator on its own would make the images independent.
-    g1 = MultiPoly(
-        2, {(1, 0, 0, 1): coeff(Fraction(1, 2)), (1, 0, 1, 0): coeff(Fraction(1, 3))}
-    )
-    g2 = MultiPoly(2, {(0, 1, 1, 0): coeff(3), (1, 0, 1, 0): coeff(2)})
-    return ModuleBasis(
-        n=2, l=1, alpha=alpha, generators=(g1, g2), monomials=(), weights=((1, 1), (1, 1))
+def _mixed_denominator_basis(alpha):
+    # The rows 1/2 x11 x22 + 1/3 x11 x21 and 3 x12 x21 + 2 x11 x21 as integer
+    # rows of contents 2 and 3: g1 = 6 x11 x22 + 4 x11 x21 and
+    # g2 = 9 x12 x21 + 6 x11 x21.  Their E_12 images differ by the factor
+    # 3/2, so lam = (1, 1) occurs once; the reducer must cross-multiply.
+    return _hand_built_basis(
+        alpha, {(1, 0, 0, 1): 6, (1, 0, 1, 0): 4}, {(0, 1, 1, 0): 9, (1, 0, 1, 0): 6}
     )
 
 
@@ -513,10 +502,7 @@ def test_hwv_counts_match_dense_rank(n, l, alpha):
 
 
 def test_hwv_counts_match_dense_rank_mixed_denominators():
-    for basis in (
-        _mixed_denominator_basis(Fraction(1), Fraction),
-        _mixed_denominator_basis(None, PolyQ.constant),
-    ):
+    for basis in (_mixed_denominator_basis(Fraction(1)), _mixed_denominator_basis(None)):
         for shape in ((2,), (1, 1)):
             lam = Partition(shape)
             assert hwv_multiplicity(basis, lam) == _dense_hwv_count(basis, lam)
@@ -554,23 +540,37 @@ def test_closure_is_stable_under_every_E_ij(n, l, alpha):
     assert _in_span(gen, basis.generators)
     for g in basis.generators:
         for i, j in itertools.permutations(range(1, n + 1), 2):
-            image = apply_E(i, j, g)
+            image = g.apply_E(i, j)
             if image and _in_cone(image.weight(), l):
                 assert _in_span(image, basis.generators)
     # and no generator lies outside the cone
     assert all(_in_cone(g.weight(), l) for g in basis.generators)
 
 
+def _assert_int_rows(basis):
+    # Every generator is an int row: primitive, lead positive, and in reduced
+    # echelon form (no other generator's lead among its terms).
+    leads = [max(g.terms) for g in basis.generators]
+    assert leads == sorted(set(leads), reverse=True)
+    for g, lead in zip(basis.generators, leads):
+        assert all(type(c) is int and c for c in g.terms.values())
+        assert math.gcd(*g.terms.values()) == 1
+        assert g.terms[lead] > 0
+        assert not (set(g.terms) - {lead}) & set(leads)
+
+
 def test_generic_closure_rows_are_primitive():
     for n, l in ((2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
-        for g in cyclic_closure(n, l).generators:
-            coeffs = [c for p in g.terms.values() for c in p.coeffs]
-            assert all(c.denominator == 1 for c in coeffs)
-            assert math.gcd(*(c.numerator for c in coeffs)) == 1
-            common = PolyQ.zero()
-            for p in g.terms.values():
-                common = common.gcd(p)
-            assert common == PolyQ.one()
+        _assert_int_rows(cyclic_closure(n, l))
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(n, l, a) for n, l in ORACLE_CASES for a in (None,) + ORACLE_ALPHAS],
+    ids=str,
+)
+def test_closure_rows_are_int_rows(n, l, alpha):
+    _assert_int_rows(cyclic_closure(n, l, alpha=alpha))
 
 
 @pytest.mark.parametrize(
@@ -590,9 +590,8 @@ def test_generic_closure_is_the_whole_space(n, l, max_size):
     assert basis.dim == len(cone_monomials) == oracle.cone_monomial_count(n, l)
     if l == 1:
         assert basis.dim == (n + 1) ** (n - 1)
-    assert list(basis.monomials) == sorted(cone_monomials, reverse=True)
     assert [list(g.terms.items()) for g in basis.generators] == [
-        [(m, PolyQ.one())] for m in basis.monomials
+        [(m, 1)] for m in sorted(cone_monomials, reverse=True)
     ]
 
 
@@ -621,12 +620,14 @@ def test_generic_closure_is_one_call(monkeypatch):
     assert calls == [(3, 1)]
 
 
-def test_hwv_refuses_alpha_dependent_generic_coefficients():
-    g1 = MultiPoly(2, {(1, 0, 0, 1): PolyQ.one(), (0, 1, 1, 0): A})
-    basis = ModuleBasis(
-        n=2, l=1, alpha=None, generators=(g1,), monomials=(), weights=((1, 1),)
+def test_hwv_refuses_fraction_coefficients():
+    # A module row is an integer row; a rational one is not counted.
+    basis = _hand_built_basis(
+        Fraction(1),
+        {(1, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): 1},
+        {(0, 1, 1, 0): 1, (1, 0, 1, 0): 2},
     )
-    with pytest.raises(ValueError, match="depends on alpha"):
+    with pytest.raises(TypeError):
         hwv_multiplicity(basis, Partition((1, 1)))
 
 

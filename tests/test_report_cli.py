@@ -152,6 +152,17 @@ def test_cli_decompose_refuses_csv_matrices(capsys):
     assert cli.main(argv[:-2] + ["--format", "json"]) == 0
 
 
+def test_cli_transition_refuses_csv_check(capsys):
+    # CSV carries only the matrix, so the checks' results would be lost
+    argv = ["transition", "--n", "2", "--l", "2", "--lam", "2,2", "--check", "--format", "csv"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --check has no CSV encoding; use --format json or text\n"
+    assert cli.main(argv[:-2] + ["--format", "text"]) == 0
+    assert cli.main(argv[:7] + ["--format", "csv"]) == 0
+
+
 def test_cli_transition_check(capsys):
     rc = cli.main(
         ["transition", "--n", "2", "--l", "2", "--lam", "3,1", "--check",
