@@ -207,7 +207,7 @@ def cmd_adet(args) -> int:
 # Each `verify` option (as an argparse dest) and the suite parameter it sets.
 VERIFY_OPTIONS = {
     "max_n": "max_n", "max_l": "max_l", "cases": "cases", "alpha": "alphas",
-    "seed": "seed", "k_max": "k_max", "tol": "tol", "paper_variant": "paper_variant",
+    "seed": "seed", "k_max": "k_max", "paper_variant": "paper_variant",
 }
 
 
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha, action="append", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument(
         "--paper-variant", action="store_true",
         help="hook-trace: print the printed variant beside the derived form",

@@ -29,13 +29,5 @@ class EmptyInvariantSpaceError(AlphadetError):
     """The row-group invariant subspace is zero for the requested shape."""
 
 
-class SpectralRadiusError(AlphadetError, ValueError):
-    """The numeric spectral-radius precondition failed."""
-
-
-class ZeroAlphaError(AlphadetError, ZeroDivisionError):
-    """alpha = 0 is outside the domain of the requested check."""
-
-
 class UncertifiedClosureError(AlphadetError):
     """No specialized closure reached the dimension that certifies the generic one."""

@@ -31,10 +31,9 @@ counts use the same reducer: the raising images of each weight-lam row form
 one sparse integer row, and the number of rows that reduce to zero is the
 multiplicity.
 
-`vere_jones_check` is the single floating-point routine in the package: it
-compares det(I - a A)^(-1/a) against the truncated sum of alpha-determinants
-of index-repeated blocks, with an explicit geometric bound on the dropped
-tail.
+`vere_jones_check` compares, exactly and coefficient by coefficient, the
+power series of det(I - a z A)^(-1/a) with the sum of alpha-determinants of
+index-repeated blocks.
 """
 
 from __future__ import annotations
@@ -47,14 +46,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm, prod
 
-from alphadet.errors import (
-    CapExceededError,
-    SizeMismatchError,
-    SpectralRadiusError,
-    UncertifiedClosureError,
-    ZeroAlphaError,
-)
-from alphadet.exact import PolyQ, QMatrix
+from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
+from alphadet.exact import PolyQ, QMatrix, mat_identity, mat_mul
 from alphadet.symgrp import (
     Partition,
     Permutation,
@@ -284,18 +277,6 @@ def D_of(n: int, l: int, max_size: int | None = None) -> MultiPoly:
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
     return MultiPoly(n, acc)
-
-
-def weyl_dim(lam: Partition, n: int) -> int:
-    """Dimension of the irreducible gl_n module with highest weight lam."""
-    if lam.length > n:
-        raise SizeMismatchError(f"lam has {lam.length} rows, more than n = {n}")
-    num = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            num *= Fraction(lam.part(i) - lam.part(j) + j - i, j - i)
-    assert num.denominator == 1
-    return int(num)
 
 
 # ---------------------------------------------------------------------------
@@ -595,118 +576,60 @@ def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int])
 
 
 # ---------------------------------------------------------------------------
-# Floating-point quarantine
+# Vere-Jones series
 
 
 @dataclass(frozen=True)
 class VereJonesResult:
-    """Both sides of the truncated power-series identity and the error budget."""
+    """The z^0..z^k_max coefficients of both sides of the Vere-Jones identity."""
 
-    lhs: float
-    rhs: float
-    difference: float
-    tolerance: float
-    tail_bound: float
-    spectral_radius: float
+    lhs: tuple[Fraction, ...]
+    rhs: tuple[Fraction, ...]
     k_max: int
 
     @property
     def ok(self) -> bool:
-        return self.difference <= self.tolerance + self.tail_bound
+        return self.lhs == self.rhs
 
 
-def _det_q(M: QMatrix) -> Fraction:
-    n = len(M)
-    mat = [list(row) for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                c = mat[i][col] * inv
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[col])]
-    return det
+def vere_jones_check(A: QMatrix, a: Fraction | int, k_max: int = 6) -> VereJonesResult:
+    """Compare, coefficient by coefficient in Q, the formal power series
 
+        det(I - a z A)^(-1/a) = sum_k z^k sum_{|I| = k} adet_a(A_I) / prod(mult!)
 
-def vere_jones_check(
-    A: QMatrix,
-    a: Fraction | int,
-    k_max: int = 6,
-    tol: float = 1e-9,
-) -> VereJonesResult:
-    """Compare det(I - a A)^(-1/a) with the truncated series
+    up to z^k_max, where I ranges over multisets of row indices and A_I
+    repeats rows and columns accordingly (Vere-Jones 1988).
 
-        sum_{k <= k_max} (1/k!) sum_{i_1..i_k} adet_a(A[(i),(i)]),
-
-    where the inner sum ranges over all index tuples with repetition and
-    A[(i),(i)] repeats rows and columns accordingly.  Tuples are grouped by
-    multiset (the alpha-determinant is invariant under simultaneous row and
-    column permutation), which turns 1/k! into 1/prod(multiplicities!).
-
-    The dropped tail is bounded by sum_{k > k_max} C(nu+k-1, k) q^k with
-    nu = n/|a| and q = |a| rho(A): each factor (1 - a lambda z)^(-1/a) of the
-    generating function is coefficient-dominated by (1 - q z)^(-1/nu...),
-    giving the binomial bound, and the partial sums are compared up to
-    tolerance + tail.  Requires rho(a A) < 1 (checked in floating point).
+    The left side is exp(sum_{m >= 1} p_m z^m) with p_m = a^(m-1) tr(A^m) / m,
+    the logarithm of the product of (1 - a lambda z)^(-1/a) over the
+    eigenvalues lambda of A; its coefficients e_k follow from
+    k e_k = sum_{j=1..k} j p_j e_(k-j), e_0 = 1.  At a = 0 it is the limit
+    exp(z tr A), and no spectral condition enters: the identity holds as
+    formal power series.  The right side expands each alpha-determinant over
+    permutations.
     """
-    import numpy as np
-
     a = Fraction(a)
-    if a == 0:
-        raise ZeroAlphaError("alpha = 0 is not in the domain of the identity")
     if k_max < 0 or k_max > 6:
         raise ValueError("k_max must lie in 0..6")
     n = len(A)
     if any(len(row) != n for row in A):
         raise SizeMismatchError("matrix is not square")
 
-    rho = float(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))) ) if n else 0.0
-    if abs(float(a)) * rho >= 1.0:
-        raise SpectralRadiusError(
-            f"spectral radius of a*A is {abs(float(a)) * rho:.4f} >= 1"
-        )
+    p = [Fraction(0)]
+    power = mat_identity(n)
+    for m in range(1, k_max + 1):
+        power = mat_mul(power, A)
+        p.append(a ** (m - 1) * sum(power[i][i] for i in range(n)) / m)
+    lhs = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        lhs.append(sum(j * p[j] * lhs[k - j] for j in range(1, k + 1)) / k)
 
-    eye_minus = [
-        [Fraction(int(i == j)) - a * A[i][j] for j in range(n)] for i in range(n)
-    ]
-    det = _det_q(eye_minus)
-    lhs = float(det) ** (-1.0 / float(a))
-
-    rhs_exact = Fraction(0)
+    rhs = []
     for k in range(k_max + 1):
+        coeff = Fraction(0)
         for multiset in itertools.combinations_with_replacement(range(n), k):
             sub = [[A[i][j] for j in multiset] for i in multiset]
-            mults: dict[int, int] = {}
-            for i in multiset:
-                mults[i] = mults.get(i, 0) + 1
-            weight = prod(factorial(m) for m in mults.values())
-            rhs_exact += adet_eval(sub, a) / weight
-    rhs = float(rhs_exact)
-
-    q = abs(float(a)) * (rho + 1e-12)
-    nu_ = n / abs(float(a))
-    ratio = q * max(1.0, (nu_ + k_max + 1) / (k_max + 2))
-    if ratio >= 1.0:
-        raise SpectralRadiusError(
-            f"cannot certify the truncation tail: term ratio {ratio:.4f} >= 1"
-        )
-    head = q ** (k_max + 1)
-    for t in range(k_max + 1):
-        head *= (nu_ + t) / (t + 1)
-    tail = head / (1.0 - ratio)
-    return VereJonesResult(
-        lhs=lhs,
-        rhs=rhs,
-        difference=abs(lhs - rhs),
-        tolerance=tol,
-        tail_bound=tail,
-        spectral_radius=rho,
-        k_max=k_max,
-    )
+            weight = prod(factorial(m) for m in Counter(multiset).values())
+            coeff += adet_eval(sub, a) / weight
+        rhs.append(coeff)
+    return VereJonesResult(lhs=tuple(lhs), rhs=tuple(rhs), k_max=k_max)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -168,12 +167,6 @@ class Partition:
             for j in range(1, p + 1):
                 yield i, j
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -211,11 +204,6 @@ def nu(sigma: Permutation) -> int:
     return sigma.size - len(sigma.cycles())
 
 
-def z_lambda(mu: Partition) -> int:
-    """Centralizer order of the class mu: prod_i i^{m_i} m_i!."""
-    return prod(i**m * factorial(m) for i, m in mu.multiplicities().items())
-
-
 def adjacent_word(g: Permutation) -> list[int]:
     """Indices w with g = s_{w[0]} o s_{w[1]} o ... (adjacent transpositions).
 
@@ -234,29 +222,6 @@ def adjacent_word(g: Permutation) -> list[int]:
                 changed = True
     sortword.reverse()
     return sortword
-
-
-@dataclass(frozen=True)
-class BlockTableau:
-    """The rectangular tableau with n rows of length l filled row by row."""
-
-    n: int
-    l: int
-
-    def entry(self, i: int, j: int) -> int:
-        return (i - 1) * self.l + j
-
-    def row_of(self, x: int) -> int:
-        return (x - 1) // self.l + 1
-
-    def col_of(self, x: int) -> int:
-        return (x - 1) % self.l + 1
-
-    def in_row_group(self, g: Permutation) -> bool:
-        return all(self.row_of(g(x)) == self.row_of(x) for x in range(1, self.n * self.l + 1))
-
-    def in_column_group(self, g: Permutation) -> bool:
-        return all((g(x) - x) % self.l == 0 for x in range(1, self.n * self.l + 1))
 
 
 def _check_cap(n: int, l: int, max_size: int | None) -> None:

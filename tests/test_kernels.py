@@ -35,6 +35,19 @@ def test_no_module_but_kernels_names_a_zp_function():
         assert not {x for x in names if x.startswith(("zp_", "zpm_"))}, path.name
 
 
+def test_no_module_imports_numpy_and_no_runtime_dependency():
+    # Every check is exact over Q, so the package needs no numeric library.
+    package = Path(kernels.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module}
+        assert "numpy" not in {m.split(".")[0] for m in modules}, path.name
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == []
+
+
 def test_zp_basics():
     assert kernels.zp_sub([1], [1]) == []
     assert kernels.zp_mul([1, 1], [1, -1]) == [1, 0, -1]

@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadet import oracle
-from alphadet.errors import (
-    CapExceededError,
-    SizeMismatchError,
-    SpectralRadiusError,
-    UncertifiedClosureError,
-    ZeroAlphaError,
-)
+from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
 from alphadet.exact import PolyQ, rank_q
 from alphadet.oracle import (
     ModuleBasis,
@@ -28,11 +22,11 @@ from alphadet.oracle import (
     hwv_multiplicity,
     vere_jones_check,
     weight_consistency_check,
-    weyl_dim,
     D_of,
 )
 from alphadet.symgrp import Partition, admissible_shapes
 from alphadet.verify import ORACLE_ALPHAS, ORACLE_CASES, suite_oracle
+from reference import weyl_dim
 
 A = PolyQ.variable()
 
@@ -648,32 +642,74 @@ def test_closure_caps():
 
 def test_vere_jones_zero_matrix():
     res = vere_jones_check([[Fraction(0)] * 3 for _ in range(3)], Fraction(1, 2))
-    assert res.lhs == pytest.approx(1.0)
-    assert res.rhs == pytest.approx(1.0)
+    assert res.lhs == res.rhs == (Fraction(1),) + (Fraction(0),) * 6
+    assert res.k_max == 6
     assert res.ok
+
+
+def _binomial_series(x, a, k_max):
+    """z^0..z^k_max coefficients of (1 - a x z)^(-1/a): C(-1/a, k) (-a x)^k."""
+    out = []
+    for k in range(k_max + 1):
+        c = Fraction(1)
+        for j in range(k):
+            c *= (-1 / a - j) / (j + 1)
+        out.append(c * (-a * x) ** k)
+    return tuple(out)
 
 
 def test_vere_jones_1x1():
-    res = vere_jones_check([[Fraction(1, 10)]], Fraction(1, 2), k_max=6)
-    # det(1 - x/20)^(-2) vs series; truncation error must sit inside the bound
-    assert res.ok
-    assert res.difference < 1e-6
-    assert res.tail_bound > 0
+    x = Fraction(1, 10)
+    for a in (Fraction(1, 2), Fraction(-1), Fraction(3), Fraction(-1, 3)):
+        res = vere_jones_check([[x]], a, k_max=6)
+        assert res.lhs == res.rhs == _binomial_series(x, a, 6)
+        assert res.ok
+    # det(1 - x z/2)^(-2) = sum_k (k + 1) (x/2)^k z^k
+    res = vere_jones_check([[x]], Fraction(1, 2))
+    assert res.lhs == tuple((k + 1) * (x / 2) ** k for k in range(7))
 
 
 def test_vere_jones_diagonal_exact():
     A2 = [[Fraction(1, 4), Fraction(0)], [Fraction(0), Fraction(1, 5)]]
     res = vere_jones_check(A2, Fraction(-1), k_max=6)
+    # at a = -1 the left side is the polynomial det(I + z A) = 1 + 9z/20 + z^2/20
+    assert res.lhs == res.rhs == (
+        Fraction(1), Fraction(9, 20), Fraction(1, 20), *(Fraction(0),) * 4
+    )
     assert res.ok
 
 
 def test_vere_jones_errors():
-    with pytest.raises(ZeroAlphaError):
-        vere_jones_check([[Fraction(1, 10)]], 0)
-    with pytest.raises(SpectralRadiusError):
-        vere_jones_check([[Fraction(2)]], Fraction(1))
     with pytest.raises(ValueError):
         vere_jones_check([[Fraction(1, 10)]], 1, k_max=7)
+    with pytest.raises(SizeMismatchError):
+        vere_jones_check([[Fraction(1), Fraction(2)]], 1)
+    # alpha = 0: the left side is the limit exp(z tr A)
+    res = vere_jones_check([[Fraction(1, 10)]], 0)
+    assert res.ok
+    assert res.lhs == tuple(Fraction(1, 10) ** k / math.factorial(k) for k in range(7))
+    B = [[Fraction(1), Fraction(-2)], [Fraction(3, 2), Fraction(1, 3)]]
+    assert vere_jones_check(B, 0).ok
+    # spectral radius of a*A at least 1: the identity still holds formally
+    res = vere_jones_check([[Fraction(2)]], Fraction(1))
+    assert res.ok
+    assert res.lhs == tuple(Fraction(2) ** k for k in range(7))
+
+
+def test_vere_jones_detects_a_wrong_right_side(monkeypatch):
+    A2 = [[Fraction(1, 2), Fraction(1)], [Fraction(-1), Fraction(1, 3)]]
+    assert vere_jones_check(A2, Fraction(1, 2)).ok
+    exact = oracle.adet_eval
+
+    def off_by_one_at_size_3(M, a, max_size=None):
+        return exact(M, a, max_size) + (1 if len(M) == 3 else 0)
+
+    monkeypatch.setattr(oracle, "adet_eval", off_by_one_at_size_3)
+    res = vere_jones_check(A2, Fraction(1, 2))
+    assert not res.ok
+    assert res.lhs[:3] == res.rhs[:3]
+    assert res.lhs[3] != res.rhs[3]
+    assert res.lhs[4:] == res.rhs[4:]
 
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))

@@ -288,8 +288,7 @@ def test_cli_refuses_csv_where_it_has_no_encoding(command, capsys):
     [
         (["verify", "gkp", "--cases", "2,2"], "--cases"),
         (["verify", "frobenius", "--seed", "3"], "--seed"),
-        (["verify", "oracle", "--cases", "2,1", "--tol", "0.1", "--paper-variant"],
-         "--tol, --paper-variant"),
+        (["verify", "oracle", "--cases", "2,1", "--paper-variant"], "--paper-variant"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else x,
 )
@@ -298,6 +297,16 @@ def test_cli_verify_refuses_options_the_suite_does_not_take(argv, refused, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: suite {argv[1]} does not take {refused}\n"
+
+
+def test_cli_verify_has_no_tol(capsys):
+    # the Vere-Jones check is exact, so there is no tolerance to set
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "vere-jones", "--tol", "1e-9"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-9" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -329,8 +338,7 @@ def test_cli_verify_gkp_at_l_zero_runs_its_one_check(capsys):
         (["hook-trace", "--cases", "2,2;3,1", "--paper-variant"],
          {"cases": ((2, 2), (3, 1)), "paper_variant": True}),
         (["oracle", "--alpha=1/2", "--alpha=2"], {"alphas": (Fraction(1, 2), Fraction(2))}),
-        (["vere-jones", "--seed", "3", "--k-max", "4", "--tol", "1e-6"],
-         {"seed": 3, "k_max": 4, "tol": 1e-6}),
+        (["vere-jones", "--seed", "3", "--k-max", "4"], {"seed": 3, "k_max": 4}),
         (["selfadjoint"], {}),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else "",

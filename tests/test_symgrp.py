@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from alphadet.errors import CapExceededError, NotInSubgroupError, SizeMismatchError
 from alphadet.symgrp import (
-    BlockTableau,
     Partition,
     Permutation,
     adjacent_word,
@@ -26,9 +25,9 @@ from alphadet.symgrp import (
     nu,
     partitions,
     theta,
-    z_lambda,
     zonal,
 )
+from reference import BlockTableau, z_lambda
 
 perm_st = st.integers(min_value=1, max_value=6).flatmap(
     lambda m: st.permutations(list(range(1, m + 1))).map(Permutation)
