@@ -13,10 +13,6 @@ class SizeMismatchError(AlphadetError, ValueError):
     """Incompatible sizes, e.g. a partition whose size is not n*l."""
 
 
-class NotInSubgroupError(AlphadetError, ValueError):
-    """A permutation is not a member of the required subgroup."""
-
-
 class SingularMatrixError(AlphadetError):
     """Exact linear solve hit a singular coefficient matrix."""
 

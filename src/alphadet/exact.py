@@ -68,10 +68,6 @@ class PolyQ:
         return cls((c,))
 
     @classmethod
-    def variable(cls) -> PolyQ:
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, degree: int, c: Fraction | int = 1) -> PolyQ:
         return cls((0,) * degree + (c,))
 
@@ -252,11 +248,13 @@ class PolyMatrix:
     def from_rows(cls, rows: Sequence[Sequence[PolyQ]]) -> PolyMatrix:
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
+        # Equal entries share one object, which eval_at evaluates once.
+        shared: dict[PolyQ, PolyQ] = {}
         flat = []
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(_coerce(x) for x in row)
+            flat.extend(shared.setdefault(p, p) for p in map(_coerce, row))
         return cls(nrows, ncols, tuple(flat))
 
     def entry(self, i: int, j: int) -> PolyQ:
@@ -277,7 +275,21 @@ class PolyMatrix:
         return acc
 
     def eval_at(self, a: Fraction | int) -> QMatrix:
-        return [[self.entry(i, j)(a) for j in range(self.cols)] for i in range(self.rows)]
+        """The matrix at a.  Zero entries cost nothing, and each entry object
+        is evaluated once: from_rows shares equal entries, so at l = 1 F(a)
+        takes one evaluation."""
+        zero = Fraction(0)
+        values: dict[int, Fraction] = {}
+        flat = []
+        for e in self.entries:
+            if not e.coeffs:
+                flat.append(zero)
+                continue
+            v = values.get(id(e))
+            if v is None:
+                v = values[id(e)] = e(a)
+            flat.append(v)
+        return [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
 
     def __str__(self) -> str:
         cells = [[self.entry(i, j).format() for j in range(self.cols)] for i in range(self.rows)]
@@ -331,9 +343,6 @@ def mat_mul(A: QMatrix, B: QMatrix) -> QMatrix:
         out.append(acc)
     return out
 
-
-def mat_transpose(A: QMatrix) -> QMatrix:
-    return [list(col) for col in zip(*A)] if A else []
 
 def rank_q(rows: QMatrix) -> int:
     if not rows or not rows[0]:

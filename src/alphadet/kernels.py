@@ -132,12 +132,19 @@ def qm_rref(rows):
             continue
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+        # Row r is zero left of col, so its nonzero columns from col on are
+        # all it has: scale and eliminate over those alone.
+        prow = mat[r]
+        inv = Fraction(1) / prow[col]
+        nz = [j for j in range(col, ncols) if prow[j]]
+        for j in nz:
+            prow[j] *= inv
         for i in range(nrows):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
+            row = mat[i]
+            c = row[col]
+            if c and i != r:
+                for j in nz:
+                    row[j] -= c * prow[j]
         pivcols.append(col)
         r += 1
         if r == nrows:

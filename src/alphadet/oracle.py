@@ -51,10 +51,8 @@ from alphadet.exact import PolyQ, QMatrix, mat_identity, mat_mul
 from alphadet.symgrp import (
     Partition,
     Permutation,
-    enumerate_H,
     kostka_content,
     nu,
-    theta,
 )
 
 DEFAULT_ADET_CAP = 8
@@ -112,9 +110,9 @@ class MultiPoly:
     """Sparse polynomial in the n^2 entries of an n x n variable matrix.
 
     Terms map exponent vectors (length n^2, variable order x11, x12, ...,
-    xnn) to coefficients, and falsy means zero.  The alpha-determinant and
-    D_of have coefficients in Q[alpha], specialized ones are rational, and a
-    module row is an integer row (see the module docstring).
+    xnn) to coefficients, and falsy means zero.  The alpha-determinant has
+    coefficients in Q[alpha], specialized ones are rational, and a module
+    row is an integer row (see the module docstring).
     """
 
     __slots__ = ("n", "terms")
@@ -176,10 +174,6 @@ class MultiPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def apply_E(self, i: int, j: int) -> MultiPoly:
-        """Polarization operator E_ij f = sum_s x_is df/dx_js."""
-        return MultiPoly(self.n, _polarize(self.terms, i, j, self.n))
 
     def eval_alpha(self, a: Fraction) -> MultiPoly:
         return MultiPoly(
@@ -260,23 +254,6 @@ def adet_symbolic(n: int, max_size: int | None = None) -> MultiPoly:
         acc = out.get(key)
         out[key] = add if acc is None else acc + add
     return MultiPoly(n, out)
-
-
-def D_of(n: int, l: int, max_size: int | None = None) -> MultiPoly:
-    """Sum over h in H of alpha^nu(h) prod_{p,q} x_{theta(h)_p(q), q}."""
-    acc: dict[Monomial, PolyQ] = {}
-    for h in enumerate_H(n, l, max_size=max_size):
-        c = PolyQ.monomial(nu(h))
-        comps = theta(h, n, l)
-        m = [0] * (n * n)
-        for p in range(1, l + 1):
-            comp = comps[p - 1]
-            for q in range(1, n + 1):
-                m[_var(comp(q), q, n)] += 1
-        key = tuple(m)
-        prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
-    return MultiPoly(n, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,6 @@ class SeminormalRep:
     def dim(self) -> int:
         return len(self.tableaux)
 
-    def generator_matrix(self, k: int) -> QMatrix:
-        """Dense matrix of s_k = (k, k+1), 1 <= k <= size-1."""
-        cols = self.gen_cols[k - 1]
-        f = self.dim
-        out = [[Fraction(0)] * f for _ in range(f)]
-        for j, entries in enumerate(cols):
-            for i, v in entries:
-                out[i][j] = v
-        return out
-
 
 def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
     """Construct the seminormal representation for the shape lam."""
@@ -207,9 +197,6 @@ class InvariantBasis:
     @property
     def d(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    def column_matrix(self) -> QMatrix:
-        return [list(row) for row in self.columns]
 
 
 def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:

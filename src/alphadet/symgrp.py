@@ -5,7 +5,7 @@ block tableau T of an (n, l) pair has n rows of length l with (i, j)-entry
 (i-1)*l + j.  Its row group K consists of the permutations preserving every
 row (iso to a product of n copies of S_l) and its column group H of the
 permutations congruent to the identity mod l (iso to a product of l copies
-of S_n via `theta`).
+of S_n, one per column).
 
 `nu` is the statistic sum_i (i-1) * m_i(sigma) = m - #cycles(sigma), the
 exponent of alpha in the alpha-determinant.  Characters use the
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from alphadet.errors import CapExceededError, NotInSubgroupError, SizeMismatchError
+from alphadet.errors import CapExceededError, SizeMismatchError
 
 DEFAULT_ENUM_CAP = 10
 
@@ -39,21 +39,11 @@ class Permutation:
         self.images = imgs
 
     @classmethod
-    def identity(cls, m: int) -> Permutation:
-        return cls(range(1, m + 1))
-
-    @classmethod
     def from_cycles(cls, m: int, cycles: Sequence[Sequence[int]]) -> Permutation:
         imgs = list(range(1, m + 1))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
                 imgs[a - 1] = b
-        return cls(imgs)
-
-    @classmethod
-    def transposition(cls, m: int, a: int, b: int) -> Permutation:
-        imgs = list(range(1, m + 1))
-        imgs[a - 1], imgs[b - 1] = b, a
         return cls(imgs)
 
     @classmethod
@@ -260,27 +250,6 @@ def enumerate_H(n: int, l: int, max_size: int | None = None) -> list[Permutation
                 imgs[(q - 1) * l + p - 1] = (sigma[q - 1] - 1) * l + p
         out.append(Permutation(imgs))
     return out
-
-
-def theta(h: Permutation, n: int, l: int) -> tuple[Permutation, ...]:
-    """Column-wise splitting of h in H into l permutations of S_n.
-
-    theta(h)[p-1] sends q to q' exactly when h moves the column-p entry of
-    row q to the column-p entry of row q'.  Raises NotInSubgroupError when h
-    does not preserve columns.
-    """
-    if h.size != n * l:
-        raise SizeMismatchError(f"permutation size {h.size} is not n*l = {n * l}")
-    comps = []
-    for p in range(1, l + 1):
-        imgs = []
-        for q in range(1, n + 1):
-            y = h((q - 1) * l + p)
-            if (y - p) % l != 0:
-                raise NotInSubgroupError(f"{h!r} does not preserve columns mod {l}")
-            imgs.append((y - p) // l + 1)
-        comps.append(Permutation(imgs))
-    return tuple(comps)
 
 
 def coset_rep_n2(l: int, s: int) -> Permutation:

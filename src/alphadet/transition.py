@@ -25,9 +25,16 @@ and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
 applied straight to the sparse columns through the seminormal generators,
 along its palindromic word s_x ... s_{y-1} ... s_x.
 
+The slices are compressed to F = G^-1 B^T D T sparsely: A = B^T D T keeps
+only its nonzero coefficient lists, and F[r][c] sums g_rk A[k][c] only over
+the k where both factors are nonzero.  At l = 1 the basis is the identity
+and G = D is diagonal, so F is the content polynomial times I and the
+compression costs d * slices, not d^3 * slices.
+
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
-the same matrix in the same (canonical) basis.
+the same matrix in the same (canonical) basis, and a dense compression of
+the same slices as a second route to F and G.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
 spherical values averaged over K, summed over H with alpha^nu weights.
@@ -155,34 +162,40 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
     return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
 
 
-def _assemble(
-    rep: SeminormalRep, basis: InvariantBasis, n: int, l: int
-) -> tuple[PolyMatrix, QMatrix]:
+def _assemble(rep: SeminormalRep, basis: InvariantBasis, T: Slices) -> tuple[PolyMatrix, QMatrix]:
+    """F = G^-1 B^T D T and G = B^T D B from the slices T of the operator."""
     d = basis.d
     D = rep.gram
-    T = _jucys_murphy(rep, basis, n, l)
     nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
-    # A = B^T D T slice by slice, and the Gram matrix G = B^T D B.
-    A = [[[Fraction(0)] * len(T) for _ in range(d)] for _ in range(d)]
+    # A = B^T D T slice by slice, sparse: A[c] maps a row k to its alpha
+    # coefficients, and holds only the rows whose coefficients are not all 0.
+    A: list[dict[int, list[Fraction]]] = [{} for _ in range(d)]
     for e, slice_e in enumerate(T):
         for c, col in enumerate(slice_e):
+            Ac = A[c]
             for i, v in col.items():
                 w = D[i] * v
                 for r, x in nonzero[i]:
-                    A[r][c][e] += x * w
+                    if r not in Ac:
+                        Ac[r] = [Fraction(0)] * len(T)
+                    Ac[r][e] += x * w
+    A = [{k: cs for k, cs in Ac.items() if any(cs)} for Ac in A]
+    # The Gram matrix G = B^T D B, and the nonzero entries of each row of G^-1.
     G = [[Fraction(0)] * d for _ in range(d)]
     for i, row in enumerate(nonzero):
         for r, x in row:
             for c, y in row:
                 G[r][c] += x * D[i] * y
-    Ginv = mat_inverse(G)
-    F = [
-        [
-            PolyQ(sum(g * A[k][c][e] for k, g in enumerate(Ginv[r]) if g) for e in range(len(T)))
-            for c in range(d)
-        ]
-        for r in range(d)
-    ]
+    Ginv = [[(k, g) for k, g in enumerate(row) if g] for row in mat_inverse(G)]
+    # F = G^-1 A, summing only the pairs where g_rk and A[k][c] are both
+    # nonzero.  At l = 1, B = I and G = D, so each F[r][c] takes one pair.
+    zero = PolyQ.zero()
+    F = [[zero] * d for _ in range(d)]
+    for r, grow in enumerate(Ginv):
+        for c, Ac in enumerate(A):
+            pairs = [(g, Ac[k]) for k, g in grow if k in Ac]
+            if pairs:
+                F[r][c] = PolyQ(sum(g * cs[e] for g, cs in pairs) for e in range(len(T)))
     return PolyMatrix.from_rows(F), G
 
 
@@ -202,7 +215,7 @@ def transition_matrix(
         raise EmptyInvariantSpaceError(
             f"shape {lam!r} has no row-group invariants for (n, l) = ({n}, {l})"
         )
-    F, G = _assemble(rep, basis, n, l)
+    F, G = _assemble(rep, basis, _jucys_murphy(rep, basis, n, l))
     return TransitionMatrix(
         shape=lam,
         n=n,

@@ -1,5 +1,6 @@
 """Exact scalar/matrix layer: polynomial ring laws, ranks, specialization."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +25,7 @@ from alphadet.exact import (
 )
 from alphadet.explore import squarefree_part
 
-A = PolyQ.variable()
+A = PolyQ([0, 1])
 
 
 def test_parse_rational():
@@ -245,6 +246,39 @@ def test_rank_at_drops_on_zero_set():
     assert rank_at(m, 1) == 1
     assert rank_at(m, 0) == 2
     assert rank_at(m, Fraction(1, 2)) == 2
+
+
+def test_eval_at_on_zeros_and_repeats():
+    # eval_at skips zero entries and evaluates each entry object once, and
+    # from_rows makes equal entries one object; entrywise evaluation is the
+    # reference.  Equal entries start as distinct objects, as in a
+    # transition matrix, and the constructor keeps them distinct.
+    rng = random.Random(5)
+    pool = [[1, -2], [0, 1, 3], [Fraction(1, 2)], [2, 0, -1], [1, 3, 2]]
+    mats = [
+        # the content polynomial of (3) times I: zero at a = -1/2 and -1
+        PolyMatrix.from_rows(
+            [[PolyQ([1, 3, 2]) if i == j else PolyQ.zero() for j in range(5)] for i in range(5)]
+        )
+    ]
+    assert len({id(e) for e in mats[0].entries if e}) == 1
+    for _ in range(30):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [
+            [PolyQ(rng.choice(pool)) if rng.random() < 0.4 else PolyQ.zero() for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        mats.append(PolyMatrix.from_rows(rows))
+        mats.append(PolyMatrix(nr, nc, tuple(e for row in rows for e in row)))
+    for m in mats:
+        for a in (0, 1, Fraction(-1, 2), Fraction(7, 3)):
+            ref = [[m.entry(i, j)(a) for j in range(m.cols)] for i in range(m.rows)]
+            got = m.eval_at(a)
+            assert got == ref
+            assert all(isinstance(x, Fraction) for row in got for x in row)
+            assert rank_at(m, a) == rank_q(ref)
+    assert rank_at(mats[0], Fraction(-1, 2)) == 0
+    assert rank_at(mats[0], Fraction(7, 3)) == 5
 
 
 entry_st = st.lists(st.integers(min_value=-2, max_value=2), min_size=0, max_size=3)

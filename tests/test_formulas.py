@@ -25,7 +25,7 @@ from alphadet.seminormal import DEFAULT_REP_CAP
 from alphadet.symgrp import Partition, character, coset_rep_n2, partitions, zonal
 from alphadet.transition import transition_matrix
 
-A = PolyQ.variable()
+A = PolyQ([0, 1])
 
 
 def test_binomial_and_pochhammer():

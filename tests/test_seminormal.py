@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from alphadet.errors import CapExceededError
-from alphadet.exact import mat_mul, mat_transpose, nullspace_q
+from alphadet.exact import mat_mul, nullspace_q
 from alphadet.kernels import qm_rref
 from alphadet.seminormal import (
     build_rep,
@@ -22,6 +22,7 @@ from alphadet.symgrp import (
     dim_f,
     kostka,
 )
+from reference import column_matrix, generator_matrix, identity, mat_transpose
 
 
 def all_perms(m):
@@ -47,7 +48,7 @@ def test_generator_relations():
     for parts in [(2, 1), (2, 2), (3, 1), (2, 2, 1)]:
         rep = build_rep(Partition(parts))
         m = rep.size
-        gens = [rep.generator_matrix(k) for k in range(1, m)]
+        gens = [generator_matrix(rep, k) for k in range(1, m)]
         f = rep.dim
         eye = [[Fraction(int(i == j)) for j in range(f)] for i in range(f)]
         for g in gens:
@@ -68,7 +69,7 @@ def test_rep_of_is_right_action():
             left = rep_of(rep, g * h)
             right = mat_mul(rep_of(rep, h), rep_of(rep, g))
             assert left == right
-    ident = Permutation.identity(5)
+    ident = identity(5)
     f = rep.dim
     assert rep_of(rep, ident) == [
         [Fraction(int(i == j)) for j in range(f)] for i in range(f)
@@ -90,7 +91,7 @@ def test_gram_makes_generators_selfadjoint():
         gamma = rep.gram
         assert all(w > 0 for w in gamma)
         for k in range(1, rep.size):
-            M = rep.generator_matrix(k)
+            M = generator_matrix(rep, k)
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     assert gamma[i] * M[i][j] == M[j][i] * gamma[j]
@@ -113,11 +114,11 @@ def test_invariant_basis_is_fixed_by_row_group():
     lam = Partition((4, 2))
     rep = build_rep(lam)
     basis = invariant_basis(rep, n, l)
-    B = basis.column_matrix()
+    B = column_matrix(basis)
     # row generators: adjacent transpositions inside each block row
     for i in range(1, n + 1):
         for t in range((i - 1) * l + 1, i * l):
-            M = rep.generator_matrix(t)
+            M = generator_matrix(rep, t)
             assert mat_mul(M, B) == B
 
 
@@ -134,12 +135,12 @@ def test_invariant_basis_is_canonical():
                 f = rep.dim
                 stacked = []
                 for t in (t for t in range(1, m) if t % l):
-                    M = rep.generator_matrix(t)
+                    M = generator_matrix(rep, t)
                     stacked.extend(
                         [M[i][j] - int(i == j) for j in range(f)] for i in range(f)
                     )
                 fixed = nullspace_q(stacked, f)
-                B = invariant_basis(rep, n, l).column_matrix()
+                B = column_matrix(invariant_basis(rep, n, l))
                 assert B == mat_transpose(qm_rref(fixed)[0]), (n, l, lam)
                 assert qm_rref(mat_transpose(B))[0] == mat_transpose(B)
 

@@ -13,11 +13,13 @@ from alphadet.errors import (
     SizeMismatchError,
 )
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_inverse, mat_mul
+from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
-from alphadet.transition import trace_poly, transition_matrix
+from alphadet.transition import _assemble, _jucys_murphy, trace_poly, transition_matrix
+from reference import column_matrix, dense_compression
 
-A = PolyQ.variable()
+A = PolyQ([0, 1])
 
 
 def entry00(n, l, parts):
@@ -46,6 +48,20 @@ def test_l1_is_content_times_identity():
     assert tm.entries.entry(1, 0) == PolyQ.zero()
     assert entry00(3, 1, (3,)) == 1 + 3 * A + 2 * A**2
     assert entry00(3, 1, (1, 1, 1)) == 1 - 3 * A + 2 * A**2
+    # At l = 1 the basis is the identity, so G is the Gram diagonal and F is
+    # the content polynomial times I, for every shape.
+    for n in range(1, 8):
+        for lam in admissible_shapes(n, 1):
+            tm = transition_matrix(n, 1, lam)
+            d = tm.d
+            c = content_poly(lam)
+            assert tm.entries == PolyMatrix.from_rows(
+                [[c if i == j else PolyQ.zero() for j in range(d)] for i in range(d)]
+            ), lam
+            gram = build_rep(lam).gram
+            assert tm.gram_matrix() == [
+                [gram[i] if i == j else 0 for j in range(d)] for i in range(d)
+            ], lam
 
 
 def test_hook_3_2():
@@ -115,7 +131,7 @@ def direct_sum_over_H(n, l, lam):
     the invariant columns, D is the seminormal Gram diagonal and
     G = B^T D B."""
     rep = build_rep(lam)
-    B = invariant_basis(rep, n, l).column_matrix()
+    B = column_matrix(invariant_basis(rep, n, l))
     f, d = rep.dim, len(B[0])
     sums = {}
     for h in enumerate_H(n, l):
@@ -147,6 +163,21 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 F, G = direct_sum_over_H(n, l, lam)
                 assert tm.entries == F, (n, l, lam)
                 assert tm.gram_matrix() == G, (n, l, lam)
+
+
+def test_sparse_compression_matches_dense():
+    # The library compresses the slices with sparse A and G^-1; the dense
+    # route inverts G with every zero and sums g_rk A[k][c] over every k.
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                basis = invariant_basis(rep, n, l)
+                T = _jucys_murphy(rep, basis, n, l)
+                assert _assemble(rep, basis, T) == dense_compression(rep, basis, T), (n, l, lam)
 
 
 def test_errors():
