@@ -6,6 +6,7 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,19 @@ def test_cli_decompose_json_with_oracle(capsys):
     assert doc["oracle"]["agrees"] is True
     alphas = [s["alpha"] for s in doc["alpha_specializations"]]
     assert alphas == ["1", "-1/2"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("n,l", [(2, 4), (3, 2), (4, 1), (3, 3)])
+def test_cli_decompose_json_matrices_golden_bytes(capsys, n, l):
+    # The JSON contract, basis-dependent matrices included, byte for byte.
+    argv = ["decompose", "--n", str(n), "--l", str(l), "--matrices",
+            "--format", "json", "--alpha=-1/2", "--alpha=2"]
+    assert cli.main(argv) == 0
+    golden = (GOLDEN / f"decompose_{n}_{l}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
 
 
 def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
