@@ -14,6 +14,13 @@ c = 1 if ax < 0, c = 1 - 1/ax^2 if ax > 0.  These matrices satisfy the
 Coxeter relations exactly and are self-adjoint for the diagonal Gram form
 computed here, which makes the group action orthogonal without leaving Q.
 
+Each generator is stored once, as the integer matrix m_k rho(s_k) with
+m_k the lcm of ax^2 over the pairs with ax > 0 and of |ax| over the pairs
+with ax < 0 (|ax| = 1 is exactly a shared row or column).  Its entries are
++m_k and -m_k, m_k/ax, and m_k or m_k - m_k/ax^2, all integers, so the
+construction does no rational arithmetic and its consumers stay
+fraction-free until they divide by m_k.
+
 `rep_of` composes generator matrices along a bubble-sort word and realizes a
 right action: rep_of(g o h) = rep_of(h) @ rep_of(g).  Because every operator
 assembled downstream is a sum over a subgroup closed under inversion with
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from alphadet import kernels
@@ -36,7 +44,8 @@ DEFAULT_REP_CAP = 12
 
 Tableau = tuple[tuple[int, ...], ...]
 
-SparseCols = list[list[tuple[int, Fraction]]]
+# One generator as (m_k, sparse columns of the integer matrix m_k rho(s_k)).
+IntGenerator = tuple[int, list[list[tuple[int, int]]]]
 
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:
@@ -74,11 +83,15 @@ def _positions(t: Tableau, m: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SeminormalRep:
-    """Seminormal matrices for one shape: tableaux, generators, Gram weights."""
+    """Seminormal matrices for one shape: tableaux, generators, Gram weights.
+
+    gen_cols[k-1] is the generator s_k as (m_k, columns of the integer
+    matrix m_k rho(s_k)); column T lists its nonzero (row, int) entries.
+    """
 
     shape: Partition
     tableaux: tuple[Tableau, ...]
-    gen_cols: tuple[SparseCols, ...]
+    gen_cols: tuple[IntGenerator, ...]
     gram: tuple[Fraction, ...]
 
     @property
@@ -99,36 +112,38 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
             f"|lam| = {m} exceeds the representation cap {cap}; pass max_size to override"
         )
     tabs = standard_tableaux(lam)
-    index = {t: i for i, t in enumerate(tabs)}
     f = len(tabs)
-    positions = [_positions(t, m) for t in tabs]
+    # A standard tableau is fixed by its row word, the row of each entry
+    # 1..m, so swapping k and k+1 swaps two letters of the word.
+    words: list[list[int]] = []
+    contents: list[list[int]] = []
+    for tab in tabs:
+        pos = _positions(tab, m)
+        words.append([i for i, _ in pos[1:]])
+        contents.append([j - i for i, j in pos])
+    index = {tuple(w): t for t, w in enumerate(words)}
 
-    gens: list[SparseCols] = []
-    swap_edges: list[tuple[int, int, Fraction]] = []
+    gens: list[IntGenerator] = []
+    swap_edges: list[tuple[int, int, int]] = []
     for k in range(1, m):
-        cols: SparseCols = []
-        for t, tab in enumerate(tabs):
-            pos = positions[t]
-            (i1, j1), (i2, j2) = pos[k], pos[k + 1]
-            if i1 == i2:
-                cols.append([(t, Fraction(1))])
-                continue
-            if j1 == j2:
-                cols.append([(t, Fraction(-1))])
-                continue
-            ax = (j2 - i2) - (j1 - i1)
-            d = Fraction(1, ax)
-            swapped = tuple(
-                tuple(k + 1 if x == k else k if x == k + 1 else x for x in row)
-                for row in tab
-            )
-            t2 = index[swapped]
-            if ax < 0:
-                cols.append([(t, d), (t2, Fraction(1))])
-                swap_edges.append((t, t2, 1 - d * d))
+        # ax = 1 is a shared row and ax = -1 a shared column.
+        axes = [c[k + 1] - c[k] for c in contents]
+        mk = lcm(*(ax * ax if ax > 0 else -ax for ax in axes))
+        cols: list[list[tuple[int, int]]] = []
+        for t, ax in enumerate(axes):
+            if ax == 1:
+                cols.append([(t, mk)])
+            elif ax == -1:
+                cols.append([(t, -mk)])
             else:
-                cols.append([(t, d), (t2, 1 - d * d)])
-        gens.append(cols)
+                w = words[t]
+                t2 = index[(*w[: k - 1], w[k], w[k - 1], *w[k + 1 :])]
+                if ax < 0:
+                    cols.append([(t, mk // ax), (t2, mk)])
+                    swap_edges.append((t, t2, ax * ax))
+                else:
+                    cols.append([(t, mk // ax), (t2, mk - mk // (ax * ax))])
+        gens.append((mk, cols))
 
     # Gram weights from gamma_{T'} = (1 - 1/ax^2) gamma_T along swap edges;
     # the swap graph is connected, and revisits must agree.
@@ -137,7 +152,8 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
         gram[0] = Fraction(1)
         frontier = [0]
         adj: dict[int, list[tuple[int, Fraction]]] = {}
-        for t, t2, factor in swap_edges:
+        for t, t2, ax2 in swap_edges:
+            factor = Fraction(ax2 - 1, ax2)
             adj.setdefault(t, []).append((t2, factor))
             adj.setdefault(t2, []).append((t, 1 / factor))
         while frontier:
@@ -164,11 +180,12 @@ def rep_of(rep: SeminormalRep, g: Permutation) -> QMatrix:
     f = rep.dim
     cols: list[dict[int, Fraction]] = [{t: Fraction(1)} for t in range(f)]
     for w in reversed(adjacent_word(g)):
-        gen = rep.gen_cols[w - 1]
+        mk, gen = rep.gen_cols[w - 1]
         newcols: list[dict[int, Fraction]] = []
         for j in range(f):
             acc: dict[int, Fraction] = {}
-            for i, v in gen[j]:
+            for i, num in gen[j]:
+                v = Fraction(num, mk)
                 for r, x in cols[i].items():
                     val = acc.get(r)
                     val = v * x if val is None else val + v * x
@@ -229,8 +246,9 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
     for t in ((i - 1) * l + j for i in range(2, n + 1) for j in range(1, l)):
         if b == 0:
             break
-        gen = rep.gen_cols[t - 1]
-        # C = (rho(s_t) - 1) @ basis, accumulated over the nonzero rows.
+        mt, gen = rep.gen_cols[t - 1]
+        # C = (m_t rho(s_t) - m_t) @ basis, accumulated over the nonzero
+        # rows; the factor m_t does not change the nullspace.
         C: dict[int, list[Fraction]] = {}
         for k, rowk in rows.items():
             for idx, v in gen[k]:
@@ -241,7 +259,7 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
             Ck = C.setdefault(k, [Fraction(0)] * b)
             for c, x in enumerate(rowk):
                 if x:
-                    Ck[c] -= x
+                    Ck[c] -= mt * x
         coeffs = nullspace_q([Ci for Ci in C.values() if any(Ci)], b)
         # basis <- basis @ N, with N columns from the nullspace.
         b = len(coeffs)

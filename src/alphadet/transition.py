@@ -23,7 +23,9 @@ adds one to nu.  So the operator is the product of the factors
 The image of the basis is held as rational slices T = sum_e alpha^e T_e,
 and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
 applied straight to the sparse columns through the seminormal generators,
-along its palindromic word s_x ... s_{y-1} ... s_x.
+along its palindromic word s_x ... s_{y-1} ... s_x.  The rep stores each
+generator as the integer matrix m_k rho(s_k), so a column is an integer
+vector over one denominator from the start, with no conversion step.
 
 The slices are compressed to F = G^-1 B^T D T sparsely: A = B^T D T keeps
 only its nonzero coefficient lists, and F[r][c] sums g_rk A[k][c] only over
@@ -92,15 +94,6 @@ Slices = list[list[dict[int, Fraction]]]
 IntColumn = tuple[int, dict[int, int]]
 
 
-def _integer_generators(rep: SeminormalRep) -> list[tuple[int, list[list[tuple[int, int]]]]]:
-    """Each seminormal generator as (m, columns of the integer matrix m rho(s_k))."""
-    gens = []
-    for cols in rep.gen_cols:
-        m = lcm(*(v.denominator for col in cols for _, v in col))
-        gens.append((m, [[(i, int(v * m)) for i, v in col] for col in cols]))
-    return gens
-
-
 def _reduced(den: int, num: dict[int, int]) -> IntColumn:
     g = gcd(den, *num.values())
     if g == 1:
@@ -142,10 +135,12 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
     Column p of the block tableau holds x_q = p + (q-1) l, and each factor
     1 + alpha L_k, L_k = sum_{i<k} (x_i x_k), maps T_e to T_e + L_k T_{e-1}.
     The factors commute, so the costliest (largest k) go first, while T
-    has the fewest slices.  Columns stay integral over one denominator
-    until the end, which is several times faster than per-entry Fractions.
+    has the fewest slices.  The generators come from the rep as integer
+    matrices m_k rho(s_k), so each column stays integral over one
+    denominator until the end, which is several times faster than
+    per-entry Fractions.
     """
-    gens = _integer_generators(rep)
+    gens = rep.gen_cols
     T: list[list[IntColumn]] = [[]]
     for c in range(basis.d):
         col = {i: row[c] for i, row in enumerate(basis.columns) if row[c]}

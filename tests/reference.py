@@ -6,8 +6,8 @@ with its row and column groups, the centralizer order z_mu of a class, the
 Weyl dimension of an irreducible gl_n module, the column-wise splitting
 theta of H, the sum D over H that equals a power of the alpha-determinant,
 dense forms of the library's sparse matrices, the polarization operator
-E_ij on one polynomial, and the dense compression G^-1 B^T D T of the
-transition slices.
+E_ij on one polynomial, the dense compression G^-1 B^T D T of the
+transition slices, and Young's seminormal generators built in Fractions.
 """
 
 from collections import Counter
@@ -119,14 +119,40 @@ def mat_transpose(A: QMatrix) -> QMatrix:
 
 
 def generator_matrix(rep: SeminormalRep, k: int) -> QMatrix:
-    """Dense matrix of s_k = (k, k+1), 1 <= k <= size-1."""
-    cols = rep.gen_cols[k - 1]
+    """Dense matrix of s_k = (k, k+1), 1 <= k <= size-1, read as m_k rho(s_k) / m_k."""
+    mk, cols = rep.gen_cols[k - 1]
     f = rep.dim
     out = [[Fraction(0)] * f for _ in range(f)]
     for j, entries in enumerate(cols):
         for i, v in entries:
-            out[i][j] = v
+            out[i][j] = Fraction(v, mk)
     return out
+
+
+def fraction_generator_columns(rep: SeminormalRep, k: int) -> list[list[tuple[int, Fraction]]]:
+    """Young's seminormal columns of s_k in Fractions, straight from the tableaux.
+
+    Column T is +T when k and k+1 share a row, -T when they share a column,
+    and otherwise (1/ax) T + c T' with T' the tableau with k and k+1
+    swapped, c = 1 for ax < 0 and c = 1 - 1/ax^2 for ax > 0.
+    """
+    index = {t: i for i, t in enumerate(rep.tableaux)}
+    cols = []
+    for t, tab in enumerate(rep.tableaux):
+        pos = {x: (i, j) for i, row in enumerate(tab) for j, x in enumerate(row)}
+        (i1, j1), (i2, j2) = pos[k], pos[k + 1]
+        if i1 == i2:
+            cols.append([(t, Fraction(1))])
+        elif j1 == j2:
+            cols.append([(t, Fraction(-1))])
+        else:
+            ax = (j2 - i2) - (j1 - i1)
+            d = Fraction(1, ax)
+            swapped = tuple(
+                tuple(k + 1 if x == k else k if x == k + 1 else x for x in row) for row in tab
+            )
+            cols.append([(t, d), (index[swapped], Fraction(1) if ax < 0 else 1 - d * d)])
+    return cols
 
 
 def column_matrix(basis: InvariantBasis) -> QMatrix:

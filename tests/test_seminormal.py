@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,8 +22,15 @@ from alphadet.symgrp import (
     character,
     dim_f,
     kostka,
+    partitions,
 )
-from reference import column_matrix, generator_matrix, identity, mat_transpose
+from reference import (
+    column_matrix,
+    fraction_generator_columns,
+    generator_matrix,
+    identity,
+    mat_transpose,
+)
 
 
 def all_perms(m):
@@ -60,6 +68,21 @@ def test_generator_relations():
             for k2 in range(k1 + 2, len(gens)):
                 a, b = gens[k1], gens[k2]
                 assert mat_mul(a, b) == mat_mul(b, a)
+
+
+def test_integer_generators_match_fraction_route():
+    # build_rep stores m_k rho(s_k) in plain ints; the Fraction construction
+    # from the tableaux is the second route to the same matrices.
+    for m in range(1, 9):
+        for lam in partitions(m):
+            rep = build_rep(lam)
+            assert len(rep.gen_cols) == m - 1
+            for k, (mk, cols) in enumerate(rep.gen_cols, start=1):
+                ref = fraction_generator_columns(rep, k)
+                assert type(mk) is int
+                assert all(type(i) is int and type(v) is int for col in cols for i, v in col)
+                assert [[(i, Fraction(v, mk)) for i, v in col] for col in cols] == ref, (lam, k)
+                assert mk == lcm(*(v.denominator for col in ref for _, v in col)), (lam, k)
 
 
 def test_rep_of_is_right_action():
