@@ -13,10 +13,6 @@ class SizeMismatchError(AlphadetError, ValueError):
     """Incompatible sizes, e.g. a partition whose size is not n*l."""
 
 
-class SingularMatrixError(AlphadetError):
-    """Exact linear solve hit a singular coefficient matrix."""
-
-
 class PochhammerZeroError(AlphadetError, ZeroDivisionError):
     """A denominator Pochhammer symbol vanished before the series truncated."""
 

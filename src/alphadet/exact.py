@@ -11,9 +11,10 @@ evaluating at a point can only lower a rank, so the largest rank over the
 points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
-F(0) = I.  Ranks, solves and nullspaces over Q use exact Gaussian
-elimination, and polynomial gcds use Euclid over Q.  No floating point and
-no polynomial factorization anywhere.
+F(0) = I.  Ranks over Q use exact Gaussian elimination, and polynomial
+gcds use Euclid over Q.  No floating point and no polynomial factorization
+anywhere.  No package module solves a system; `nullspace_q` stays for the
+benchmark's trace and the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from alphadet import kernels
-from alphadet.errors import SingularMatrixError
 
 QMatrix = list[list[Fraction]]
 
@@ -373,21 +373,3 @@ def nullspace_q(rows: QMatrix, ncols: int | None = None) -> list[list[Fraction]]
             vec[pc] = -rref[r][free]
         basis.append(vec)
     return basis
-
-
-def solve_exact(A: QMatrix, B: QMatrix) -> QMatrix:
-    """Solve A X = B exactly for square nonsingular A."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("coefficient matrix must be square")
-    if len(B) != n:
-        raise ValueError("right-hand side height disagrees")
-    aug = [list(ra) + list(rb) for ra, rb in zip(A, B)]
-    rref, pivcols = kernels.qm_rref(aug)
-    if pivcols != list(range(n)):
-        raise SingularMatrixError("singular coefficient matrix")
-    return [row[n:] for row in rref[:n]]
-
-
-def mat_inverse(A: QMatrix) -> QMatrix:
-    return solve_exact(A, mat_identity(len(A)))

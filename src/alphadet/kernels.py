@@ -1,9 +1,10 @@
 """Exact kernels: the inner loop of every rank and echelon computation.
 
 `qm_rref` reduces rational rows (lists of fractions.Fraction) and serves
-every rank, solve and nullspace in the package.  Callers reach it as a
-module attribute (`kernels.qm_rref`, not a from-import), so one wrapper
-installed on the module sees every call.
+every rank in the package, and `exact.nullspace_q`, which only the
+benchmark and the tests reach.  Callers reach it as a module attribute
+(`kernels.qm_rref`, not a from-import), so one wrapper installed on the
+module sees every call.
 
 The integer-polynomial ("zp") functions work over Z[x]: lists of int
 coefficients in ascending degree with no trailing zeros, [] the zero

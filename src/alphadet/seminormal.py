@@ -35,9 +35,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from alphadet import kernels
 from alphadet.errors import CapExceededError, SizeMismatchError
-from alphadet.exact import QMatrix, nullspace_q
+from alphadet.exact import QMatrix
+from alphadet.exact import nullspace_q  # noqa: F401  (perfbench traces seminormal.nullspace_q)
 from alphadet.symgrp import Partition, Permutation, adjacent_word
 
 DEFAULT_REP_CAP = 12
@@ -204,7 +204,11 @@ def rep_of(rep: SeminormalRep, g: Permutation) -> QMatrix:
 
 @dataclass(frozen=True)
 class InvariantBasis:
-    """Basis of the row-group fixed subspace inside one seminormal module."""
+    """The K-fixed vectors of one seminormal module, K = S_l x ... x S_l.
+
+    `columns` (f x d) has disjoint supports, each column is 1 at its first
+    tableau and ordered by it, so the Gram matrix B^T D B is diagonal.
+    """
 
     shape: Partition
     n: int
@@ -219,61 +223,46 @@ class InvariantBasis:
 def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
     """Fixed vectors of the row group K, as columns of an f x d matrix.
 
-    K = S_l x ... x S_l permutes each of the n blocks {(i-1)l+1 .. il} of
-    the block tableau within itself.  The seminormal basis is adapted to the chain S_1 < S_2 < ...,
-    so restricted to S_l on {1..l} it splits by the subtableau holding
-    1..l, and the S_l-fixed vectors are exactly the span of the e_T whose
-    first row starts 1..l.  That coordinate subspace seeds the basis with
-    no linear algebra.  Blocks 2..n commute with block 1 and are cut one
-    generator at a time: intersect with ker(rho(s_t) - 1) for each
-    adjacent transposition s_t inside the block, keeping only the nonzero
-    rows of the basis.  The dimension d is the rectangular Kostka number.
+    K = S_l x ... x S_l permutes each block {(i-1)l+1 .. il} of the block
+    tableau.  The seminormal basis is adapted to S_1 < S_2 < ..., so the
+    module splits Gram-orthogonally by the chain of shapes of T restricted
+    to 1..il, that is, by the rows each block occupies.  Each piece is
+    K-stable and the tensor product of the blocks' skew modules, and a skew
+    module of S_l has a fixed line exactly when its block is a horizontal
+    strip (Pieri).  So each chain of horizontal strips gives one fixed
+    vector, their supports are disjoint, and d is the Kostka number.
 
-    The d columns are returned in reduced column-echelon form (the reduced
-    row echelon form of the transpose), so the basis depends only on the
-    fixed space, not on the order of the eliminations.
+    For k, k+1 in one block with axial distance ax > 0, a fixed vector has
+    v(T') = (1 - 1/ax) v(T), T' = T with k and k+1 swapped.  With content
+    c = col - row, v(T) is the product over blocks, and over x < y in a
+    block with c(x) > c(y), of 1 - 1/(c(x) - c(y)); it is never 0, since
+    strip cells whose contents differ by 1 are neighbours in a row.  Each
+    column is divided by its value at its first tableau and the columns
+    are ordered by that tableau: the reduced column-echelon form.
     """
     if rep.size != n * l:
         raise SizeMismatchError(f"|lam| = {rep.size} is not n*l = {n * l}")
-    f = rep.dim
-    head = tuple(range(1, l + 1))
-    seed = [t for t, tab in enumerate(rep.tableaux) if tab[0][:l] == head]
-    # Row k of the f x b basis matrix, for the rows that are not zero.
-    rows: dict[int, list[Fraction]] = {
-        k: [Fraction(int(k == c)) for c in seed] for k in seed
-    }
-    b = len(seed)
-    for t in ((i - 1) * l + j for i in range(2, n + 1) for j in range(1, l)):
-        if b == 0:
-            break
-        mt, gen = rep.gen_cols[t - 1]
-        # C = (m_t rho(s_t) - m_t) @ basis, accumulated over the nonzero
-        # rows; the factor m_t does not change the nullspace.
-        C: dict[int, list[Fraction]] = {}
-        for k, rowk in rows.items():
-            for idx, v in gen[k]:
-                Ci = C.setdefault(idx, [Fraction(0)] * b)
-                for c, x in enumerate(rowk):
-                    if x:
-                        Ci[c] += v * x
-            Ck = C.setdefault(k, [Fraction(0)] * b)
-            for c, x in enumerate(rowk):
-                if x:
-                    Ck[c] -= mt * x
-        coeffs = nullspace_q([Ci for Ci in C.values() if any(Ci)], b)
-        # basis <- basis @ N, with N columns from the nullspace.
-        b = len(coeffs)
-        newrows = {}
-        for k, rowk in rows.items():
-            newk = [sum(x * vec[c] for c, x in enumerate(rowk) if x) for vec in coeffs]
-            if any(newk):
-                newrows[k] = [Fraction(x) for x in newk]
-        rows = newrows
-    support = sorted(rows)
-    columns = [[Fraction(0)] * b for _ in range(f)]
-    if b:
-        echelon, _ = kernels.qm_rref([[rows[k][c] for k in support] for c in range(b)])
-        for c, vec in enumerate(echelon):
-            for k, x in zip(support, vec):
-                columns[k][c] = x
+    m = rep.size
+    # Each chain's (tableau, v(T)) pairs, in order of its first tableau.
+    chains: dict[tuple[tuple[int, ...], ...], list[tuple[int, Fraction]]] = {}
+    for t, tab in enumerate(rep.tableaux):
+        pos = _positions(tab, m)
+        chain, value = [], Fraction(1)
+        for start in range(1, m + 1, l):
+            block = pos[start : start + l]
+            if len({j for _, j in block}) < l:
+                break
+            chain.append(tuple(sorted(i for i, _ in block)))
+            cs = [j - i for i, j in block]
+            for a, cx in enumerate(cs):
+                for cy in cs[a + 1 :]:
+                    if cx > cy:
+                        value *= 1 - Fraction(1, cx - cy)
+        else:
+            chains.setdefault(tuple(chain), []).append((t, value))
+    columns = [[Fraction(0)] * len(chains) for _ in range(rep.dim)]
+    for c, entries in enumerate(chains.values()):
+        lead = entries[0][1]
+        for t, value in entries:
+            columns[t][c] = value / lead
     return InvariantBasis(rep.shape, n, l, tuple(tuple(row) for row in columns))

@@ -27,11 +27,10 @@ along its palindromic word s_x ... s_{y-1} ... s_x.  The rep stores each
 generator as the integer matrix m_k rho(s_k), so a column is an integer
 vector over one denominator from the start, with no conversion step.
 
-The slices are compressed to F = G^-1 B^T D T sparsely: A = B^T D T keeps
-only its nonzero coefficient lists, and F[r][c] sums g_rk A[k][c] only over
-the k where both factors are nonzero.  At l = 1 the basis is the identity
-and G = D is diagonal, so F is the content polynomial times I and the
-compression costs d * slices, not d^3 * slices.
+The slices are compressed to F = A / diag(G), A = B^T D T, with A sparse.
+The invariant columns B have disjoint supports, so G = B^T D B is diagonal
+and F[r][c] = A[r][c] / G[r][r]: no matrix is inverted.  At l = 1, B = I
+and G = D, so F is the content polynomial times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
@@ -55,7 +54,6 @@ from alphadet.exact import (
     PolyQ,
     QMatrix,
     generic_rank,
-    mat_inverse,
     rank_at,
 )
 from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis
@@ -158,12 +156,15 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
 
 
 def _assemble(rep: SeminormalRep, basis: InvariantBasis, T: Slices) -> tuple[PolyMatrix, QMatrix]:
-    """F = G^-1 B^T D T and G = B^T D B from the slices T of the operator."""
+    """F = A / diag(G), A = B^T D T, and G = B^T D B from the slices T.
+
+    The invariant columns have disjoint supports, so G is diagonal.
+    """
     d = basis.d
     D = rep.gram
     nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
     # A = B^T D T slice by slice, sparse: A[c] maps a row k to its alpha
-    # coefficients, and holds only the rows whose coefficients are not all 0.
+    # coefficients, and holds only the rows that a nonzero entry reaches.
     A: list[dict[int, list[Fraction]]] = [{} for _ in range(d)]
     for e, slice_e in enumerate(T):
         for c, col in enumerate(slice_e):
@@ -174,23 +175,17 @@ def _assemble(rep: SeminormalRep, basis: InvariantBasis, T: Slices) -> tuple[Pol
                     if r not in Ac:
                         Ac[r] = [Fraction(0)] * len(T)
                     Ac[r][e] += x * w
-    A = [{k: cs for k, cs in Ac.items() if any(cs)} for Ac in A]
-    # The Gram matrix G = B^T D B, and the nonzero entries of each row of G^-1.
+    # Each row of B holds at most one nonzero, so G = B^T D B is diagonal.
+    assert all(len(row) <= 1 for row in nonzero)
     G = [[Fraction(0)] * d for _ in range(d)]
     for i, row in enumerate(nonzero):
         for r, x in row:
-            for c, y in row:
-                G[r][c] += x * D[i] * y
-    Ginv = [[(k, g) for k, g in enumerate(row) if g] for row in mat_inverse(G)]
-    # F = G^-1 A, summing only the pairs where g_rk and A[k][c] are both
-    # nonzero.  At l = 1, B = I and G = D, so each F[r][c] takes one pair.
+            G[r][r] += x * x * D[i]
     zero = PolyQ.zero()
     F = [[zero] * d for _ in range(d)]
-    for r, grow in enumerate(Ginv):
-        for c, Ac in enumerate(A):
-            pairs = [(g, Ac[k]) for k, g in grow if k in Ac]
-            if pairs:
-                F[r][c] = PolyQ(sum(g * cs[e] for g, cs in pairs) for e in range(len(T)))
+    for c, Ac in enumerate(A):
+        for r, cs in Ac.items():
+            F[r][c] = PolyQ(x / G[r][r] for x in cs)
     return PolyMatrix.from_rows(F), G
 
 

@@ -7,7 +7,8 @@ Weyl dimension of an irreducible gl_n module, the column-wise splitting
 theta of H, the sum D over H that equals a power of the alpha-determinant,
 dense forms of the library's sparse matrices, the polarization operator
 E_ij on one polynomial, the dense compression G^-1 B^T D T of the
-transition slices, and Young's seminormal generators built in Fractions.
+transition slices, Young's seminormal generators built in Fractions, and
+exact solves and inverses over Q.
 """
 
 from collections import Counter
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
+from alphadet import kernels
 from alphadet.errors import AlphadetError, SizeMismatchError
-from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_inverse
+from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_identity
 from alphadet.oracle import Monomial, MultiPoly, _polarize, _var
 from alphadet.seminormal import InvariantBasis, SeminormalRep
 from alphadet.symgrp import Partition, Permutation, enumerate_H, nu
@@ -112,6 +114,28 @@ def D_of(n: int, l: int) -> MultiPoly:
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
     return MultiPoly(n, acc)
+
+
+class SingularMatrixError(AlphadetError):
+    """Exact linear solve hit a singular coefficient matrix."""
+
+
+def solve_exact(A: QMatrix, B: QMatrix) -> QMatrix:
+    """Solve A X = B exactly for square nonsingular A."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("coefficient matrix must be square")
+    if len(B) != n:
+        raise ValueError("right-hand side height disagrees")
+    aug = [list(ra) + list(rb) for ra, rb in zip(A, B)]
+    rref, pivcols = kernels.qm_rref(aug)
+    if pivcols != list(range(n)):
+        raise SingularMatrixError("singular coefficient matrix")
+    return [row[n:] for row in rref[:n]]
+
+
+def mat_inverse(A: QMatrix) -> QMatrix:
+    return solve_exact(A, mat_identity(len(A)))
 
 
 def mat_transpose(A: QMatrix) -> QMatrix:

@@ -9,21 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadet import kernels
-from alphadet.errors import SingularMatrixError
 from alphadet.exact import (
     PolyMatrix,
     PolyQ,
     generic_rank,
     mat_identity,
-    mat_inverse,
     mat_mul,
     nullspace_q,
     parse_rational,
     rank_at,
     rank_q,
-    solve_exact,
 )
 from alphadet.explore import squarefree_part
+from reference import SingularMatrixError, mat_inverse, solve_exact
 
 A = PolyQ([0, 1])
 

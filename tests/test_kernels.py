@@ -45,6 +45,7 @@ def test_every_library_name_is_reached_from_library_code():
         # the README's round-trip API: from_json(to_json(r)) == r
         "report.from_json",
         # perfbench/child.py wraps these; they go at the next benchmark change
+        "exact.nullspace_q",
         "kernels.zpm_rank",
         "seminormal.rep_of",
     }

@@ -168,6 +168,37 @@ def test_invariant_basis_is_canonical():
                 assert qm_rref(mat_transpose(B))[0] == mat_transpose(B)
 
 
+@pytest.mark.parametrize("n,l", [(5, 2), (3, 4)])
+def test_invariant_basis_is_canonical_beyond_the_stacked_nullspace(n, l):
+    # No nullspace: the columns are fixed by every row generator, there are
+    # kostka(lam, n, l) of them, and their supports are disjoint, so they
+    # are a basis of the fixed space.  Each is 1 at its first support row
+    # and they are ordered by it, so that basis is the reduced
+    # column-echelon one.
+    for lam in admissible_shapes(n, l):
+        rep = build_rep(lam)
+        basis = invariant_basis(rep, n, l)
+        cols = [
+            {i: row[c] for i, row in enumerate(basis.columns) if row[c]} for c in range(basis.d)
+        ]
+        for t in (t for t in range(1, n * l) if t % l):
+            mt, gen = rep.gen_cols[t - 1]
+            for col in cols:
+                image: dict[int, Fraction] = {}
+                for j, x in col.items():
+                    for i, v in gen[j]:
+                        image[i] = image.get(i, 0) + v * x
+                assert {i: x for i, x in image.items() if x} == {
+                    i: mt * x for i, x in col.items()
+                }, (lam, t)
+        assert basis.d == kostka(lam, n, l), lam
+        supports = [sorted(col) for col in cols]
+        assert sum(map(len, supports)) == len(set().union(*supports)), lam
+        firsts = [support[0] for support in supports]
+        assert firsts == sorted(firsts), lam
+        assert all(col[first] == 1 for col, first in zip(cols, firsts)), lam
+
+
 def test_rep_cap():
     with pytest.raises(CapExceededError):
         build_rep(Partition((13,)))

@@ -12,12 +12,12 @@ from alphadet.errors import (
     EmptyInvariantSpaceError,
     SizeMismatchError,
 )
-from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_inverse, mat_mul
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_mul
 from alphadet.formulas import content_poly
-from alphadet.seminormal import InvariantBasis, build_rep, invariant_basis, rep_of
+from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
 from alphadet.transition import _assemble, _jucys_murphy, trace_poly, transition_matrix
-from reference import column_matrix, dense_compression
+from reference import column_matrix, dense_compression, mat_inverse
 
 A = PolyQ([0, 1])
 
@@ -165,23 +165,9 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 assert tm.gram_matrix() == G, (n, l, lam)
 
 
-def sheared(basis):
-    """The non-canonical basis B P, P = I with column 0 added to every other
-    column: the same invariant space, with a Gram matrix that is not diagonal."""
-    cols = tuple(
-        tuple(x + (row[0] if c else 0) for c, x in enumerate(row)) for row in basis.columns
-    )
-    return InvariantBasis(basis.shape, basis.n, basis.l, cols)
-
-
 def test_sparse_compression_matches_dense():
-    # The library compresses the slices with sparse A and G^-1; the dense
-    # route inverts G with every zero and sums g_rk A[k][c] over every k.
-    # G is diagonal on every canonical basis here, so each shape with
-    # 1 < d <= 35 runs again on the sheared basis B P, whose G is not: a
-    # G^-1 A that used only the diagonal of G^-1 passes the canonical bases
-    # but fails the sheared ones.  (The d > 35 shapes of (8,1) would triple
-    # the test's time.)
+    # The library divides the sparse A by the diagonal of G; the dense route
+    # inverts G in full and sums g_rk A[k][c] over every k.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
@@ -190,13 +176,27 @@ def test_sparse_compression_matches_dense():
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 basis = invariant_basis(rep, n, l)
-                shear = 1 < basis.d <= 35
-                for B in [basis, sheared(basis)] if shear else [basis]:
-                    T = _jucys_murphy(rep, B, n, l)
-                    F, G = _assemble(rep, B, T)
-                    assert (F, G) == dense_compression(rep, B, T), (n, l, lam)
-                if shear:
-                    assert G[0][1] and G[1][0], (n, l, lam)
+                T = _jucys_murphy(rep, basis, n, l)
+                assert _assemble(rep, basis, T) == dense_compression(rep, basis, T), (n, l, lam)
+
+
+def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
+    # What lets _assemble divide by diag(G): each row of B has at most one
+    # nonzero, so G = B^T D B is diagonal.
+    for m in range(1, 10):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                B = column_matrix(invariant_basis(rep, n, l))
+                assert all(sum(1 for x in row if x) <= 1 for row in B), (n, l, lam)
+                BtD = [[B[i][c] * rep.gram[i] for i in range(rep.dim)] for c in range(len(B[0]))]
+                G = mat_mul(BtD, B)
+                assert all(
+                    not x for r, row in enumerate(G) for c, x in enumerate(row) if r != c
+                ), (n, l, lam)
 
 
 def test_errors():
