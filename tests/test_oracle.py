@@ -1,6 +1,7 @@
 """Brute-force module oracle: alpha-determinants, polarization operators,
 cyclic closures, highest weight multiplicities, and the Vere-Jones series."""
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -586,6 +587,51 @@ def test_generic_closure_is_the_whole_space(n, l, max_size):
     assert [list(g.terms.items()) for g in basis.generators] == [
         [(m, 1)] for m in sorted(cone_monomials, reverse=True)
     ]
+
+
+CLOSURE_DIGESTS = {
+    # (n, l, alpha, max_size): (dim, sha256 of the generators, sha256 of the
+    # weights), each digest over one repr line per row, terms sorted
+    (3, 2, Fraction(1), None): (
+        26,
+        "9382b72a1c65d91b6bc3ddbc2c184b9f15ded8bf55fb4f1ff126d9e9e704c238",
+        "5a77919a8f5efcb93a38b6f5559fc8af7a724d42e2385b74a04c115c1fd257b3",
+    ),
+    (3, 2, Fraction(-1, 2), None): (
+        63,
+        "974a4484f45ec0ffa474e10f16431a240aeda0841381f74fc4e45b079d8b6114",
+        "dfdccfa14229bfb5c93df5bbc6c3051aaf36fde838db6c08f871d1cc8b0b36b1",
+    ),
+    (3, 2, Fraction(2), None): (
+        107,
+        "509282be036cf12bdb389dd084919f920ce094644f2a2144b85089e7d950b96e",
+        "3519b36b4a8704223157af4141e6011c2e5ef0734b4af1f6f6cb1c1669b7dc8a",
+    ),
+    (4, 1, Fraction(-1, 2), None): (
+        48,
+        "17ffaaf9c3a1784e401c4ea2bbcdcd7e277bfff9696a599082945cc22eee8150",
+        "e15590eb3cef6180b5cc381db58224fde420a69c3d33b5afd96c9fbce1f55e55",
+    ),
+    (2, 4, None, 8): (
+        15,
+        "aed2d784fb683c1fabb7b65e644786e6ed5fa7e4a18045cd6d9823be8ce3e3b0",
+        "a2403635e9aa0062b4c7256d982243a3cca48ffd83ff2022c7a231cddf4da015",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(CLOSURE_DIGESTS), ids=str)
+def test_closure_bases_are_pinned(key):
+    # The reduced echelon basis is unique, so any change of the closure's
+    # internals must reproduce these rows and weights byte for byte.
+    n, l, alpha, max_size = key
+    dim, gens_digest, weights_digest = CLOSURE_DIGESTS[key]
+    basis = cyclic_closure(n, l, alpha=alpha, max_size=max_size)
+    gens = "\n".join(repr(sorted(g.terms.items())) for g in basis.generators)
+    weights = "\n".join(repr(w) for w in basis.weights)
+    assert basis.dim == dim
+    assert hashlib.sha256(gens.encode()).hexdigest() == gens_digest
+    assert hashlib.sha256(weights.encode()).hexdigest() == weights_digest
 
 
 def test_generic_closure_needs_a_full_certificate(monkeypatch):
