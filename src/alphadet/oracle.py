@@ -19,8 +19,18 @@ one partial sum by one), so dropping those images loses nothing inside it.
 
 All elimination is over Q, in one sparse fraction-free echelon reducer on
 integer rows keyed by monomial, and that row is the only format of a module
-row: a dict from monomial to int, primitive, with a positive lead.  The
-closure's reduced echelon rows go into the basis as they are.  The generic
+row: a dict from monomial to int, primitive, with a positive lead.  Inside
+the closure and the counts a monomial is one packed int: its n^2 exponents
+are digits of width b, x11 the most significant, so E_ij moves a degree
+from x_js to x_is by adding a constant to the key.  The closure takes
+b = l.bit_length().  Each column of every monomial it meets has degree l
+(adet(X)^l has, and polarization moves degree within a column), so no
+exponent exceeds l, no digit carries, and the order of the packed ints is
+the lex order of the exponent tuples: the leads, and so the reduced
+echelon rows, are those of the tuples.  The closure's reduced echelon rows
+go into the basis as they are, with their monomials unpacked to exponent
+tuples; the counts pack the rows they read again, with the digit width of
+n*l, the degree of every monomial of a weight of size n*l.  The generic
 module over Q(alpha) is certified by specialization.  It lies in the space
 of polynomials whose every column has degree l, and specializing alpha can
 only lower the dimension of each weight space; so one closure at a rational
@@ -44,16 +54,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
-from alphadet.exact import PolyQ, QMatrix, mat_identity, mat_mul
-from alphadet.symgrp import (
-    Partition,
-    Permutation,
-    kostka_content,
-    nu,
-)
+from alphadet.exact import QMatrix, mat_identity, mat_mul
+from alphadet.symgrp import Partition, kostka_content
 
 DEFAULT_ADET_CAP = 8
 DEFAULT_GENERIC_CLOSURE_CAP = 6
@@ -69,41 +74,71 @@ def _var(i: int, j: int, n: int) -> int:
     return (i - 1) * n + (j - 1)
 
 
+def _pack(m: Monomial, b: int) -> int:
+    """The exponent vector m as one int of n^2 digits of width b, x11 first."""
+    key = 0
+    for e in m:
+        key = key << b | e
+    return key
+
+
+def _unpack(key: int, n: int, b: int) -> Monomial:
+    """The exponent vector of a monomial packed with digit width b."""
+    mask = (1 << b) - 1
+    return tuple(key >> s & mask for s in range(b * (n * n - 1), -1, -b))
+
+
 @cache
-def _polarization_shifts(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(source, target) variable indices (x_js, x_is) of E_ij, s = 1..n."""
-    return tuple((_var(j, s, n), _var(i, s, n)) for s in range(1, n + 1))
+def _packed_shifts(i: int, j: int, n: int, b: int) -> tuple[tuple[int, int], ...]:
+    """(shift, delta) of E_ij on monomials packed with digit width b, one pair
+    per s = 1..n: the exponent of x_js is (m >> shift) & mask, and moving one
+    degree from x_js to x_is gives the key m + delta."""
+    top = n * n - 1
+    out = []
+    for s in range(1, n + 1):
+        src, dst = b * (top - _var(j, s, n)), b * (top - _var(i, s, n))
+        out.append((src, (1 << dst) - (1 << src)))
+    return tuple(out)
 
 
-def _polarize(terms: dict[Monomial, object], i: int, j: int, n: int) -> dict[Monomial, object]:
-    """E_ij = sum_s x_is d/dx_js on {monomial: coefficient}, zero terms dropped.
-
-    Coefficients may be ints, rationals or polynomials in alpha: each is
-    only multiplied by an exponent and added.
-    """
-    shifts = _polarization_shifts(i, j, n)
-    out: dict[Monomial, object] = {}
-    for m, c in terms.items():
-        for src, dst in shifts:
-            e = m[src]
+def _polarize(row: dict[int, object], shifts: tuple[tuple[int, int], ...], mask: int) -> dict:
+    """E_ij on a row keyed by packed monomial, given E_ij's `_packed_shifts`
+    and the digit mask; zero terms dropped.  The digit that gains a degree
+    must stay below the mask, or the key carries into its neighbour."""
+    out: dict[int, int] = {}
+    get = out.get
+    for m, c in row.items():
+        for shift, delta in shifts:
+            e = m >> shift & mask
             if e:
-                newm = list(m)
-                newm[src] -= 1
-                newm[dst] += 1
-                key = tuple(newm)
-                add = c * e
-                acc = out.get(key)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                key = m + delta
+                out[key] = get(key, 0) + c * e
+    if 0 in out.values():
+        return {m: c for m, c in out.items() if c}
     return out
 
 
 def _monomial_weight(m: Monomial, n: int) -> tuple[int, ...]:
     """Row-degree vector of a monomial in x11, x12, ..., xnn."""
     return tuple(sum(m[k : k + n]) for k in range(0, n * n, n))
+
+
+def _packed_weight(key: int, n: int, b: int) -> tuple[int, ...]:
+    """Row-degree vector of a monomial packed with digit width b."""
+    width = b * n
+    mask = (1 << width) - 1
+    return tuple(_digit_sum(key >> s & mask, b) for s in range(width * (n - 1), -1, -width))
+
+
+@cache
+def _digit_sum(block: int, b: int) -> int:
+    """Sum of the width-b digits of block: the degree of one packed row of X."""
+    mask = (1 << b) - 1
+    total = 0
+    while block:
+        total += block & mask
+        block >>= b
+    return total
 
 
 class MultiPoly:
@@ -175,12 +210,6 @@ class MultiPoly:
             out = out * self
         return out
 
-    def eval_alpha(self, a: Fraction) -> MultiPoly:
-        return MultiPoly(
-            self.n,
-            {m: (c(a) if isinstance(c, PolyQ) else c) for m, c in self.terms.items()},
-        )
-
     def weight(self) -> tuple[int, ...]:
         """Row-degree vector; requires all terms to share it."""
         ws = {_monomial_weight(m, self.n) for m in self.terms}
@@ -238,24 +267,6 @@ def _cycle_count(imgs: tuple[int, ...]) -> int:
     return count
 
 
-def adet_symbolic(n: int, max_size: int | None = None) -> MultiPoly:
-    """The alpha-determinant of the generic matrix, coefficients in Q[alpha]."""
-    cap = DEFAULT_ADET_CAP if max_size is None else max_size
-    if n > cap:
-        raise CapExceededError(f"matrix size {n} exceeds adet cap {cap}")
-    out: dict[Monomial, object] = {}
-    for imgs in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(imgs)
-        m = [0] * (n * n)
-        for q in range(1, n + 1):
-            m[_var(sigma(q), q, n)] += 1
-        key = tuple(m)
-        add = PolyQ.monomial(nu(sigma))
-        acc = out.get(key)
-        out[key] = add if acc is None else acc + add
-    return MultiPoly(n, out)
-
-
 # ---------------------------------------------------------------------------
 # Cyclic closure
 
@@ -285,12 +296,16 @@ def _normalize_int(row):
 
 
 class _RowReducer:
-    """Fraction-free echelon reducer for sparse integer rows keyed by monomial."""
+    """Fraction-free echelon reducer for sparse integer rows.
+
+    Keys are any totally ordered hashables; the oracle's are packed
+    monomials, and the lead of a row is its largest key.
+    """
 
     def __init__(self):
-        self.pivots: dict[Monomial, dict[Monomial, int]] = {}
+        self.pivots: dict = {}
 
-    def reduce(self, row: dict[Monomial, int]) -> dict[Monomial, int]:
+    def reduce(self, row: dict) -> dict:
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
@@ -299,10 +314,10 @@ class _RowReducer:
             row = _eliminate_int(row, piv, lead)
         return row
 
-    def insert(self, row: dict[Monomial, int]) -> None:
+    def insert(self, row: dict) -> None:
         self.pivots[max(row)] = row
 
-    def back_reduce(self) -> list[dict[Monomial, int]]:
+    def back_reduce(self) -> list[dict]:
         """Eliminate every pivot lead from every other row.
 
         Ascending lead order: once a row is clean, reducing against it cannot
@@ -416,19 +431,17 @@ def cyclic_closure(
         raise CapExceededError(
             f"n*l = {n * l} exceeds the closure cap {cap}; pass max_size to override"
         )
-    adet_cap = max(n, cap)
     if alpha is not None:
         a = Fraction(alpha)
-        rows = _close(n, l, a, adet_cap).back_reduce()
-        return _module_basis(n, l, a, tuple(MultiPoly(n, row) for row in rows))
+        return _module_basis(n, l, a, _close(n, l, a).back_reduce())
     full = cone_monomial_count(n, l)
     for a in CERTIFYING_ALPHAS:
-        leads = sorted(_close(n, l, a, adet_cap).pivots, reverse=True)
+        leads = sorted(_close(n, l, a).pivots, reverse=True)
         if len(leads) == full:
             # full distinct leads of cone weight are every monomial of cone
             # weight, so the reduced echelon basis is the unit monomials and
             # needs no back reduction.
-            return _module_basis(n, l, None, tuple(MultiPoly(n, {m: 1}) for m in leads))
+            return _module_basis(n, l, None, [{m: 1} for m in leads])
     tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
     raise UncertifiedClosureError(
         f"no closure for n = {n}, l = {l} reached the dimension {full} of the "
@@ -437,21 +450,61 @@ def cyclic_closure(
 
 
 def _module_basis(
-    n: int, l: int, alpha: Fraction | None, generators: tuple[MultiPoly, ...]
+    n: int, l: int, alpha: Fraction | None, rows: list[dict[int, int]]
 ) -> ModuleBasis:
-    """Wrap reduced echelon rows, in descending lead order, as a ModuleBasis."""
+    """Unpack reduced echelon rows of packed monomials, in descending lead
+    order, into a ModuleBasis."""
+    b = l.bit_length()
+    monomial: dict[int, Monomial] = {}
+    generators = []
+    for row in rows:
+        terms = {}
+        for m, c in row.items():
+            key = monomial.get(m)
+            if key is None:
+                key = monomial[m] = _unpack(m, n, b)
+            terms[key] = c
+        generators.append(MultiPoly(n, terms))
     return ModuleBasis(
         n=n,
         l=l,
         alpha=alpha,
-        generators=generators,
-        weights=tuple(_monomial_weight(max(g.terms), n) for g in generators),
+        generators=tuple(generators),
+        weights=tuple(_packed_weight(max(row), n, b) for row in rows),
     )
 
 
-def _close(n: int, l: int, a: Fraction, adet_cap: int) -> _RowReducer:
+def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
+    """adet(X)^l at alpha = a = p/q, times q^((n-1)l), as an integer row of
+    monomials packed with digit width l.bit_length().
+
+    The term of sigma in adet(X) is alpha^nu(sigma), nu = n - cycles; times
+    q^(n-1) it is the integer p^nu q^(cycles-1).  The l-th power adds keys,
+    which never carries, because each column of a product of l such
+    monomials has degree l.
+    """
+    p, q = a.numerator, a.denominator
+    b = l.bit_length()
+    top = n * n - 1
+    base = {}
+    for imgs in itertools.permutations(range(n)):
+        cycles = _cycle_count(imgs)
+        key = sum(1 << b * (top - _var(row + 1, col + 1, n)) for col, row in enumerate(imgs))
+        base[key] = p ** (n - cycles) * q ** (cycles - 1)
+    gen = {0: 1}
+    for _ in range(l):
+        out: dict[int, int] = {}
+        for m1, c1 in gen.items():
+            for m2, c2 in base.items():
+                key = m1 + m2
+                out[key] = out.get(key, 0) + c1 * c2
+        gen = {m: c for m, c in out.items() if c}
+    return gen
+
+
+def _close(n: int, l: int, a: Fraction) -> _RowReducer:
     """Echelon rows spanning the cone part of the closure of adet(X)^l at
-    alpha = a, on integer rows.
+    alpha = a, on integer rows keyed by packed monomial.
 
     Phase 1 closes the span under the simple raising operators E_i,i+1,
     which gives U(n+) gen; phase 2 closes that under the simple lowering
@@ -466,19 +519,20 @@ def _close(n: int, l: int, a: Fraction, adet_cap: int) -> _RowReducer:
     the caller's back reduction makes the basis the unique reduced echelon
     form of the cone part, whatever the elimination order.
     """
-    gen = adet_symbolic(n, max_size=adet_cap).eval_alpha(a) ** l
-    scale = lcm(*(c.denominator for c in gen.terms.values()))
+    b = l.bit_length()
+    mask = (1 << b) - 1
     reducer = _RowReducer()
-    raising = [(i, i + 1) for i in range(1, n)]
+    raising = [_packed_shifts(i, i + 1, n, b) for i in range(1, n)]
+    lowering_shifts = [_packed_shifts(j + 1, j, n, b) for j in range(1, n)]
 
     def lowering(row):
         """The simple lowering operators whose image of row stays in the cone."""
         ops = []
         s = 0
-        for j, x in enumerate(_monomial_weight(max(row), n)[:-1], 1):
+        for j, x in enumerate(_packed_weight(max(row), n, b)[:-1], 1):
             s += x
             if s > j * l:
-                ops.append((j + 1, j))
+                ops.append(lowering_shifts[j - 1])
         return ops
 
     def close(ops_of):
@@ -486,13 +540,13 @@ def _close(n: int, l: int, a: Fraction, adet_cap: int) -> _RowReducer:
         queue = deque(reducer.pivots.values())
         while queue:
             row = queue.popleft()
-            for i, j in ops_of(row):
-                new = reducer.reduce(_polarize(row, i, j, n))
+            for shifts in ops_of(row):
+                new = reducer.reduce(_polarize(row, shifts, mask))
                 if new:
                     reducer.insert(new)
                     queue.append(new)
 
-    reducer.insert(reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()}))
+    reducer.insert(reducer.reduce(_generator(n, l, a)))
     close(lambda row: raising)
     close(lowering)
     return reducer
@@ -503,8 +557,9 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     the joint kernel of all raising operators on the weight-lam rows.
 
     Each weight-lam generator maps to one sparse integer row, its images
-    under the simple raising operators E_i,i+1 keyed by (i, monomial).  The
-    rows go through the closure's fraction-free reducer; the multiplicity
+    under the simple raising operators E_i,i+1, the image of E_i,i+1 at
+    monomial m keyed by (packed m << k) | i with 2^k > n.  The rows go
+    through the closure's fraction-free reducer; the multiplicity
     is the number of rows less the number that survive reduction.  The
     generators must have int coefficients, as every closure's do; the
     reducer raises TypeError on a nonzero image of any other kind.
@@ -515,17 +570,27 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     if lam.length > n:
         return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
-    rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
+    # a monomial of weight lam has degree n*l, so no exponent passes n*l
+    b = lam.size.bit_length()
+    mask = (1 << b) - 1
+    k = n.bit_length()
+    raising = [(i, _packed_shifts(i, i + 1, n, b)) for i in range(1, n)]
     reducer = _RowReducer()
-    rank = 0
-    for terms in rows:
-        row = reducer.reduce(
-            {(i, m): c for i in range(1, n) for m, c in _polarize(terms, i, i + 1, n).items()}
-        )
-        if row:
-            reducer.insert(row)
-            rank += 1
-    return len(rows) - rank
+    count = 0
+    for g, w in zip(basis.generators, basis.weights):
+        if w != target:
+            continue
+        count += 1
+        row = {_pack(m, b): c for m, c in g.terms.items()}
+        image = {}
+        for i, shifts in raising:
+            for m, c in _polarize(row, shifts, mask).items():
+                image[m << k | i] = c
+        image = reducer.reduce(image)
+        if image:
+            reducer.insert(image)
+            count -= 1
+    return count
 
 
 def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int]) -> bool:

@@ -5,21 +5,32 @@ tests check the library's results against: the block tableau of shape (l^n)
 with its row and column groups, the centralizer order z_mu of a class, the
 Weyl dimension of an irreducible gl_n module, the column-wise splitting
 theta of H, the sum D over H that equals a power of the alpha-determinant,
-dense forms of the library's sparse matrices, the polarization operator
-E_ij on one polynomial, the dense compression G^-1 B^T D T of the
-transition slices, Young's seminormal generators built in Fractions, and
-exact solves and inverses over Q.
+dense forms of the library's sparse matrices, the alpha-determinant of the
+generic matrix over Q[alpha], the polarization operator E_ij on monomials
+kept as exponent tuples, the cyclic closure and highest-weight count on
+those tuples, the dense compression G^-1 B^T D T of the transition slices,
+Young's seminormal generators built in Fractions, and exact solves and
+inverses over Q.
 """
 
-from collections import Counter
+import itertools
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from functools import cache
+from math import factorial, lcm, prod
 
 from alphadet import kernels
 from alphadet.errors import AlphadetError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_identity
-from alphadet.oracle import Monomial, MultiPoly, _polarize, _var
+from alphadet.oracle import (
+    ModuleBasis,
+    Monomial,
+    MultiPoly,
+    _monomial_weight,
+    _RowReducer,
+    _var,
+)
 from alphadet.seminormal import InvariantBasis, SeminormalRep
 from alphadet.symgrp import Partition, Permutation, enumerate_H, nu
 
@@ -184,9 +195,117 @@ def column_matrix(basis: InvariantBasis) -> QMatrix:
     return [list(row) for row in basis.columns]
 
 
+def adet_symbolic(n: int) -> MultiPoly:
+    """The alpha-determinant of the generic matrix, coefficients in Q[alpha]."""
+    out: dict[Monomial, PolyQ] = {}
+    for imgs in itertools.permutations(range(1, n + 1)):
+        sigma = Permutation(imgs)
+        m = [0] * (n * n)
+        for q in range(1, n + 1):
+            m[_var(sigma(q), q, n)] += 1
+        key = tuple(m)
+        add = PolyQ.monomial(nu(sigma))
+        acc = out.get(key)
+        out[key] = add if acc is None else acc + add
+    return MultiPoly(n, out)
+
+
+def eval_alpha(f: MultiPoly, a: Fraction) -> MultiPoly:
+    """f with every Q[alpha] coefficient evaluated at alpha = a."""
+    return MultiPoly(f.n, {m: (c(a) if isinstance(c, PolyQ) else c) for m, c in f.terms.items()})
+
+
+@cache
+def polarization_shifts(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(source, target) variable indices (x_js, x_is) of E_ij, s = 1..n."""
+    return tuple((_var(j, s, n), _var(i, s, n)) for s in range(1, n + 1))
+
+
+def polarize(terms: dict[Monomial, object], i: int, j: int, n: int) -> dict[Monomial, object]:
+    """E_ij = sum_s x_is d/dx_js on {exponent tuple: coefficient}, zero terms
+    dropped.
+
+    Coefficients may be ints, rationals or polynomials in alpha: each is
+    only multiplied by an exponent and added.
+    """
+    shifts = polarization_shifts(i, j, n)
+    out: dict[Monomial, object] = {}
+    for m, c in terms.items():
+        for src, dst in shifts:
+            e = m[src]
+            if e:
+                newm = list(m)
+                newm[src] -= 1
+                newm[dst] += 1
+                key = tuple(newm)
+                add = c * e
+                acc = out.get(key)
+                acc = add if acc is None else acc + add
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
+    return out
+
+
 def apply_E(f: MultiPoly, i: int, j: int) -> MultiPoly:
     """Polarization operator E_ij f = sum_s x_is df/dx_js."""
-    return MultiPoly(f.n, _polarize(f.terms, i, j, f.n))
+    return MultiPoly(f.n, polarize(f.terms, i, j, f.n))
+
+
+def tuple_closure(n: int, l: int, a: Fraction) -> list[dict[Monomial, int]]:
+    """Reduced echelon rows, descending lead, of the cone part of the closure
+    of adet(X)^l at alpha = a, with monomials kept as exponent tuples.
+
+    The same PBW order as the library (simple raising operators, then the
+    simple lowering ones whose image stays in the cone) and the library's
+    reducer, on tuple keys and the tuple polarization above.
+    """
+    gen = eval_alpha(adet_symbolic(n), a) ** l
+    scale = lcm(*(c.denominator for c in gen.terms.values()))
+    reducer = _RowReducer()
+
+    def lowering(row):
+        ops = []
+        s = 0
+        for j, x in enumerate(_monomial_weight(max(row), n)[:-1], 1):
+            s += x
+            if s > j * l:
+                ops.append((j + 1, j))
+        return ops
+
+    def close(ops_of):
+        queue = deque(reducer.pivots.values())
+        while queue:
+            row = queue.popleft()
+            for i, j in ops_of(row):
+                new = reducer.reduce(polarize(row, i, j, n))
+                if new:
+                    reducer.insert(new)
+                    queue.append(new)
+
+    reducer.insert(reducer.reduce({m: int(c * scale) for m, c in gen.terms.items()}))
+    close(lambda row: [(i, i + 1) for i in range(1, n)])
+    close(lowering)
+    return reducer.back_reduce()
+
+
+def tuple_hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
+    """The highest-weight count of lam, with the raising images of each
+    weight-lam row keyed by (i, exponent tuple)."""
+    n = basis.n
+    target = tuple(lam.part(i) for i in range(1, n + 1))
+    rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
+    reducer = _RowReducer()
+    rank = 0
+    for terms in rows:
+        row = reducer.reduce(
+            {(i, m): c for i in range(1, n) for m, c in polarize(terms, i, i + 1, n).items()}
+        )
+        if row:
+            reducer.insert(row)
+            rank += 1
+    return len(rows) - rank
 
 
 def dense_compression(

@@ -18,7 +18,6 @@ from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
     adet_eval,
-    adet_symbolic,
     cyclic_closure,
     hwv_multiplicity,
     vere_jones_check,
@@ -26,7 +25,16 @@ from alphadet.oracle import (
 )
 from alphadet.symgrp import Partition, admissible_shapes
 from alphadet.verify import ORACLE_ALPHAS, ORACLE_CASES, suite_oracle
-from reference import D_of, apply_E, weyl_dim
+from reference import (
+    D_of,
+    adet_symbolic,
+    apply_E,
+    eval_alpha,
+    polarize,
+    tuple_closure,
+    tuple_hwv_multiplicity,
+    weyl_dim,
+)
 
 A = PolyQ([0, 1])
 
@@ -103,7 +111,7 @@ def _unfiltered_closure(n, l, a):
     # The whole module at alpha = a by PBW (simple raising operators, then
     # simple lowering ones, no cone filter), with the oracle's reducer and the
     # polarization above; reduced echelon integer rows, descending lead.
-    gen = (adet_symbolic(n) ** l).eval_alpha(a)
+    gen = eval_alpha(adet_symbolic(n) ** l, a)
     scale = math.lcm(*(c.denominator for c in gen.terms.values()))
     reducer = oracle._RowReducer()
 
@@ -269,7 +277,7 @@ def test_adet_symbolic_consistent_with_eval():
     f = adet_symbolic(3)
     a = Fraction(2, 5)
     total = Fraction(0)
-    for mono, coeff in f.eval_alpha(a).terms.items():
+    for mono, coeff in eval_alpha(f, a).terms.items():
         prod = Fraction(coeff)
         for idx, e in enumerate(mono):
             i, j = divmod(idx, 3)
@@ -287,7 +295,7 @@ def test_D_of_delta_and_alpha_nu():
         D = D_of(n, l)
         # at alpha = 0 only the identity of H is left: the diagonal monomial
         mono = tuple(l if k // n == k % n else 0 for k in range(n * n))
-        assert D.eval_alpha(Fraction(0)).terms == {mono: 1}
+        assert eval_alpha(D, Fraction(0)).terms == {mono: 1}
         assert D == adet_symbolic(n) ** l
 
 
@@ -373,6 +381,81 @@ def test_cone_closure_is_the_cone_part_of_the_unfiltered_closure(n, l, alpha):
     ]
     assert [g.terms for g in basis.generators] == expected
     assert list(basis.weights) == [_row_weight(row, n) for row in expected]
+
+
+SECOND_ROUTE_ALPHAS = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2), Fraction(7, 3))
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [
+        (n, l, a)
+        for n in range(1, 7)
+        for l in range(1, 7 // n + 1)
+        if n * l <= 6
+        for a in SECOND_ROUTE_ALPHAS
+        # At alpha = 2 and 7/3 the (6,1) closure is the whole cone part,
+        # 16,807 rows, at about 13 s packed and three times that on tuples.
+        if (n, l) != (6, 1) or a in (1, -1, Fraction(-1, 2))
+    ],
+    ids=str,
+)
+def test_packed_closure_matches_the_tuple_closure(n, l, alpha):
+    # Second route: the same PBW closure on exponent tuples gives the same
+    # reduced echelon rows, and the tuple-keyed count the same multiplicities.
+    basis = cyclic_closure(n, l, alpha=alpha)
+    rows = tuple_closure(n, l, alpha)
+    assert [g.terms for g in basis.generators] == rows
+    assert list(basis.weights) == [_row_weight(row, n) for row in rows]
+    for lam in admissible_shapes(n, l):
+        assert hwv_multiplicity(basis, lam) == tuple_hwv_multiplicity(basis, lam)
+
+
+@st.composite
+def _packable_monomials(draw, n, l, count):
+    # exponent tuples whose every column has degree at most l, x11 first
+    monos = []
+    for _ in range(count):
+        grid = [[0] * n for _ in range(n)]
+        for j in range(n):
+            left = l
+            for i in draw(st.permutations(range(n))):
+                grid[i][j] = e = draw(st.integers(min_value=0, max_value=left))
+                left -= e
+        monos.append(tuple(x for row in grid for x in row))
+    return monos
+
+
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 2, 3, 4, 7, 8]),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_monomials_keep_exponents_order_and_polarization(data, n, l):
+    b = l.bit_length()
+    mask = (1 << b) - 1
+    monos = data.draw(_packable_monomials(n, l, 4))
+    pack = [oracle._pack(m, b) for m in monos]
+    assert [oracle._unpack(k, n, b) for k in pack] == monos
+    for x, kx in zip(monos, pack):
+        for y, ky in zip(monos, pack):
+            assert (kx < ky) == (x < y)
+    coeffs = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=4, max_size=4))
+    row = dict(zip(monos, coeffs))
+    packed = {oracle._pack(m, b): c for m, c in row.items()}
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        image = oracle._polarize(packed, oracle._packed_shifts(i, j, n, b), mask)
+        assert {oracle._unpack(k, n, b): c for k, c in image.items()} == polarize(row, i, j, n)
+    if n <= 2 or n * l <= 8:
+        a = data.draw(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9), label="alpha"
+        )
+        gen = eval_alpha(adet_symbolic(n), a) ** l
+        scale = a.denominator ** ((n - 1) * l)
+        assert {oracle._unpack(k, n, b): c for k, c in oracle._generator(n, l, a).items()} == {
+            m: c * scale for m, c in gen.terms.items()
+        }
 
 
 def test_closure_weight_consistency():
@@ -530,7 +613,7 @@ def test_closure_is_stable_under_every_E_ij(n, l, alpha):
     basis = cyclic_closure(n, l, alpha=alpha)
     gen = adet_symbolic(n) ** l
     if alpha is not None:
-        gen = gen.eval_alpha(alpha)
+        gen = eval_alpha(gen, alpha)
     assert _in_span(gen, basis.generators)
     for g in basis.generators:
         for i, j in itertools.permutations(range(1, n + 1), 2):
