@@ -570,27 +570,27 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     if lam.length > n:
         return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
+    rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
     # a monomial of weight lam has degree n*l, so no exponent passes n*l
     b = lam.size.bit_length()
     mask = (1 << b) - 1
     k = n.bit_length()
     raising = [(i, _packed_shifts(i, i + 1, n, b)) for i in range(1, n)]
     reducer = _RowReducer()
-    count = 0
-    for g, w in zip(basis.generators, basis.weights):
-        if w != target:
-            continue
-        count += 1
-        row = {_pack(m, b): c for m, c in g.terms.items()}
-        image = {}
-        for i, shifts in raising:
-            for m, c in _polarize(row, shifts, mask).items():
-                image[m << k | i] = c
-        image = reducer.reduce(image)
-        if image:
-            reducer.insert(image)
-            count -= 1
-    return count
+    rank = 0
+    for terms in rows:
+        packed = {_pack(m, b): c for m, c in terms.items()}
+        row = reducer.reduce(
+            {
+                m << k | i: c
+                for i, shifts in raising
+                for m, c in _polarize(packed, shifts, mask).items()
+            }
+        )
+        if row:
+            reducer.insert(row)
+            rank += 1
+    return len(rows) - rank
 
 
 def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int]) -> bool:
