@@ -123,24 +123,6 @@ def _monomial_weight(m: Monomial, n: int) -> tuple[int, ...]:
     return tuple(sum(m[k : k + n]) for k in range(0, n * n, n))
 
 
-def _packed_weight(key: int, n: int, b: int) -> tuple[int, ...]:
-    """Row-degree vector of a monomial packed with digit width b."""
-    width = b * n
-    mask = (1 << width) - 1
-    return tuple(_digit_sum(key >> s & mask, b) for s in range(width * (n - 1), -1, -width))
-
-
-@cache
-def _digit_sum(block: int, b: int) -> int:
-    """Sum of the width-b digits of block: the degree of one packed row of X."""
-    mask = (1 << b) - 1
-    total = 0
-    while block:
-        total += block & mask
-        block >>= b
-    return total
-
-
 class MultiPoly:
     """Sparse polynomial in the n^2 entries of an n x n variable matrix.
 
@@ -470,7 +452,7 @@ def _module_basis(
         l=l,
         alpha=alpha,
         generators=tuple(generators),
-        weights=tuple(_packed_weight(max(row), n, b) for row in rows),
+        weights=tuple(_monomial_weight(monomial[max(row)], n) for row in rows),
     )
 
 
@@ -529,7 +511,7 @@ def _close(n: int, l: int, a: Fraction) -> _RowReducer:
         """The simple lowering operators whose image of row stays in the cone."""
         ops = []
         s = 0
-        for j, x in enumerate(_packed_weight(max(row), n, b)[:-1], 1):
+        for j, x in enumerate(_monomial_weight(_unpack(max(row), n, b), n)[:-1], 1):
             s += x
             if s > j * l:
                 ops.append(lowering_shifts[j - 1])
