@@ -83,9 +83,14 @@ def _pack(m: Monomial, b: int) -> int:
 
 
 def _unpack(key: int, n: int, b: int) -> Monomial:
-    """The exponent vector of a monomial packed with digit width b."""
+    """The exponent vector of a monomial packed with digit width b.
+
+    Built from a list: tuple() of a generator grows its tuple by resizing,
+    so the tuples it frees pile up in the interpreter's free list for their
+    length instead of being reused.
+    """
     mask = (1 << b) - 1
-    return tuple(key >> s & mask for s in range(b * (n * n - 1), -1, -b))
+    return tuple([key >> s & mask for s in range(b * (n * n - 1), -1, -b)])
 
 
 @cache
@@ -120,7 +125,7 @@ def _polarize(row: dict[int, object], shifts: tuple[tuple[int, int], ...], mask:
 
 def _monomial_weight(m: Monomial, n: int) -> tuple[int, ...]:
     """Row-degree vector of a monomial in x11, x12, ..., xnn."""
-    return tuple(sum(m[k : k + n]) for k in range(0, n * n, n))
+    return tuple([sum(m[k : k + n]) for k in range(0, n * n, n)])
 
 
 class MultiPoly:
