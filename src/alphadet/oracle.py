@@ -440,7 +440,7 @@ def _module_basis(
     n: int, l: int, alpha: Fraction | None, rows: list[dict[int, int]]
 ) -> ModuleBasis:
     """Unpack reduced echelon rows of packed monomials, in descending lead
-    order, into a ModuleBasis."""
+    order, into a ModuleBasis; the rows share one tuple per monomial."""
     b = l.bit_length()
     monomial: dict[int, Monomial] = {}
     generators = []
@@ -472,12 +472,13 @@ def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
     """
     p, q = a.numerator, a.denominator
     b = l.bit_length()
-    top = n * n - 1
     base = {}
     for imgs in itertools.permutations(range(n)):
+        m = [0] * (n * n)
+        for col, row in enumerate(imgs):
+            m[_var(row + 1, col + 1, n)] = 1
         cycles = _cycle_count(imgs)
-        key = sum(1 << b * (top - _var(row + 1, col + 1, n)) for col, row in enumerate(imgs))
-        base[key] = p ** (n - cycles) * q ** (cycles - 1)
+        base[_pack(m, b)] = p ** (n - cycles) * q ** (cycles - 1)
     gen = {0: 1}
     for _ in range(l):
         out: dict[int, int] = {}
