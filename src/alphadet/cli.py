@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--lam", type=_shape, required=True,
                 help="partition of n*l, comma-separated, e.g. 3,1",
             )
-        p.add_argument("--max-size", type=int, default=None, help="override size caps")
+        p.add_argument("--max-size", type=_positive, default=None, help="override size caps")
         p.add_argument(
             "--format", choices=formats, default="text",
             help="output format",
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=_alpha, action="append", required=True,
         help="evaluation point (repeatable, p/q)",
     )
-    p.add_argument("--max-size", type=int, default=None, help="override size caps")
+    p.add_argument("--max-size", type=_positive, default=None, help="override size caps")
     p.set_defaults(func=cmd_adet)
 
     p = sub.add_parser("verify", help="run one verification suite")

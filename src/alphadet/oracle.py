@@ -134,7 +134,8 @@ class MultiPoly:
     Terms map exponent vectors (length n^2, variable order x11, x12, ...,
     xnn) to coefficients, and falsy means zero.  The alpha-determinant has
     coefficients in Q[alpha], specialized ones are rational, and a module
-    row is an integer row (see the module docstring).
+    row is an integer row (see the module docstring).  The library only
+    stores polynomials here and does no arithmetic on them.
     """
 
     __slots__ = ("n", "terms")
@@ -146,70 +147,6 @@ class MultiPoly:
             for m, c in terms.items():
                 if c:
                     self.terms[m] = c
-
-    @classmethod
-    def zero(cls, n: int) -> MultiPoly:
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, c) -> MultiPoly:
-        return cls(n, {(0,) * (n * n): c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        return MultiPoly(self.n, out)
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + other.scale(-1)
-
-    def scale(self, c) -> MultiPoly:
-        if not c:
-            return MultiPoly(self.n)
-        return MultiPoly(self.n, {m: x * c for m, x in self.terms.items()})
-
-    def __mul__(self, other: MultiPoly) -> MultiPoly:
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                acc = out.get(m)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
-        return MultiPoly(self.n, out)
-
-    def __pow__(self, e: int) -> MultiPoly:
-        out = MultiPoly.constant(self.n, Fraction(1))
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def weight(self) -> tuple[int, ...]:
-        """Row-degree vector; requires all terms to share it."""
-        ws = {_monomial_weight(m, self.n) for m in self.terms}
-        if len(ws) != 1:
-            raise ValueError("polynomial is not weight-homogeneous")
-        return next(iter(ws))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, {len(self.terms)} terms)"

@@ -26,6 +26,11 @@ right action: rep_of(g o h) = rep_of(h) @ rep_of(g).  Because every operator
 assembled downstream is a sum over a subgroup closed under inversion with
 inversion-invariant coefficients, all derived quantities are independent of
 this orientation choice.
+
+`invariant_basis` returns the fixed vectors of the row group as d sparse
+columns {tableau index: value}, one per chain of horizontal strips.  Their
+supports are disjoint, so together they hold at most f entries, and no
+f x d table is built.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ Tableau = tuple[tuple[int, ...], ...]
 
 # One generator as (m_k, sparse columns of the integer matrix m_k rho(s_k)).
 IntGenerator = tuple[int, list[list[tuple[int, int]]]]
+
+# One K-fixed vector as {tableau index: value}, 1 at its first tableau.
+InvariantColumn = dict[int, Fraction]
 
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:
@@ -202,26 +210,8 @@ def rep_of(rep: SeminormalRep, g: Permutation) -> QMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
-    """The K-fixed vectors of one seminormal module, K = S_l x ... x S_l.
-
-    `columns` (f x d) has disjoint supports, each column is 1 at its first
-    tableau and ordered by it, so the Gram matrix B^T D B is diagonal.
-    """
-
-    shape: Partition
-    n: int
-    l: int
-    columns: tuple[tuple[Fraction, ...], ...]  # dim f rows, d columns
-
-    @property
-    def d(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-
-def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
-    """Fixed vectors of the row group K, as columns of an f x d matrix.
+def invariant_basis(rep: SeminormalRep, n: int, l: int) -> tuple[InvariantColumn, ...]:
+    """Fixed vectors of the row group K, as d sparse columns.
 
     K = S_l x ... x S_l permutes each block {(i-1)l+1 .. il} of the block
     tableau.  The seminormal basis is adapted to S_1 < S_2 < ..., so the
@@ -238,13 +228,14 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
     block with c(x) > c(y), of 1 - 1/(c(x) - c(y)); it is never 0, since
     strip cells whose contents differ by 1 are neighbours in a row.  Each
     column is divided by its value at its first tableau and the columns
-    are ordered by that tableau: the reduced column-echelon form.
+    are ordered by that tableau: the reduced column-echelon form.  Only
+    the tableaux of a chain are stored, at most f entries in all.
     """
     if rep.size != n * l:
         raise SizeMismatchError(f"|lam| = {rep.size} is not n*l = {n * l}")
     m = rep.size
-    # Each chain's (tableau, v(T)) pairs, in order of its first tableau.
-    chains: dict[tuple[tuple[int, ...], ...], list[tuple[int, Fraction]]] = {}
+    # Each chain's {tableau: v(T)}, in order of its first tableau.
+    chains: dict[tuple[tuple[int, ...], ...], InvariantColumn] = {}
     for t, tab in enumerate(rep.tableaux):
         pos = _positions(tab, m)
         chain, value = [], Fraction(1)
@@ -259,10 +250,9 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> InvariantBasis:
                     if cx > cy:
                         value *= 1 - Fraction(1, cx - cy)
         else:
-            chains.setdefault(tuple(chain), []).append((t, value))
-    columns = [[Fraction(0)] * len(chains) for _ in range(rep.dim)]
-    for c, entries in enumerate(chains.values()):
-        lead = entries[0][1]
-        for t, value in entries:
-            columns[t][c] = value / lead
-    return InvariantBasis(rep.shape, n, l, tuple(tuple(row) for row in columns))
+            chains.setdefault(tuple(chain), {})[t] = value
+    columns = []
+    for col in chains.values():
+        lead = next(iter(col.values()))
+        columns.append({t: value / lead for t, value in col.items()})
+    return tuple(columns)

@@ -28,9 +28,12 @@ generator as the integer matrix m_k rho(s_k), so a column is an integer
 vector over one denominator from the start, with no conversion step.
 
 The slices are compressed to F = A / diag(G), A = B^T D T, with A sparse.
-The invariant columns B have disjoint supports, so G = B^T D B is diagonal
-and F[r][c] = A[r][c] / G[r][r]: no matrix is inverted.  At l = 1, B = I
-and G = D, so F is the content polynomial times I.
+B is held as its d sparse columns (`seminormal.invariant_basis`), and they
+have disjoint supports: each tableau i belongs to at most one column r,
+with B[i][r] = x.  So G = B^T D B is diagonal and is kept as its d
+diagonal entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is
+inverted, and no f x d or d x d table of Fractions is built.  At l = 1,
+column c is {c: 1} and G = D, so F is the content polynomial times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
@@ -49,21 +52,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from alphadet.errors import EmptyInvariantSpaceError, SizeMismatchError
-from alphadet.exact import (
-    PolyMatrix,
-    PolyQ,
-    QMatrix,
-    generic_rank,
-    rank_at,
-)
-from alphadet.seminormal import InvariantBasis, SeminormalRep, build_rep, invariant_basis
+from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_at
+from alphadet.seminormal import InvariantColumn, SeminormalRep, build_rep, invariant_basis
 from alphadet.seminormal import rep_of  # noqa: F401  (perfbench traces transition.rep_of)
 from alphadet.symgrp import Partition, _coset_average, enumerate_H, enumerate_K, nu
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """The compressed operator matrix for one shape, with its Gram form."""
+    """The compressed operator matrix for one shape, with the diagonal of
+    its Gram form."""
 
     shape: Partition
     n: int
@@ -71,7 +69,7 @@ class TransitionMatrix:
     d: int
     entries: PolyMatrix
     trace: PolyQ
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[Fraction, ...]
 
     def generic_rank(self) -> int:
         """Multiplicity at generic alpha: rank over the function field Q(a)."""
@@ -80,9 +78,6 @@ class TransitionMatrix:
     def rank_at(self, a: Fraction | int) -> int:
         """Multiplicity at the specialization alpha = a."""
         return rank_at(self.entries, a)
-
-    def gram_matrix(self) -> QMatrix:
-        return [list(row) for row in self.gram]
 
 
 Slices = list[list[dict[int, Fraction]]]
@@ -126,7 +121,9 @@ def _add(a: IntColumn, b: IntColumn) -> IntColumn:
     return _reduced(den, {i: v for i, v in out.items() if v})
 
 
-def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> Slices:
+def _jucys_murphy(
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], n: int, l: int
+) -> Slices:
     """sum_{h in H} alpha^nu(h) rho(h) on the invariant columns, by degree.
 
     Returns T with T[e][c] the alpha^e coefficient of column c, sparse.
@@ -140,14 +137,13 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
     """
     gens = rep.gen_cols
     T: list[list[IntColumn]] = [[]]
-    for c in range(basis.d):
-        col = {i: row[c] for i, row in enumerate(basis.columns) if row[c]}
+    for col in basis:
         den = lcm(*(v.denominator for v in col.values()))
         T[0].append((den, {i: int(v * den) for i, v in col.items()}))
     for k in range(n - 1, 0, -1):
         for p in range(1, l + 1):
             xs = [p + q * l for q in range(n)]
-            T.append([(1, {}) for _ in range(basis.d)])
+            T.append([(1, {}) for _ in basis])
             for e in range(len(T) - 1, 0, -1):
                 for c, col in enumerate(T[e - 1]):
                     for i in range(k):
@@ -155,37 +151,38 @@ def _jucys_murphy(rep: SeminormalRep, basis: InvariantBasis, n: int, l: int) -> 
     return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
 
 
-def _assemble(rep: SeminormalRep, basis: InvariantBasis, T: Slices) -> tuple[PolyMatrix, QMatrix]:
-    """F = A / diag(G), A = B^T D T, and G = B^T D B from the slices T.
+def _assemble(
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], T: Slices
+) -> tuple[PolyMatrix, list[Fraction]]:
+    """F = A / diag(G), A = B^T D T, and the diagonal of G = B^T D B, from
+    the slices T.
 
-    The invariant columns have disjoint supports, so G is diagonal.
+    The invariant columns have disjoint supports, so each tableau i has at
+    most one owner column r, row i of B^T D is x D[i] in column r alone,
+    and G is diagonal.
     """
-    d = basis.d
     D = rep.gram
-    nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
-    # A = B^T D T slice by slice, sparse: A[c] maps a row k to its alpha
+    owner = {i: (r, x * D[i]) for r, col in enumerate(basis) for i, x in col.items()}
+    if len(owner) != sum(map(len, basis)):
+        raise AssertionError("two invariant columns share a tableau")
+    G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
+    # A = B^T D T slice by slice, sparse: A[c] maps a row r to its alpha
     # coefficients, and holds only the rows that a nonzero entry reaches.
-    A: list[dict[int, list[Fraction]]] = [{} for _ in range(d)]
+    A: list[dict[int, list[Fraction]]] = [{} for _ in basis]
     for e, slice_e in enumerate(T):
         for c, col in enumerate(slice_e):
             Ac = A[c]
             for i, v in col.items():
-                w = D[i] * v
-                for r, x in nonzero[i]:
+                if i in owner:
+                    r, w = owner[i]
                     if r not in Ac:
                         Ac[r] = [Fraction(0)] * len(T)
-                    Ac[r][e] += x * w
-    # Each row of B holds at most one nonzero, so G = B^T D B is diagonal.
-    assert all(len(row) <= 1 for row in nonzero)
-    G = [[Fraction(0)] * d for _ in range(d)]
-    for i, row in enumerate(nonzero):
-        for r, x in row:
-            G[r][r] += x * x * D[i]
+                    Ac[r][e] += w * v
     zero = PolyQ.zero()
-    F = [[zero] * d for _ in range(d)]
+    F = [[zero] * len(basis) for _ in basis]
     for c, Ac in enumerate(A):
         for r, cs in Ac.items():
-            F[r][c] = PolyQ(x / G[r][r] for x in cs)
+            F[r][c] = PolyQ(x / G[r] for x in cs)
     return PolyMatrix.from_rows(F), G
 
 
@@ -201,7 +198,7 @@ def transition_matrix(
         raise SizeMismatchError(f"|lam| = {lam.size} is not n*l = {n * l}")
     rep = build_rep(lam, max_size=max_size)
     basis = invariant_basis(rep, n, l)
-    if basis.d == 0:
+    if not basis:
         raise EmptyInvariantSpaceError(
             f"shape {lam!r} has no row-group invariants for (n, l) = ({n}, {l})"
         )
@@ -210,10 +207,10 @@ def transition_matrix(
         shape=lam,
         n=n,
         l=l,
-        d=basis.d,
+        d=len(basis),
         entries=F,
         trace=F.trace(),
-        gram=tuple(tuple(row) for row in G),
+        gram=tuple(G),
     )
 
 

@@ -224,15 +224,11 @@ def suite_selfadjoint(cases=SELFADJOINT_CASES) -> list[CheckResult]:
             at0 = F.eval_at(0)
             if at0 != [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]:
                 ok_zero = False
-            G = tm.gram_matrix()
+            # G is diagonal: (G F)[i][j] = G[i] F[i][j], (F^T G)[i][j] = F[j][i] G[j].
+            G = tm.gram
             for i in range(d):
-                for j in range(d):
-                    left = PolyQ.zero()
-                    right = PolyQ.zero()
-                    for k in range(d):
-                        left = left + G[i][k] * F.entry(k, j)
-                        right = right + G[k][j] * F.entry(k, i)
-                    if left != right:
+                for j in range(i + 1, d):
+                    if G[i] * F.entry(i, j) != G[j] * F.entry(j, i):
                         ok_adj = False
         out.append(_result(f"selfadjoint ({n},{l}) F(0)=I", ok_zero))
         out.append(_result(f"selfadjoint ({n},{l}) G F = F^T G", ok_adj))

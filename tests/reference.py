@@ -9,9 +9,12 @@ dense forms of the library's sparse matrices, the alpha-determinant of the
 generic matrix over Q[alpha], the polarization operator E_ij on monomials
 kept as exponent tuples, the cyclic closure and highest-weight count on
 those tuples, the dense compression G^-1 B^T D T of the transition slices,
-Young's seminormal generators built in Fractions, and exact solves and
-inverses over Q.
+Young's seminormal generators built in Fractions, exact solves and
+inverses over Q, and `Poly`, the oracle's sparse polynomial with the sums,
+products, powers and weights the tests build and compare.
 """
+
+from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
@@ -31,7 +34,7 @@ from alphadet.oracle import (
     _RowReducer,
     _var,
 )
-from alphadet.seminormal import InvariantBasis, SeminormalRep
+from alphadet.seminormal import InvariantColumn, SeminormalRep
 from alphadet.symgrp import Partition, Permutation, enumerate_H, nu
 
 
@@ -110,7 +113,7 @@ def theta(h: Permutation, n: int, l: int) -> tuple[Permutation, ...]:
     return tuple(comps)
 
 
-def D_of(n: int, l: int) -> MultiPoly:
+def D_of(n: int, l: int) -> Poly:
     """Sum over h in H of alpha^nu(h) prod_{p,q} x_{theta(h)_p(q), q}."""
     acc: dict[Monomial, PolyQ] = {}
     for h in enumerate_H(n, l):
@@ -124,7 +127,7 @@ def D_of(n: int, l: int) -> MultiPoly:
         key = tuple(m)
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
-    return MultiPoly(n, acc)
+    return Poly(n, acc)
 
 
 class SingularMatrixError(AlphadetError):
@@ -190,12 +193,91 @@ def fraction_generator_columns(rep: SeminormalRep, k: int) -> list[list[tuple[in
     return cols
 
 
-def column_matrix(basis: InvariantBasis) -> QMatrix:
-    """The f x d matrix whose columns are the invariant basis vectors."""
-    return [list(row) for row in basis.columns]
+def column_matrix(basis: tuple[InvariantColumn, ...], f: int) -> QMatrix:
+    """The dense f x d matrix whose columns are the sparse invariant columns.
+
+    f is the dimension of the module: tableaux outside every chain are zero
+    rows, so the largest stored index does not give it.
+    """
+    B = [[Fraction(0)] * len(basis) for _ in range(f)]
+    for c, col in enumerate(basis):
+        for i, x in col.items():
+            B[i][c] = x
+    return B
 
 
-def adet_symbolic(n: int) -> MultiPoly:
+class Poly(MultiPoly):
+    """The oracle's sparse polynomial with arithmetic, equality by terms and
+    the row-degree weight; unhashable, because its terms are mutable."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, n: int) -> Poly:
+        return cls(n)
+
+    @classmethod
+    def constant(cls, n: int, c) -> Poly:
+        return cls(n, {(0,) * (n * n): c})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other: Poly) -> Poly:
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            acc = out.get(m)
+            acc = c if acc is None else acc + c
+            if acc:
+                out[m] = acc
+            elif m in out:
+                del out[m]
+        return Poly(self.n, out)
+
+    def __sub__(self, other: Poly) -> Poly:
+        return self + other.scale(-1)
+
+    def scale(self, c) -> Poly:
+        if not c:
+            return Poly(self.n)
+        return Poly(self.n, {m: x * c for m, x in self.terms.items()})
+
+    def __mul__(self, other: Poly) -> Poly:
+        out: dict[Monomial, object] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                c = c1 * c2
+                acc = out.get(m)
+                acc = c if acc is None else acc + c
+                if acc:
+                    out[m] = acc
+                elif m in out:
+                    del out[m]
+        return Poly(self.n, out)
+
+    def __pow__(self, e: int) -> Poly:
+        out = Poly.constant(self.n, Fraction(1))
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def weight(self) -> tuple[int, ...]:
+        """Row-degree vector; requires all terms to share it."""
+        ws = {_monomial_weight(m, self.n) for m in self.terms}
+        if len(ws) != 1:
+            raise ValueError("polynomial is not weight-homogeneous")
+        return next(iter(ws))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, MultiPoly)
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+
+def adet_symbolic(n: int) -> Poly:
     """The alpha-determinant of the generic matrix, coefficients in Q[alpha]."""
     out: dict[Monomial, PolyQ] = {}
     for imgs in itertools.permutations(range(1, n + 1)):
@@ -207,12 +289,12 @@ def adet_symbolic(n: int) -> MultiPoly:
         add = PolyQ.monomial(nu(sigma))
         acc = out.get(key)
         out[key] = add if acc is None else acc + add
-    return MultiPoly(n, out)
+    return Poly(n, out)
 
 
-def eval_alpha(f: MultiPoly, a: Fraction) -> MultiPoly:
+def eval_alpha(f: MultiPoly, a: Fraction) -> Poly:
     """f with every Q[alpha] coefficient evaluated at alpha = a."""
-    return MultiPoly(f.n, {m: (c(a) if isinstance(c, PolyQ) else c) for m, c in f.terms.items()})
+    return Poly(f.n, {m: (c(a) if isinstance(c, PolyQ) else c) for m, c in f.terms.items()})
 
 
 @cache
@@ -248,9 +330,9 @@ def polarize(terms: dict[Monomial, object], i: int, j: int, n: int) -> dict[Mono
     return out
 
 
-def apply_E(f: MultiPoly, i: int, j: int) -> MultiPoly:
+def apply_E(f: MultiPoly, i: int, j: int) -> Poly:
     """Polarization operator E_ij f = sum_s x_is df/dx_js."""
-    return MultiPoly(f.n, polarize(f.terms, i, j, f.n))
+    return Poly(f.n, polarize(f.terms, i, j, f.n))
 
 
 def tuple_closure(n: int, l: int, a: Fraction) -> list[dict[Monomial, int]]:
@@ -309,7 +391,7 @@ def tuple_hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
 
 
 def dense_compression(
-    rep: SeminormalRep, basis: InvariantBasis, T: list[list[dict[int, Fraction]]]
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], T: list[list[dict[int, Fraction]]]
 ) -> tuple[PolyMatrix, QMatrix]:
     """F = G^-1 B^T D T and G = B^T D B with every d x d matrix dense.
 
@@ -318,9 +400,10 @@ def dense_compression(
     diagonal.  G is inverted by `mat_inverse` and each entry of F sums
     g_rk A[k][c] over every k.
     """
-    d = basis.d
+    d = len(basis)
     D = rep.gram
-    nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in basis.columns]
+    B = column_matrix(basis, rep.dim)
+    nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in B]
     A = [[[Fraction(0)] * len(T) for _ in range(d)] for _ in range(d)]
     for e, slice_e in enumerate(T):
         for c, col in enumerate(slice_e):

@@ -271,6 +271,15 @@ def test_cli_usage_errors():
         ["decompose", "--n", "-1", "--l", "2"],
         ["verify", "oracle", "--cases", "0,1"],
         ["verify", "selfadjoint", "--cases", "2,0"],
+        # --max-size is refused while the arguments are parsed, on every
+        # subcommand that takes it, before any cap is read.
+        ["decompose", "--n", "2", "--l", "1", "--max-size", "-3"],
+        ["decompose", "--n", "2", "--l", "1", "--max-size", "0"],
+        ["transition", "--n", "2", "--l", "2", "--lam", "3,1", "--max-size", "0"],
+        ["trace", "--n", "2", "--l", "2", "--lam", "3,1", "--max-size", "0"],
+        ["zonal", "--n", "2", "--l", "2", "--lam", "3,1", "--max-size", "0"],
+        ["explore-diagonalizable", "--n", "2", "--l", "2", "--lam", "3,1", "--max-size", "0"],
+        ["adet", "matrix.csv", "--alpha", "1", "--max-size", "-3"],
     ],
     ids=" ".join,
 )
@@ -278,7 +287,9 @@ def test_cli_rejects_sizes_below_one(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err.splitlines()[-1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -385,6 +396,9 @@ def test_cli_cap_exceeded_is_exit_2(capsys):
     rc = cli.main(["decompose", "--n", "5", "--l", "3"])
     assert rc == 2
     assert "cap" in capsys.readouterr().err
+    # --max-size reaches the cap it overrides
+    assert cli.main(["decompose", "--n", "2", "--l", "2", "--max-size", "3"]) == 2
+    assert "exceeds the representation cap 3;" in capsys.readouterr().err
 
 
 def test_cli_explore_json(capsys):

@@ -48,20 +48,25 @@ def test_l1_is_content_times_identity():
     assert tm.entries.entry(1, 0) == PolyQ.zero()
     assert entry00(3, 1, (3,)) == 1 + 3 * A + 2 * A**2
     assert entry00(3, 1, (1, 1, 1)) == 1 - 3 * A + 2 * A**2
-    # At l = 1 the basis is the identity, so G is the Gram diagonal and F is
-    # the content polynomial times I, for every shape.
-    for n in range(1, 8):
-        for lam in admissible_shapes(n, 1):
-            tm = transition_matrix(n, 1, lam)
-            d = tm.d
-            c = content_poly(lam)
-            assert tm.entries == PolyMatrix.from_rows(
-                [[c if i == j else PolyQ.zero() for j in range(d)] for i in range(d)]
-            ), lam
-            gram = build_rep(lam).gram
-            assert tm.gram_matrix() == [
-                [gram[i] if i == j else 0 for j in range(d)] for i in range(d)
-            ], lam
+    # At l = 1 the basis is the identity, column c is {c: 1}, so G is the
+    # Gram diagonal and F is the content polynomial times I, for every
+    # shape.  (10,1)'s largest shape, f = 768, checks only the basis, which
+    # stores one entry per tableau and no f x d table.
+    shapes = [(n, lam) for n in range(1, 8) for lam in admissible_shapes(n, 1)]
+    for n, lam in shapes + [(10, Partition((4, 3, 2, 1)))]:
+        rep = build_rep(lam)
+        basis = invariant_basis(rep, n, 1)
+        assert basis == tuple({c: 1} for c in range(rep.dim)), lam
+        if n == 10:
+            assert sum(map(len, basis)) == rep.dim == 768
+            continue
+        tm = transition_matrix(n, 1, lam)
+        d = tm.d
+        c = content_poly(lam)
+        assert tm.entries == PolyMatrix.from_rows(
+            [[c if i == j else PolyQ.zero() for j in range(d)] for i in range(d)]
+        ), lam
+        assert tm.gram == rep.gram, lam
 
 
 def test_hook_3_2():
@@ -81,12 +86,11 @@ def test_identity_at_zero_and_selfadjoint():
             assert F.eval_at(0) == [
                 [Fraction(int(i == j)) for j in range(d)] for i in range(d)
             ]
-            G = tm.gram_matrix()
+            # G is diagonal, so G F = F^T G reads G[i] F[i][j] = F[j][i] G[j].
+            G = tm.gram
             for i in range(d):
                 for j in range(d):
-                    left = sum((G[i][k] * F.entry(k, j) for k in range(d)), PolyQ.zero())
-                    right = sum((G[k][j] * F.entry(k, i) for k in range(d)), PolyQ.zero())
-                    assert left == right
+                    assert G[i] * F.entry(i, j) == G[j] * F.entry(j, i)
 
 
 def test_trace_two_routes_agree():
@@ -125,14 +129,19 @@ def test_generic_rank_certificate_matches_bareiss():
                 assert generic_rank(tm.entries) == bareiss == tm.d, (n, l, lam)
 
 
+def _diagonal(g):
+    return [[x if r == c else 0 for c in range(len(g))] for r, x in enumerate(g)]
+
+
 def direct_sum_over_H(n, l, lam):
     """F and G by the direct route: S_e = sum of rho(h) over the h in H with
     nu(h) = e, compressed slice by slice to G^-1 B^T D S_e B, where B holds
     the invariant columns, D is the seminormal Gram diagonal and
     G = B^T D B."""
     rep = build_rep(lam)
-    B = column_matrix(invariant_basis(rep, n, l))
-    f, d = rep.dim, len(B[0])
+    f = rep.dim
+    B = column_matrix(invariant_basis(rep, n, l), f)
+    d = len(B[0])
     sums = {}
     for h in enumerate_H(n, l):
         S = sums.setdefault(nu(h), [[Fraction(0)] * f for _ in range(f)])
@@ -162,7 +171,7 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 tm = transition_matrix(n, l, lam)
                 F, G = direct_sum_over_H(n, l, lam)
                 assert tm.entries == F, (n, l, lam)
-                assert tm.gram_matrix() == G, (n, l, lam)
+                assert G == _diagonal(tm.gram), (n, l, lam)
 
 
 def test_sparse_compression_matches_dense():
@@ -177,7 +186,10 @@ def test_sparse_compression_matches_dense():
                 rep = build_rep(lam)
                 basis = invariant_basis(rep, n, l)
                 T = _jucys_murphy(rep, basis, n, l)
-                assert _assemble(rep, basis, T) == dense_compression(rep, basis, T), (n, l, lam)
+                F, G = _assemble(rep, basis, T)
+                dense_F, dense_G = dense_compression(rep, basis, T)
+                assert F == dense_F, (n, l, lam)
+                assert dense_G == _diagonal(G), (n, l, lam)
 
 
 def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
@@ -190,13 +202,17 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
             l = m // n
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
-                B = column_matrix(invariant_basis(rep, n, l))
+                B = column_matrix(invariant_basis(rep, n, l), rep.dim)
                 assert all(sum(1 for x in row if x) <= 1 for row in B), (n, l, lam)
                 BtD = [[B[i][c] * rep.gram[i] for i in range(rep.dim)] for c in range(len(B[0]))]
                 G = mat_mul(BtD, B)
                 assert all(
                     not x for r, row in enumerate(G) for c, x in enumerate(row) if r != c
                 ), (n, l, lam)
+    # _assemble refuses columns that share a tableau.
+    rep = build_rep(Partition((2, 1)))
+    with pytest.raises(AssertionError, match="share a tableau"):
+        _assemble(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), [[{}, {}]])
 
 
 def test_errors():
