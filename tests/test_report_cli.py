@@ -132,7 +132,9 @@ def test_cli_decompose_json_with_oracle(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("n,l", [(2, 4), (3, 2), (4, 1), (3, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "n,l", [(2, 4), (3, 2), (4, 1), (3, 3), (4, 2), (2, 5), (5, 1), (6, 1)]
+)
 def test_cli_decompose_json_matrices_golden_bytes(capsys, n, l):
     # The JSON contract, basis-dependent matrices included, byte for byte.
     argv = ["decompose", "--n", str(n), "--l", str(l), "--matrices",
