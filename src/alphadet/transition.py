@@ -20,20 +20,26 @@ since every sigma is uniquely a product t_2 t_3 ... t_n where t_k is the
 identity or one transposition (x_i x_k) with i < k, and each transposition
 adds one to nu.  So the operator is the product of the factors
 (1 + alpha L_k) over every column p and k = 2..n, all of which commute.
-The image of the basis is held as rational slices T = sum_e alpha^e T_e,
-and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
-applied straight to the sparse columns through the seminormal generators,
-along its palindromic word s_x ... s_{y-1} ... s_x.  The rep stores each
-generator as the integer matrix m_k rho(s_k), so a column is an integer
-vector over one denominator from the start, with no conversion step.
+The image of the basis is held as integer slices T = sum_e alpha^e T_e:
+each column of T_e is one positive denominator over sparse integer
+numerators, and each factor maps T_e to T_e + L_k T_{e-1}.  A
+transposition (x y) is applied straight to the sparse columns through the
+seminormal generators, along its palindromic word s_x ... s_{y-1} ... s_x.
+The rep stores each generator as the integer matrix m_k rho(s_k), so a
+letter multiplies the numerators by integers and the denominator by m_k.
+A factor's images are summed over one lcm and reduced by one gcd, so the
+slices are in lowest terms between factors.
 
 The slices are compressed to F = A / diag(G), A = B^T D T, with A sparse.
 B is held as its d sparse columns (`seminormal.invariant_basis`), and they
 have disjoint supports: each tableau i belongs to at most one column r,
 with B[i][r] = x.  So G = B^T D B is diagonal and is kept as its d
 diagonal entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is
-inverted, and no f x d or d x d table of Fractions is built.  At l = 1,
-column c is {c: 1} and G = D, so F is the content polynomial times I.
+inverted, and no f x d or d x d table of Fractions is built.  Row i of
+B^T D is an integer weight over one lcm per column r, so each entry of A
+is an integer dot product, and each coefficient of F is one Fraction.  At
+l = 1, column c is {c: 1} and G = D, so F is the content polynomial
+times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
@@ -46,10 +52,10 @@ spherical values averaged over K, summed over H with alpha^nu weights.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 
 from alphadet.errors import EmptyInvariantSpaceError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_at
@@ -80,45 +86,10 @@ class TransitionMatrix:
         return rank_at(self.entries, a)
 
 
-Slices = list[list[dict[int, Fraction]]]
-
-
 # A sparse rational column as one positive denominator over integer numerators.
 IntColumn = tuple[int, dict[int, int]]
 
-
-def _reduced(den: int, num: dict[int, int]) -> IntColumn:
-    g = gcd(den, *num.values())
-    if g == 1:
-        return den, num
-    return den // g, {i: v // g for i, v in num.items()}
-
-
-def _apply_transposition(gens, x: int, y: int, col: IntColumn) -> IntColumn:
-    """rho((x y)) applied to one column, along the palindromic word
-    s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x of adjacent transpositions."""
-    den, num = col
-    for w in itertools.chain(range(x, y), range(y - 2, x - 1, -1)):
-        m, gen = gens[w - 1]
-        out: dict[int, int] = {}
-        for r, v in num.items():
-            for i, g in gen[r]:
-                if i in out:
-                    out[i] += g * v
-                else:
-                    out[i] = g * v
-        den, num = _reduced(den * m, {i: v for i, v in out.items() if v})
-    return den, num
-
-
-def _add(a: IntColumn, b: IntColumn) -> IntColumn:
-    (da, na), (db, nb) = a, b
-    den = lcm(da, db)
-    sa, sb = den // da, den // db
-    out = {i: v * sa for i, v in na.items()}
-    for i, v in nb.items():
-        out[i] = out[i] + v * sb if i in out else v * sb
-    return _reduced(den, {i: v for i, v in out.items() if v})
+Slices = list[list[IntColumn]]
 
 
 def _jucys_murphy(
@@ -126,63 +97,112 @@ def _jucys_murphy(
 ) -> Slices:
     """sum_{h in H} alpha^nu(h) rho(h) on the invariant columns, by degree.
 
-    Returns T with T[e][c] the alpha^e coefficient of column c, sparse.
-    Column p of the block tableau holds x_q = p + (q-1) l, and each factor
+    Returns T with T[e][c] the alpha^e coefficient of column c, as one
+    denominator over sparse integer numerators in lowest terms.  Column p
+    of the block tableau holds x_q = p + (q-1) l, and each factor
     1 + alpha L_k, L_k = sum_{i<k} (x_i x_k), maps T_e to T_e + L_k T_{e-1}.
     The factors commute, so the costliest (largest k) go first, while T
     has the fewest slices.  The generators come from the rep as integer
-    matrices m_k rho(s_k), so each column stays integral over one
-    denominator until the end, which is several times faster than
-    per-entry Fractions.
+    matrices m_w rho(s_w), so a transposition's word multiplies the
+    numerators by integers and its scale by each letter's m_w, with no
+    reduction between letters.  The k images and the old T_e are summed
+    over one lcm and reduced by one gcd per (factor, slice, column).
     """
     gens = rep.gen_cols
-    T: list[list[IntColumn]] = [[]]
+    T: Slices = [[]]
     for col in basis:
         den = lcm(*(v.denominator for v in col.values()))
         T[0].append((den, {i: int(v * den) for i, v in col.items()}))
     for k in range(n - 1, 0, -1):
         for p in range(1, l + 1):
             xs = [p + q * l for q in range(n)]
+            # (x y) is the palindromic word s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x;
+            # each word's image is scaled up to the factor's common scale S.
+            words = [
+                [gens[w - 1] for w in chain(range(x, xs[k]), range(xs[k] - 2, x - 1, -1))]
+                for x in xs[:k]
+            ]
+            scales = [prod(m for m, _ in word) for word in words]
+            S = lcm(*scales)
+            lifts = [S // s for s in scales]
             T.append([(1, {}) for _ in basis])
             for e in range(len(T) - 1, 0, -1):
-                for c, col in enumerate(T[e - 1]):
-                    for i in range(k):
-                        T[e][c] = _add(T[e][c], _apply_transposition(gens, xs[i], xs[k], col))
-    return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
+                for c, (den, num) in enumerate(T[e - 1]):
+                    if not num:
+                        continue
+                    old_den, old = T[e][c]
+                    L = lcm(old_den, den * S)
+                    acc = {i: v * (L // old_den) for i, v in old.items()}
+                    s = L // (den * S)
+                    for word, lift in zip(words, lifts):
+                        vec = num
+                        for _, gen in word:
+                            out: dict[int, int] = {}
+                            for r, v in vec.items():
+                                for i, g in gen[r]:
+                                    if i in out:
+                                        out[i] += g * v
+                                    else:
+                                        out[i] = g * v
+                            vec = out
+                        t = s * lift
+                        for i, v in vec.items():
+                            if i in acc:
+                                acc[i] += v * t
+                            else:
+                                acc[i] = v * t
+                    acc = {i: v for i, v in acc.items() if v}
+                    g = gcd(L, *acc.values())
+                    T[e][c] = (L // g, {i: v // g for i, v in acc.items()})
+    return T
 
 
 def _assemble(
     rep: SeminormalRep, basis: tuple[InvariantColumn, ...], T: Slices
 ) -> tuple[PolyMatrix, list[Fraction]]:
     """F = A / diag(G), A = B^T D T, and the diagonal of G = B^T D B, from
-    the slices T.
+    the integer slices T.
 
     The invariant columns have disjoint supports, so each tableau i has at
     most one owner column r, row i of B^T D is x D[i] in column r alone,
-    and G is diagonal.
+    and G is diagonal.  Over one lcm L_r per column r, x D[i] is the
+    integer weight w_i / L_r, so each entry of A is an integer dot product
+    over the slice's denominator, and becomes a Fraction once, when it is
+    divided by L_r G[r].
     """
     D = rep.gram
-    owner = {i: (r, x * D[i]) for r, col in enumerate(basis) for i, x in col.items()}
+    G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
+    owner: dict[int, tuple[int, int]] = {}
+    scale: list[Fraction] = []
+    for r, col in enumerate(basis):
+        ws = {i: x * D[i] for i, x in col.items()}
+        L = lcm(*(w.denominator for w in ws.values()))
+        owner.update((i, (r, w.numerator * (L // w.denominator))) for i, w in ws.items())
+        scale.append(L * G[r])
     if len(owner) != sum(map(len, basis)):
         raise AssertionError("two invariant columns share a tableau")
-    G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
-    # A = B^T D T slice by slice, sparse: A[c] maps a row r to its alpha
-    # coefficients, and holds only the rows that a nonzero entry reaches.
-    A: list[dict[int, list[Fraction]]] = [{} for _ in basis]
+    # A = B^T D T slice by slice, sparse: A[c] maps a row r to its integer
+    # alpha coefficients, each over its slice's denominator, and holds only
+    # the rows that a nonzero entry reaches.
+    A: list[dict[int, list[int]]] = [{} for _ in basis]
     for e, slice_e in enumerate(T):
-        for c, col in enumerate(slice_e):
+        for c, (_, num) in enumerate(slice_e):
             Ac = A[c]
-            for i, v in col.items():
+            for i, v in num.items():
                 if i in owner:
                     r, w = owner[i]
                     if r not in Ac:
-                        Ac[r] = [Fraction(0)] * len(T)
+                        Ac[r] = [0] * len(T)
                     Ac[r][e] += w * v
     zero = PolyQ.zero()
     F = [[zero] * len(basis) for _ in basis]
     for c, Ac in enumerate(A):
+        dens = [sl[c][0] for sl in T]
         for r, cs in Ac.items():
-            F[r][c] = PolyQ(x / G[r] for x in cs)
+            q = scale[r]
+            F[r][c] = PolyQ(
+                Fraction(x * q.denominator, den * q.numerator) for x, den in zip(cs, dens)
+            )
     return PolyMatrix.from_rows(F), G
 
 

@@ -8,9 +8,10 @@ theta of H, the sum D over H that equals a power of the alpha-determinant,
 dense forms of the library's sparse matrices, the alpha-determinant of the
 generic matrix over Q[alpha], the polarization operator E_ij on monomials
 kept as exponent tuples, the cyclic closure and highest-weight count on
-those tuples, the dense compression G^-1 B^T D T of the transition slices,
-Young's seminormal generators built in Fractions, exact solves and
-inverses over Q, and `Poly`, the oracle's sparse polynomial with the sums,
+those tuples, the Jucys-Murphy slices reduced after every letter, the
+dense compression G^-1 B^T D T of the transition slices, Young's
+seminormal generators built in Fractions, exact solves and inverses over
+Q, and `Poly`, the oracle's sparse polynomial with the sums,
 products, powers and weights the tests build and compare.
 """
 
@@ -21,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from alphadet import kernels
 from alphadet.errors import AlphadetError, SizeMismatchError
@@ -390,13 +391,70 @@ def tuple_hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     return len(rows) - rank
 
 
+def _reduced(den: int, num: dict[int, int]) -> tuple[int, dict[int, int]]:
+    g = gcd(den, *num.values())
+    if g == 1:
+        return den, num
+    return den // g, {i: v // g for i, v in num.items()}
+
+
+def _apply_transposition(gens, x: int, y: int, col):
+    """rho((x y)) applied to one integer column, along the palindromic word
+    s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x, reduced after every letter."""
+    den, num = col
+    for w in itertools.chain(range(x, y), range(y - 2, x - 1, -1)):
+        m, gen = gens[w - 1]
+        out: dict[int, int] = {}
+        for r, v in num.items():
+            for i, g in gen[r]:
+                out[i] = out.get(i, 0) + g * v
+        den, num = _reduced(den * m, {i: v for i, v in out.items() if v})
+    return den, num
+
+
+def _add(a, b):
+    (da, na), (db, nb) = a, b
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    out = {i: v * sa for i, v in na.items()}
+    for i, v in nb.items():
+        out[i] = out.get(i, 0) + v * sb
+    return _reduced(den, {i: v for i, v in out.items() if v})
+
+
+def reduced_jucys_murphy(
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], n: int, l: int
+) -> list[list[dict[int, Fraction]]]:
+    """The factors prod (1 + alpha L_k) on the invariant columns, in
+    Fraction slices, each column reduced by its gcd after every letter of
+    every transposition word and after every sum: T[e][c] is the alpha^e
+    coefficient of column c."""
+    gens = rep.gen_cols
+    T = [[]]
+    for col in basis:
+        den = lcm(*(v.denominator for v in col.values()))
+        T[0].append((den, {i: int(v * den) for i, v in col.items()}))
+    for k in range(n - 1, 0, -1):
+        for p in range(1, l + 1):
+            xs = [p + q * l for q in range(n)]
+            T.append([(1, {}) for _ in basis])
+            for e in range(len(T) - 1, 0, -1):
+                for c, col in enumerate(T[e - 1]):
+                    for i in range(k):
+                        T[e][c] = _add(T[e][c], _apply_transposition(gens, xs[i], xs[k], col))
+    return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
+
+
 def dense_compression(
-    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], T: list[list[dict[int, Fraction]]]
+    rep: SeminormalRep,
+    basis: tuple[InvariantColumn, ...],
+    T: list[list[tuple[int, dict[int, int]]]],
 ) -> tuple[PolyMatrix, QMatrix]:
     """F = G^-1 B^T D T and G = B^T D B with every d x d matrix dense.
 
-    T holds the slices of the operator applied to the invariant columns,
-    T[e][c] the alpha^e coefficient of column c; D is the seminormal Gram
+    T holds the integer slices of the operator applied to the invariant
+    columns, T[e][c] = (den, numerators) the alpha^e coefficient of column
+    c, and each entry is divided out here; D is the seminormal Gram
     diagonal.  G is inverted by `mat_inverse` and each entry of F sums
     g_rk A[k][c] over every k.
     """
@@ -406,9 +464,9 @@ def dense_compression(
     nonzero = [[(r, x) for r, x in enumerate(row) if x] for row in B]
     A = [[[Fraction(0)] * len(T) for _ in range(d)] for _ in range(d)]
     for e, slice_e in enumerate(T):
-        for c, col in enumerate(slice_e):
-            for i, v in col.items():
-                w = D[i] * v
+        for c, (den, num) in enumerate(slice_e):
+            for i, v in num.items():
+                w = D[i] * Fraction(v, den)
                 for r, x in nonzero[i]:
                     A[r][c][e] += x * w
     G = [[Fraction(0)] * d for _ in range(d)]

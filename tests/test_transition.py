@@ -17,7 +17,7 @@ from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
 from alphadet.transition import _assemble, _jucys_murphy, trace_poly, transition_matrix
-from reference import column_matrix, dense_compression, mat_inverse
+from reference import column_matrix, dense_compression, mat_inverse, reduced_jucys_murphy
 
 A = PolyQ([0, 1])
 
@@ -174,6 +174,29 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 assert G == _diagonal(tm.gram), (n, l, lam)
 
 
+def test_integer_slices_match_per_letter_reduction():
+    # The library reduces once per (factor, slice, column); the reference
+    # reduces after every letter of every word and hands back Fractions.
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                basis = invariant_basis(rep, n, l)
+                T = _jucys_murphy(rep, basis, n, l)
+                ref = reduced_jucys_murphy(rep, basis, n, l)
+                assert len(T) == len(ref), (n, l, lam)
+                for sl, ref_sl in zip(T, ref):
+                    for (den, num), ref_col in zip(sl, ref_sl, strict=True):
+                        assert {i: Fraction(v, den) for i, v in num.items()} == ref_col
+                        assert type(den) is int and den >= 1, (n, l, lam)
+                        assert all(type(i) is int and type(v) is int for i, v in num.items())
+                        assert all(num.values()), (n, l, lam)
+                        assert math.gcd(den, *num.values()) == 1, (n, l, lam)
+
+
 def test_sparse_compression_matches_dense():
     # The library divides the sparse A by the diagonal of G; the dense route
     # inverts G in full and sums g_rk A[k][c] over every k.
@@ -212,7 +235,7 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
     # _assemble refuses columns that share a tableau.
     rep = build_rep(Partition((2, 1)))
     with pytest.raises(AssertionError, match="share a tableau"):
-        _assemble(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), [[{}, {}]])
+        _assemble(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), [[(1, {}), (1, {})]])
 
 
 def test_errors():
