@@ -128,8 +128,6 @@ def _jucys_murphy(
             T.append([(1, {}) for _ in basis])
             for e in range(len(T) - 1, 0, -1):
                 for c, (den, num) in enumerate(T[e - 1]):
-                    if not num:
-                        continue
                     old_den, old = T[e][c]
                     L = lcm(old_den, den * S)
                     acc = {i: v * (L // old_den) for i, v in old.items()}
