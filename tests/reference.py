@@ -11,8 +11,8 @@ kept as exponent tuples, the cyclic closure and highest-weight count on
 those tuples, the Jucys-Murphy slices reduced after every letter, the
 dense compression G^-1 B^T D T of the transition slices, Young's
 seminormal generators built in Fractions, exact solves and inverses over
-Q, and `Poly`, the oracle's sparse polynomial with the sums,
-products, powers and weights the tests build and compare.
+Q, and `Poly`, the oracle's sparse polynomial with the sums, products,
+powers and weights the tests build and compare.
 """
 
 from __future__ import annotations
