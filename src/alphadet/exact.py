@@ -11,10 +11,11 @@ evaluating at a point can only lower a rank, so the largest rank over the
 points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
-F(0) = I.  Ranks over Q use exact Gaussian elimination, and polynomial
-gcds use Euclid over Q.  No floating point and no polynomial factorization
-anywhere.  No package module solves a system; `nullspace_q` stays for the
-benchmark's trace and the tests.
+F(0) = I.  A rank over Q counts the rows that `kernels.RowReducer` keeps,
+each scaled to integers by the lcm of its denominators; polynomial gcds use
+Euclid over Q.  No floating point and no polynomial factorization anywhere.
+No package module solves a system; `nullspace_q` stays for the benchmark's
+trace and the tests.
 """
 
 from __future__ import annotations
@@ -345,10 +346,8 @@ def mat_mul(A: QMatrix, B: QMatrix) -> QMatrix:
 
 
 def rank_q(rows: QMatrix) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, pivcols = kernels.qm_rref(rows)
-    return len(pivcols)
+    """Rank over Q: the number of rows that survive the integer reducer."""
+    return len(kernels.q_echelon(rows).pivots)
 
 
 def nullspace_q(rows: QMatrix, ncols: int | None = None) -> list[list[Fraction]]:
@@ -359,8 +358,6 @@ def nullspace_q(rows: QMatrix, ncols: int | None = None) -> list[list[Fraction]]
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
     rref, pivcols = kernels.qm_rref(rows)
     pivset = set(pivcols)
     basis = []

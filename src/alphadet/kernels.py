@@ -1,10 +1,11 @@
-"""Exact kernels: the inner loop of every rank and echelon computation.
+"""Exact kernels: the one row elimination, and the integer-polynomial ones.
 
-`qm_rref` reduces rational rows (lists of fractions.Fraction) and serves
-every rank in the package, and `exact.nullspace_q`, which only the
-benchmark and the tests reach.  Callers reach it as a module attribute
-(`kernels.qm_rref`, not a from-import), so one wrapper installed on the
-module sees every call.
+`RowReducer`, a sparse fraction-free echelon reducer on primitive integer
+rows, is the package's only row elimination.  The oracle feeds it rows
+keyed by packed monomial, and `q_echelon` rational rows scaled to integer
+rows keyed by column: that serves every rank over Q, and `qm_rref` reads
+the reduced row echelon form off the same reducer.  Callers reach
+`qm_rref` as `kernels.qm_rref`, so one wrapper on the module sees it all.
 
 The integer-polynomial ("zp") functions work over Z[x]: lists of int
 coefficients in ascending degree with no trailing zeros, [] the zero
@@ -17,6 +18,7 @@ reference for generic ranks, and the benchmark wraps `zp_mul` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # The one implementation; benchmark records carry it as their backend tag.
 BACKEND = "python"
@@ -116,38 +118,94 @@ def zpm_rank(rows):
     return rank, pivots
 
 
+class RowReducer:
+    """Fraction-free echelon reducer for sparse integer rows.
+
+    A row is a dict from key to nonzero int; keys are any totally ordered
+    hashables, and the lead of a row is its largest key.  Rows are
+    eliminated with the cofactors of the two leads over their gcd, and each
+    stored pivot is primitive with a positive lead.
+    """
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def reduce(self, row: dict) -> dict:
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return _normalize_int(row)
+            row = _eliminate_int(row, piv, lead)
+        return row
+
+    def insert(self, row: dict) -> None:
+        self.pivots[max(row)] = row
+
+    def back_reduce(self) -> list[dict]:
+        """Eliminate every pivot lead from every other row.
+
+        Ascending lead order: once a row is clean, reducing against it cannot
+        reintroduce pivot leads, so one elimination per occurrence suffices,
+        and the occurrences can be listed once, before the first.
+        """
+        for lead in sorted(self.pivots):
+            row = self.pivots[lead]
+            for hit in [m for m in row if m != lead and m in self.pivots]:
+                row = _eliminate_int(row, self.pivots[hit], hit)
+            self.pivots[lead] = _normalize_int(row)
+        return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
+
+
+def _eliminate_int(row, piv, at):
+    g = gcd(row[at], piv[at])
+    rc, pc = row[at] // g, piv[at] // g
+    out = {m: pc * c for m, c in row.items()} if pc != 1 else dict(row)
+    for m, c in piv.items():
+        val = out.get(m, 0) - rc * c
+        if val:
+            out[m] = val
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _normalize_int(row):
+    g = gcd(*row.values())
+    if row[max(row)] < 0:
+        g = -g
+    return row if g == 1 else {m: c // g for m, c in row.items()}
+
+
+def q_echelon(rows) -> RowReducer:
+    """A RowReducer holding an echelon basis of the span of rational rows.
+
+    Each row enters as its nonzero entries times the lcm of their
+    denominators, keyed by -column so that the leftmost column leads; the
+    number of pivots is the rank over Q.
+    """
+    reducer = RowReducer()
+    for values in rows:
+        nonzero = [(j, x) for j, x in enumerate(values) if x]
+        scale = lcm(*(x.denominator for _, x in nonzero))
+        row = reducer.reduce({-j: x.numerator * (scale // x.denominator) for j, x in nonzero})
+        if row:
+            reducer.insert(row)
+    return reducer
+
+
 def qm_rref(rows):
-    """Reduced row echelon form over Q.  Returns (new_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    """Reduced row echelon form over Q.  Returns (new_rows, pivot_columns).
+
+    The back-reduced rows of `q_echelon`, in ascending pivot column, each
+    divided by its lead, then zero rows up to the input's height.
+    """
+    ncols = len(rows[0]) if rows else 0
+    mat = [[Fraction(0)] * ncols for _ in rows]
     pivcols = []
-    r = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-        # Row r is zero left of col, so its nonzero columns from col on are
-        # all it has: scale and eliminate over those alone.
-        prow = mat[r]
-        inv = Fraction(1) / prow[col]
-        nz = [j for j in range(col, ncols) if prow[j]]
-        for j in nz:
-            prow[j] *= inv
-        for i in range(nrows):
-            row = mat[i]
-            c = row[col]
-            if c and i != r:
-                for j in nz:
-                    row[j] -= c * prow[j]
-        pivcols.append(col)
-        r += 1
-        if r == nrows:
-            break
+    for vec, row in zip(mat, q_echelon(rows).back_reduce()):
+        lead = max(row)
+        for k, c in row.items():
+            vec[-k] = Fraction(c, row[lead])
+        pivcols.append(-lead)
     return mat, pivcols

@@ -17,7 +17,7 @@ n*l lies in the cone, so the counts read nothing else, and a lowering image
 that leaves the cone can never come back to it (each simple lowering lowers
 one partial sum by one), so dropping those images loses nothing inside it.
 
-All elimination is over Q, in one sparse fraction-free echelon reducer on
+All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
 row: a dict from monomial to int, primitive, with a positive lead.  Inside
 the closure and the counts a monomial is one packed int: its n^2 exponents
@@ -54,10 +54,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
 from alphadet.exact import QMatrix, mat_identity, mat_mul
+from alphadet.kernels import RowReducer
 from alphadet.symgrp import Partition, kostka_content
 
 DEFAULT_ADET_CAP = 8
@@ -193,67 +194,6 @@ def _cycle_count(imgs: tuple[int, ...]) -> int:
 
 # ---------------------------------------------------------------------------
 # Cyclic closure
-
-
-# Integer rows, eliminated with the cofactors of the two leads over their gcd;
-# pivots divided by their content, lead positive.
-
-
-def _eliminate_int(row, piv, at):
-    g = gcd(row[at], piv[at])
-    rc, pc = row[at] // g, piv[at] // g
-    out = {m: pc * c for m, c in row.items()} if pc != 1 else dict(row)
-    for m, c in piv.items():
-        val = out.get(m, 0) - rc * c
-        if val:
-            out[m] = val
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _normalize_int(row):
-    g = gcd(*row.values())
-    if row[max(row)] < 0:
-        g = -g
-    return row if g == 1 else {m: c // g for m, c in row.items()}
-
-
-class _RowReducer:
-    """Fraction-free echelon reducer for sparse integer rows.
-
-    Keys are any totally ordered hashables; the oracle's are packed
-    monomials, and the lead of a row is its largest key.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def reduce(self, row: dict) -> dict:
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return _normalize_int(row)
-            row = _eliminate_int(row, piv, lead)
-        return row
-
-    def insert(self, row: dict) -> None:
-        self.pivots[max(row)] = row
-
-    def back_reduce(self) -> list[dict]:
-        """Eliminate every pivot lead from every other row.
-
-        Ascending lead order: once a row is clean, reducing against it cannot
-        reintroduce pivot leads, so one elimination per occurrence suffices,
-        and the occurrences can be listed once, before the first.
-        """
-        for lead in sorted(self.pivots):
-            row = self.pivots[lead]
-            for hit in [m for m in row if m != lead and m in self.pivots]:
-                row = _eliminate_int(row, self.pivots[hit], hit)
-            self.pivots[lead] = _normalize_int(row)
-        return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
 
 
 def _in_cone(w: tuple[int, ...], l: int) -> bool:
@@ -427,7 +367,7 @@ def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
     return gen
 
 
-def _close(n: int, l: int, a: Fraction) -> _RowReducer:
+def _close(n: int, l: int, a: Fraction) -> RowReducer:
     """Echelon rows spanning the cone part of the closure of adet(X)^l at
     alpha = a, on integer rows keyed by packed monomial.
 
@@ -446,7 +386,7 @@ def _close(n: int, l: int, a: Fraction) -> _RowReducer:
     """
     b = l.bit_length()
     mask = (1 << b) - 1
-    reducer = _RowReducer()
+    reducer = RowReducer()
     raising = [_packed_shifts(i, i + 1, n, b) for i in range(1, n)]
     lowering_shifts = [_packed_shifts(j + 1, j, n, b) for j in range(1, n)]
 
@@ -501,8 +441,7 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     mask = (1 << b) - 1
     k = n.bit_length()
     raising = [(i, _packed_shifts(i, i + 1, n, b)) for i in range(1, n)]
-    reducer = _RowReducer()
-    rank = 0
+    reducer = RowReducer()
     for terms in rows:
         packed = {_pack(m, b): c for m, c in terms.items()}
         row = reducer.reduce(
@@ -514,8 +453,7 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
         )
         if row:
             reducer.insert(row)
-            rank += 1
-    return len(rows) - rank
+    return len(rows) - len(reducer.pivots)
 
 
 def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int]) -> bool:

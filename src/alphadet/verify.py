@@ -96,9 +96,9 @@ def suite_hook_trace(
     """Hook-shape trace against the product closed form, plus its zero set."""
     out = []
     for n, l in cases:
-        hook = Partition((n * l - 1, 1))
-        tm = transition_matrix(n, l, hook)
+        # first, so that a case with no hook shape is refused in its own terms
         closed = hook_trace_closed_form(n, l)
+        tm = transition_matrix(n, l, Partition((n * l - 1, 1)))
         ok = tm.trace == closed
         detail = ""
         if paper_variant:

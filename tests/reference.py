@@ -10,9 +10,11 @@ generic matrix over Q[alpha], the polarization operator E_ij on monomials
 kept as exponent tuples, the cyclic closure and highest-weight count on
 those tuples, the Jucys-Murphy slices reduced after every letter, the
 dense compression G^-1 B^T D T of the transition slices, Young's
-seminormal generators built in Fractions, exact solves and inverses over
-Q, and `Poly`, the oracle's sparse polynomial with the sums, products,
-powers and weights the tests build and compare.
+seminormal generators built in Fractions, the reduced row echelon form by
+textbook Gauss-Jordan elimination (a route to ranks and echelon forms apart
+from the library's one reducer), exact solves and inverses over Q, and
+`Poly`, the oracle's sparse polynomial with the sums, products, powers and
+weights the tests build and compare.
 """
 
 from __future__ import annotations
@@ -27,14 +29,8 @@ from math import factorial, gcd, lcm, prod
 from alphadet import kernels
 from alphadet.errors import AlphadetError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_identity
-from alphadet.oracle import (
-    ModuleBasis,
-    Monomial,
-    MultiPoly,
-    _monomial_weight,
-    _RowReducer,
-    _var,
-)
+from alphadet.kernels import RowReducer
+from alphadet.oracle import ModuleBasis, Monomial, MultiPoly, _monomial_weight, _var
 from alphadet.seminormal import InvariantColumn, SeminormalRep
 from alphadet.symgrp import Partition, Permutation, enumerate_H, nu
 
@@ -129,6 +125,26 @@ def D_of(n: int, l: int) -> Poly:
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
     return Poly(n, acc)
+
+
+def gauss_jordan(rows):
+    """Reduced row echelon form by textbook Gauss-Jordan elimination."""
+    mat = [list(r) for r in rows]
+    pivcols = []
+    top = 0
+    for col in range(len(mat[0]) if mat else 0):
+        below = [i for i in range(top, len(mat)) if mat[i][col] != 0]
+        if not below:
+            continue
+        mat[top], mat[below[0]] = mat[below[0]], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[top])]
+        pivcols.append(col)
+        top += 1
+    return mat, pivcols
 
 
 class SingularMatrixError(AlphadetError):
@@ -346,7 +362,7 @@ def tuple_closure(n: int, l: int, a: Fraction) -> list[dict[Monomial, int]]:
     """
     gen = eval_alpha(adet_symbolic(n), a) ** l
     scale = lcm(*(c.denominator for c in gen.terms.values()))
-    reducer = _RowReducer()
+    reducer = RowReducer()
 
     def lowering(row):
         ops = []
@@ -379,7 +395,7 @@ def tuple_hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     n = basis.n
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
-    reducer = _RowReducer()
+    reducer = RowReducer()
     rank = 0
     for terms in rows:
         row = reducer.reduce(

@@ -21,7 +21,7 @@ from alphadet.exact import (
     rank_q,
 )
 from alphadet.explore import squarefree_part
-from reference import SingularMatrixError, mat_inverse, solve_exact
+from reference import SingularMatrixError, gauss_jordan, mat_inverse, solve_exact
 
 A = PolyQ([0, 1])
 
@@ -275,6 +275,7 @@ def test_eval_at_on_zeros_and_repeats():
             assert got == ref
             assert all(isinstance(x, Fraction) for row in got for x in row)
             assert rank_at(m, a) == rank_q(ref)
+            assert rank_q(ref) == len(gauss_jordan(ref)[1])
     assert rank_at(mats[0], Fraction(-1, 2)) == 0
     assert rank_at(mats[0], Fraction(7, 3)) == 5
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from alphadet import kernels
 from alphadet.exact import PolyQ, rank_q
+from reference import gauss_jordan
 
 zp_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(
     lambda c: kernels.zp_trim(list(c))
@@ -144,26 +145,6 @@ def test_parity_scalar_ops(a, b):
     assert kernels.zp_mul(a, b) == list((PolyQ(a) * PolyQ(b)).coeffs)
 
 
-def _gauss_jordan(rows):
-    """Reduced row echelon form by textbook Gauss-Jordan elimination."""
-    mat = [list(r) for r in rows]
-    pivcols = []
-    top = 0
-    for col in range(len(mat[0]) if mat else 0):
-        below = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-        if not below:
-            continue
-        mat[top], mat[below[0]] = mat[below[0]], mat[top]
-        mat[top] = [x / mat[top][col] for x in mat[top]]
-        for i in range(len(mat)):
-            if i != top:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[top])]
-        pivcols.append(col)
-        top += 1
-    return mat, pivcols
-
-
 def _sparse_rational_rows(rng, nr, nc):
     """About 80% zeros, with zero rows and duplicate rows mixed in."""
     rows = []
@@ -215,7 +196,8 @@ def test_parity_matrix_ops():
     for qrows in qcases:
         before = [list(r) for r in qrows]
         got = kernels.qm_rref(qrows)
-        assert got == _gauss_jordan(qrows)
+        assert got == gauss_jordan(qrows)
+        assert rank_q(qrows) == len(gauss_jordan(qrows)[1])
         assert all(isinstance(x, Fraction) for row in got[0] for x in row)
         assert qrows == before
         assert all(r is not g for r, g in zip(qrows, got[0]))

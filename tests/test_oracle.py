@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from alphadet import oracle
 from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
-from alphadet.exact import PolyQ, rank_q
+from alphadet.exact import PolyQ
+from alphadet.kernels import RowReducer
 from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
@@ -31,6 +32,7 @@ from reference import (
     adet_symbolic,
     apply_E,
     eval_alpha,
+    gauss_jordan,
     polarize,
     tuple_closure,
     tuple_hwv_multiplicity,
@@ -114,7 +116,7 @@ def _unfiltered_closure(n, l, a):
     # polarization above; reduced echelon integer rows, descending lead.
     gen = eval_alpha(adet_symbolic(n) ** l, a)
     scale = math.lcm(*(c.denominator for c in gen.terms.values()))
-    reducer = oracle._RowReducer()
+    reducer = RowReducer()
 
     def close(rows, ops):
         found = list(rows)
@@ -538,7 +540,8 @@ def test_hwv_generic_scales_whole_rows():
 
 def _dense_hwv_count(basis, lam):
     # w minus the rank of the dense matrix whose rows are the weight-lam
-    # generators' images under E_12, ..., E_n-1,n, side by side.
+    # generators' images under E_12, ..., E_n-1,n, side by side, by textbook
+    # Gauss-Jordan: a route apart from the reducer that hwv_multiplicity uses.
     n = basis.n
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [g for g, w in zip(basis.generators, basis.weights) if w == target]
@@ -550,7 +553,7 @@ def _dense_hwv_count(basis, lam):
     if not rows or not columns:
         return len(rows)
     dense = [[Fraction(image.get(k, 0)) for k in columns] for image in images]
-    return len(rows) - rank_q(dense)
+    return len(rows) - len(gauss_jordan(dense)[1])
 
 
 def _mixed_denominator_basis(alpha):

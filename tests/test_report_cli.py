@@ -357,6 +357,15 @@ def test_cli_verify_gkp_at_l_zero_runs_its_one_check(capsys):
     assert capsys.readouterr().out == "[PASS] gkp l=0\n1/1 checks passed\n"
 
 
+@pytest.mark.parametrize("case", ["1,1", "1,3"])
+def test_cli_verify_hook_trace_refuses_n_1_by_the_hook_shape(case, capsys):
+    # (n*l - 1, 1) is no hook at n = 1: the suite says so before it builds F
+    assert cli.main(["verify", "hook-trace", "--cases", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hook shape needs n >= 2 and l >= 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, kwargs",
     [

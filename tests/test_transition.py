@@ -17,7 +17,13 @@ from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
 from alphadet.transition import _assemble, _jucys_murphy, trace_poly, transition_matrix
-from reference import column_matrix, dense_compression, mat_inverse, reduced_jucys_murphy
+from reference import (
+    column_matrix,
+    dense_compression,
+    gauss_jordan,
+    mat_inverse,
+    reduced_jucys_murphy,
+)
 
 A = PolyQ([0, 1])
 
@@ -108,6 +114,17 @@ def test_rank_bounds():
             assert 0 < g <= tm.d
             for a in (1, -1, 2):
                 assert tm.rank_at(a) <= g
+
+
+@pytest.mark.parametrize("n, l", [(3, 3), (4, 2), (5, 1), (6, 1)])
+def test_rank_at_matches_textbook_rank(n, l):
+    # The ranks the multiplicities read, on the F(a) they are read from:
+    # the library's integer reducer against textbook Gauss-Jordan.
+    alphas = [Fraction(x) for x in ("1", "-1", "1/2", "-1/2", "1/3", "2", "7/3")]
+    for lam in admissible_shapes(n, l):
+        tm = transition_matrix(n, l, lam)
+        for a in alphas:
+            assert tm.rank_at(a) == len(gauss_jordan(tm.entries.eval_at(a))[1]), (lam, a)
 
 
 def test_generic_rank_certificate_matches_bareiss():
