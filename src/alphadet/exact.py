@@ -11,17 +11,24 @@ evaluating at a point can only lower a rank, so the largest rank over the
 points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
-F(0) = I.  A rank over Q counts the rows that `kernels.RowReducer` keeps,
-each scaled to integers by the lcm of its denominators; polynomial gcds use
-Euclid over Q.  No floating point and no polynomial factorization anywhere.
-No package module solves a system; `nullspace_q` stays for the benchmark's
-trace and the tests.
+F(0) = I.  A rank at a = p/q does no Fraction arithmetic: each matrix keeps,
+built once, its rows over Z[a] (row i times the lcm L_i of its coefficient
+denominators, zero entries dropped) and its largest degree D.  Row i of
+F(p/q) times L_i q^D is then a row of integers, and the rank counts the rows
+that `kernels.RowReducer` keeps.  `eval_at` still builds F(a) in Fractions,
+for exploration and the verify suites.  Polynomial gcds use Euclid over Q.
+No floating point and no polynomial factorization anywhere.  No package
+module solves a system; `nullspace_q` stays for the benchmark's trace and
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from alphadet import kernels
@@ -292,6 +299,26 @@ class PolyMatrix:
             flat.append(v)
         return [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
 
+    @cached_property
+    def _integer_rows(self) -> tuple[int, tuple[dict[int, tuple[int, ...]], ...]]:
+        """(D, rows): D the largest entry degree (0 for a zero matrix), and
+        row i as {column: coefficients} over its nonzero entries, each
+        coefficient times L_i, the lcm of the row's coefficient denominators.
+        Equal coefficient tuples share one object, which rank_at evaluates
+        once per point."""
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rows = []
+        for i in range(self.rows):
+            nonzero = [(j, e.coeffs) for j, e in enumerate(self.row(i)) if e.coeffs]
+            scale = lcm(*(c.denominator for _, cs in nonzero for c in cs))
+            row = {}
+            for j, cs in nonzero:
+                t = tuple(c.numerator * (scale // c.denominator) for c in cs)
+                row[j] = shared.setdefault(t, t)
+            rows.append(row)
+        degree = max((e.degree for e in self.entries), default=0)
+        return max(degree, 0), tuple(rows)
+
     def __str__(self) -> str:
         cells = [[self.entry(i, j).format() for j in range(self.cols)] for i in range(self.rows)]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)] if self.rows else []
@@ -310,9 +337,9 @@ def generic_rank(mat: PolyMatrix) -> int:
     it cannot vanish at all full*D + 1 points.
     """
     full = min(mat.rows, mat.cols)
-    degree = max((e.degree for e in mat.entries), default=0)
+    degree = mat._integer_rows[0]
     rank = 0
-    for a in range(full * max(degree, 0) + 1):
+    for a in range(full * degree + 1):
         if rank == full:
             break
         rank = max(rank, rank_at(mat, a))
@@ -320,8 +347,31 @@ def generic_rank(mat: PolyMatrix) -> int:
 
 
 def rank_at(mat: PolyMatrix, a: Fraction | int) -> int:
-    """Rank over Q of the matrix specialized at a."""
-    return rank_q(mat.eval_at(a))
+    """Rank over Q of the matrix specialized at a.
+
+    At a = p/q each cached integer row becomes the integers
+    sum_e c_e p^e q^(D-e): row i of F(a) times L_i q^D, which keeps the rank.
+    Each distinct coefficient tuple is evaluated once, and the nonzero values
+    go, keyed by -column, into one `kernels.RowReducer`.
+    """
+    a = _as_fraction(a)
+    degree, int_rows = mat._integer_rows
+    p, q = a.numerator, a.denominator
+    weights = [p**e * q ** (degree - e) for e in range(degree + 1)]
+    values: dict[int, int] = {}
+    reducer = kernels.RowReducer()
+    for entries in int_rows:
+        row = {}
+        for j, coeffs in entries.items():
+            v = values.get(id(coeffs))
+            if v is None:
+                v = values[id(coeffs)] = sum(map(mul, coeffs, weights))
+            if v:
+                row[-j] = v
+        row = reducer.reduce(row)
+        if row:
+            reducer.insert(row)
+    return len(reducer.pivots)
 
 
 def mat_identity(n: int) -> QMatrix:
@@ -343,11 +393,6 @@ def mat_mul(A: QMatrix, B: QMatrix) -> QMatrix:
                         acc[j] += x * bk[j]
         out.append(acc)
     return out
-
-
-def rank_q(rows: QMatrix) -> int:
-    """Rank over Q: the number of rows that survive the integer reducer."""
-    return len(kernels.q_echelon(rows).pivots)
 
 
 def nullspace_q(rows: QMatrix, ncols: int | None = None) -> list[list[Fraction]]:

@@ -2,10 +2,11 @@
 
 `RowReducer`, a sparse fraction-free echelon reducer on primitive integer
 rows, is the package's only row elimination.  The oracle feeds it rows
-keyed by packed monomial, and `q_echelon` rational rows scaled to integer
-rows keyed by column: that serves every rank over Q, and `qm_rref` reads
-the reduced row echelon form off the same reducer.  Callers reach
-`qm_rref` as `kernels.qm_rref`, so one wrapper on the module sees it all.
+keyed by packed monomial, and `exact.rank_at` the integer rows of a
+specialized matrix keyed by -column.  `q_echelon` scales rational rows to
+integer rows keyed the same way, only for `qm_rref`, which reads the
+reduced row echelon form off the reducer.  Callers reach `qm_rref` as
+`kernels.qm_rref`, so one wrapper on the module sees it all.
 
 The integer-polynomial ("zp") functions work over Z[x]: lists of int
 coefficients in ascending degree with no trailing zeros, [] the zero

@@ -12,7 +12,8 @@ those tuples, the Jucys-Murphy slices reduced after every letter, the
 dense compression G^-1 B^T D T of the transition slices, Young's
 seminormal generators built in Fractions, the reduced row echelon form by
 textbook Gauss-Jordan elimination (a route to ranks and echelon forms apart
-from the library's one reducer), exact solves and inverses over Q, and
+from the library's one reducer), the rank of a rational matrix through
+that reducer, exact solves and inverses over Q, and
 `Poly`, the oracle's sparse polynomial with the sums, products, powers and
 weights the tests build and compare.
 """
@@ -145,6 +146,11 @@ def gauss_jordan(rows):
         pivcols.append(col)
         top += 1
     return mat, pivcols
+
+
+def rank_q(rows: QMatrix) -> int:
+    """Rank over Q: the number of rows that survive the integer reducer."""
+    return len(kernels.q_echelon(rows).pivots)
 
 
 class SingularMatrixError(AlphadetError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphadet import kernels
@@ -18,10 +18,9 @@ from alphadet.exact import (
     nullspace_q,
     parse_rational,
     rank_at,
-    rank_q,
 )
 from alphadet.explore import squarefree_part
-from reference import SingularMatrixError, gauss_jordan, mat_inverse, solve_exact
+from reference import SingularMatrixError, gauss_jordan, mat_inverse, rank_q, solve_exact
 
 A = PolyQ([0, 1])
 
@@ -278,6 +277,69 @@ def test_eval_at_on_zeros_and_repeats():
             assert rank_q(ref) == len(gauss_jordan(ref)[1])
     assert rank_at(mats[0], Fraction(-1, 2)) == 0
     assert rank_at(mats[0], Fraction(7, 3)) == 5
+
+
+point_st = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@st.composite
+def rank_test_points(draw):
+    """(matrix, a): rows of mixed degrees and denominators, zero rows and
+    polynomial multiples of earlier rows; a is often a point where an entry
+    vanishes."""
+    nr = draw(st.integers(min_value=0, max_value=4))
+    nc = draw(st.integers(min_value=0, max_value=4)) if nr else 0
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    roots, rows = [], []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["zero", "fresh", "fresh", "multiple"]))
+        if kind == "zero":
+            rows.append([PolyQ.zero()] * nc)
+        elif kind == "multiple" and rows:
+            factor = PolyQ(draw(st.lists(coeff, min_size=1, max_size=2)))
+            rows.append([factor * e for e in draw(st.sampled_from(rows))])
+        else:
+            row = []
+            for _ in range(nc):
+                e = PolyQ(draw(st.lists(coeff, max_size=4)))
+                if draw(st.booleans()):
+                    r = draw(point_st)
+                    roots.append(r)
+                    e = e * (A - r)
+                row.append(e)
+            rows.append(row)
+    points = st.sampled_from(roots) | point_st if roots else point_st
+    return PolyMatrix.from_rows(rows), draw(points | st.sampled_from([0, -1, -5]))
+
+
+@given(rank_test_points())
+@example((PolyMatrix(0, 0, ()), 0)).via("the 0 x 0 matrix")
+@example((PolyMatrix.from_rows([[PolyQ.zero()] * 3] * 2), Fraction(-1, 2))).via("all zero")
+@settings(max_examples=150, deadline=None)
+def test_rank_at_matches_gauss_jordan_on_eval_at(case):
+    # The integer rows against the Fraction route: evaluate entrywise by
+    # Horner, then the textbook elimination.
+    m, a = case
+    before = m.entries
+    coeffs = [e.coeffs for e in m.entries]
+    got = rank_at(m, a)
+    assert got == len(gauss_jordan(m.eval_at(a))[1])
+    assert rank_at(m, a) == got
+    assert m.entries is before
+    assert [e.coeffs for e in m.entries] == coeffs
+
+
+def test_rank_at_rejects_floats():
+    # A float point used to fail late (0.5) or be evaluated in floating
+    # point (-1.0); only int and Fraction are exact.
+    m = PolyMatrix.from_rows([[PolyQ.one(), PolyQ.zero()], [PolyQ.zero(), 1 + A]])
+    for a in (0.5, -1.0):
+        with pytest.raises(TypeError):
+            rank_at(m, a)
+    assert rank_at(m, -1) == 1
+    assert rank_at(m, Fraction(-1)) == 1
 
 
 entry_st = st.lists(st.integers(min_value=-2, max_value=2), min_size=0, max_size=3)

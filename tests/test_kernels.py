@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadet import kernels
-from alphadet.exact import PolyQ, rank_q
-from reference import gauss_jordan
+from alphadet.exact import PolyQ
+from reference import gauss_jordan, rank_q
 
 zp_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(
     lambda c: kernels.zp_trim(list(c))

@@ -144,6 +144,17 @@ def test_cli_decompose_json_matrices_golden_bytes(capsys, n, l):
     assert capsys.readouterr().out.encode() == golden
 
 
+@pytest.mark.parametrize("n,l", [(3, 3), (4, 2), (7, 1)])
+def test_cli_decompose_csv_alphas_golden_bytes(capsys, n, l):
+    # The specialized ranks byte for byte, at points where they drop (1,
+    # -1/2, -1/3 and more) and where they stay full.
+    alphas = ["1", "-1", "1/2", "-1/2", "1/3", "-1/3", "2", "7/3"]
+    argv = ["decompose", "--n", str(n), "--l", str(l), "--format", "csv"]
+    assert cli.main(argv + [f"--alpha={a}" for a in alphas]) == 0
+    golden = (GOLDEN / f"decompose_{n}_{l}.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
     rc = cli.main(
         ["decompose", "--n", "2", "--l", "2", "--alpha=1", "--alpha=-1/2",
