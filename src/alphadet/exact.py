@@ -148,7 +148,8 @@ class PolyQ:
         return result
 
     def __call__(self, a: Fraction | int) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule; a must be an int or a Fraction."""
+        a = _as_fraction(a)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * a + c
@@ -285,7 +286,8 @@ class PolyMatrix:
     def eval_at(self, a: Fraction | int) -> QMatrix:
         """The matrix at a.  Zero entries cost nothing, and each entry object
         is evaluated once: from_rows shares equal entries, so at l = 1 F(a)
-        takes one evaluation."""
+        takes one evaluation.  a must be an int or a Fraction."""
+        a = _as_fraction(a)
         zero = Fraction(0)
         values: dict[int, Fraction] = {}
         flat = []

@@ -30,21 +30,43 @@ letter multiplies the numerators by integers and the denominator by m_k.
 A factor's images are summed over one lcm and reduced by one gcd, so the
 slices are in lowest terms between factors.
 
-The slices are compressed to F = A / diag(G), A = B^T D T, with A sparse.
-B is held as its d sparse columns (`seminormal.invariant_basis`), and they
-have disjoint supports: each tableau i belongs to at most one column r,
-with B[i][r] = x.  So G = B^T D B is diagonal and is kept as its d
-diagonal entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is
-inverted, and no f x d or d x d table of Fractions is built.  Row i of
-B^T D is an integer weight over one lcm per column r, so each entry of A
-is an integer dot product, and each coefficient of F is one Fraction.  At
-l = 1, column c is {c: 1} and G = D, so F is the content polynomial
-times I.
+The compression meets the factors in the middle.  rho is orthogonal for
+the seminormal Gram form D and a transposition is an involution, so
+rho(t)^T D = D rho(t): every factor is self-adjoint for D.  As they also
+commute, B^T D (prod of all factors) B = (Y B)^T D (Z B) for any split of
+the factors into two groups Y and Z.  The factors, costliest first, are
+dealt alternately into Y and Z, and each group is applied to B on its
+own, so each carries about half of the (n-1) l + 1 slices.  A factor
+with k words has w = k(k+1) l - k letters, and the j-th factor applied
+meets j slices, so one group costs sum_j j w_j letter passes per column.
+The compression then takes d (|Y|+1)(|Z|+1) dot-product passes per
+column, each over at most f entries, as a letter pass is.  The factors
+are split iff the two groups' letter passes plus those dot products are
+fewer than the letter passes of applying every factor in turn.  This
+needs only (n, l, d), so it is decided before any factor is applied.
+Otherwise Y is empty, Y B = B, and the same compression runs with one
+slice on the left.  It splits every n = 2 shape with l >= 3 and every
+shape of (3,3) and (3,4), and leaves l = 1 (but for d <= 2) and large d,
+such as (7,3,2) at (6,2) with d = 115, unsplit.
+
+The slices are compressed to F = A / diag(G), A = (Y B)^T D (Z B), with A
+sparse.  B is held as its d sparse columns (`seminormal.invariant_basis`),
+and they have disjoint supports: each tableau i belongs to at most one
+column r.  So G = B^T D B is diagonal and is kept as its d diagonal
+entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is inverted, and no
+f x d or d x d table of Fractions is built.  Row r of (Y B)^T D is kept as
+integer weights over one lcm, and each tableau lists the rows that carry
+it, so a column of Z B meets only the rows whose support it shares; with
+Y empty each tableau has at most one owner.  Each entry of A is an
+integer sum per power of alpha, and each coefficient of F is one
+Fraction.  At l = 1, column c is {c: 1} and G = D, so F is the content
+polynomial times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
 the same matrix in the same (canonical) basis, and a dense compression of
-the same slices as a second route to F and G.
+the unsplit slices as a second route to F and G, which every split must
+match.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
 spherical values averaged over K, summed over H with alpha^nu weights.
@@ -56,6 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
+from operator import mul
 
 from alphadet.errors import EmptyInvariantSpaceError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_at
@@ -91,116 +114,158 @@ IntColumn = tuple[int, dict[int, int]]
 
 Slices = list[list[IntColumn]]
 
+# The factor 1 + alpha L_y, L_y = sum_{x in xs} (x y): xs are the positions
+# above y in one column of the block tableau.
+Factor = tuple[tuple[int, ...], int]
 
-def _jucys_murphy(
-    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], n: int, l: int
-) -> Slices:
-    """sum_{h in H} alpha^nu(h) rho(h) on the invariant columns, by degree.
+
+def _factors(n: int, l: int) -> list[Factor]:
+    """The (n-1) l factors of sum_{h in H} alpha^nu(h) h, costliest first:
+    column p holds x_q = p + (q-1) l, and its factor for x_{k+1} has the k
+    transpositions (x_i x_{k+1}), i <= k."""
+    return [
+        (tuple(range(p, p + k * l, l)), p + k * l)
+        for k in range(n - 1, 0, -1)
+        for p in range(1, l + 1)
+    ]
+
+
+def _passes(letters: list[int]) -> int:
+    """Letter passes per column of applying factors with these letter
+    counts in turn: the j-th factor meets j slices."""
+    return sum(map(mul, letters, range(1, len(letters) + 1)))
+
+
+def _split(n: int, l: int, d: int) -> tuple[list[Factor], list[Factor]]:
+    """The factors dealt into Y, applied to B on the left of the
+    compression, and Z, applied on the right.
+
+    The alternating deal is taken iff its letter passes plus the
+    compression's d (|Y|+1)(|Z|+1) dot-product passes per column are fewer
+    than the letter passes of applying every factor in turn; otherwise Y
+    is empty.  (x_i x_{k+1}) is a word of 2(k+1-i) l - 1 letters, so a
+    factor's k words have k(k+1) l - k.
+    """
+    factors = _factors(n, l)
+    letters = [len(xs) * ((len(xs) + 1) * l - 1) for xs, _ in factors]
+    Y, Z = letters[::2], letters[1::2]
+    if _passes(Y) + _passes(Z) + d * (len(Y) + 1) * (len(Z) + 1) < _passes(letters):
+        return factors[::2], factors[1::2]
+    return [], factors
+
+
+def _integer_column(col: InvariantColumn) -> IntColumn:
+    """An invariant column over the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in col.values()))
+    return den, {i: int(v * den) for i, v in col.items()}
+
+
+def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor]) -> Slices:
+    """The product of the factors on the invariant columns, by degree.
 
     Returns T with T[e][c] the alpha^e coefficient of column c, as one
-    denominator over sparse integer numerators in lowest terms.  Column p
-    of the block tableau holds x_q = p + (q-1) l, and each factor
-    1 + alpha L_k, L_k = sum_{i<k} (x_i x_k), maps T_e to T_e + L_k T_{e-1}.
-    The factors commute, so the costliest (largest k) go first, while T
-    has the fewest slices.  The generators come from the rep as integer
-    matrices m_w rho(s_w), so a transposition's word multiplies the
-    numerators by integers and its scale by each letter's m_w, with no
-    reduction between letters.  The k images and the old T_e are summed
-    over one lcm and reduced by one gcd per (factor, slice, column).
+    denominator over sparse integer numerators in lowest terms; with no
+    factors, T[0] is B.  Each factor 1 + alpha L_y maps T_e to
+    T_e + L_y T_{e-1}, so it meets one more slice than the factor before
+    it, and the costliest should go first.  The generators come from the
+    rep as integer matrices m_w rho(s_w), so a transposition's word
+    multiplies the numerators by integers and its scale by each letter's
+    m_w, with no reduction between letters.  The images and the old T_e
+    are summed over one lcm and reduced by one gcd per (factor, slice,
+    column).
     """
     gens = rep.gen_cols
-    T: Slices = [[]]
-    for col in basis:
-        den = lcm(*(v.denominator for v in col.values()))
-        T[0].append((den, {i: int(v * den) for i, v in col.items()}))
-    for k in range(n - 1, 0, -1):
-        for p in range(1, l + 1):
-            xs = [p + q * l for q in range(n)]
-            # (x y) is the palindromic word s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x;
-            # each word's image is scaled up to the factor's common scale S.
-            words = [
-                [gens[w - 1] for w in chain(range(x, xs[k]), range(xs[k] - 2, x - 1, -1))]
-                for x in xs[:k]
-            ]
-            scales = [prod(m for m, _ in word) for word in words]
-            S = lcm(*scales)
-            lifts = [S // s for s in scales]
-            T.append([(1, {}) for _ in basis])
-            for e in range(len(T) - 1, 0, -1):
-                for c, (den, num) in enumerate(T[e - 1]):
-                    old_den, old = T[e][c]
-                    L = lcm(old_den, den * S)
-                    acc = {i: v * (L // old_den) for i, v in old.items()}
-                    s = L // (den * S)
-                    for word, lift in zip(words, lifts):
-                        vec = num
-                        for _, gen in word:
-                            out: dict[int, int] = {}
-                            for r, v in vec.items():
-                                for i, g in gen[r]:
-                                    if i in out:
-                                        out[i] += g * v
-                                    else:
-                                        out[i] = g * v
-                            vec = out
-                        t = s * lift
-                        for i, v in vec.items():
-                            if i in acc:
-                                acc[i] += v * t
-                            else:
-                                acc[i] = v * t
-                    acc = {i: v for i, v in acc.items() if v}
-                    g = gcd(L, *acc.values())
-                    T[e][c] = (L // g, {i: v // g for i, v in acc.items()})
+    T: Slices = [B]
+    for xs, y in factors:
+        # (x y) is the palindromic word s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x;
+        # each word's image is scaled up to the factor's common scale S.
+        words = [[gens[w - 1] for w in chain(range(x, y), range(y - 2, x - 1, -1))] for x in xs]
+        scales = [prod(m for m, _ in word) for word in words]
+        S = lcm(*scales)
+        lifts = [S // s for s in scales]
+        T.append([(1, {}) for _ in B])
+        for e in range(len(T) - 1, 0, -1):
+            for c, (den, num) in enumerate(T[e - 1]):
+                old_den, old = T[e][c]
+                L = lcm(old_den, den * S)
+                acc = {i: v * (L // old_den) for i, v in old.items()}
+                s = L // (den * S)
+                for word, lift in zip(words, lifts):
+                    vec = num
+                    for _, gen in word:
+                        out: dict[int, int] = {}
+                        for r, v in vec.items():
+                            for i, g in gen[r]:
+                                if i in out:
+                                    out[i] += g * v
+                                else:
+                                    out[i] = g * v
+                        vec = out
+                    t = s * lift
+                    for i, v in vec.items():
+                        if i in acc:
+                            acc[i] += v * t
+                        else:
+                            acc[i] = v * t
+                acc = {i: v for i, v in acc.items() if v}
+                g = gcd(L, *acc.values())
+                T[e][c] = (L // g, {i: v // g for i, v in acc.items()})
     return T
 
 
-def _assemble(
-    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], T: Slices
+def _compress(
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], TY: Slices, TZ: Slices
 ) -> tuple[PolyMatrix, list[Fraction]]:
-    """F = A / diag(G), A = B^T D T, and the diagonal of G = B^T D B, from
-    the integer slices T.
+    """F = A / diag(G), A = (Y B)^T D (Z B), and the diagonal of G = B^T D B,
+    from the slices TY of Y B and TZ of Z B.
 
-    The invariant columns have disjoint supports, so each tableau i has at
-    most one owner column r, row i of B^T D is x D[i] in column r alone,
-    and G is diagonal.  Over one lcm L_r per column r, x D[i] is the
-    integer weight w_i / L_r, so each entry of A is an integer dot product
-    over the slice's denominator, and becomes a Fraction once, when it is
-    divided by L_r G[r].
+    Row r of (Y B)^T D is kept as integer weights over one lcm L_r, and
+    each tableau i lists the (row, slice, weight) triples it carries.  A
+    column of Z B then meets only the rows whose support it shares; with Y
+    empty these are the invariant columns' disjoint supports, so each
+    tableau has at most one owner.  Column c's Z slices are lifted to the
+    lcm L_c of their denominators, so each entry of A is an integer sum
+    per power of alpha, and each coefficient of F is one Fraction, divided
+    by L_c L_r G[r].
     """
     D = rep.gram
     G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
-    owner: dict[int, tuple[int, int]] = {}
-    scale: list[Fraction] = []
-    for r, col in enumerate(basis):
-        ws = {i: x * D[i] for i, x in col.items()}
-        L = lcm(*(w.denominator for w in ws.values()))
-        owner.update((i, (r, w.numerator * (L // w.denominator))) for i, w in ws.items())
-        scale.append(L * G[r])
-    if len(owner) != sum(map(len, basis)):
+    if len(set().union(*basis)) != sum(map(len, basis)):
         raise AssertionError("two invariant columns share a tableau")
-    # A = B^T D T slice by slice, sparse: A[c] maps a row r to its integer
-    # alpha coefficients, each over its slice's denominator, and holds only
-    # the rows that a nonzero entry reaches.
-    A: list[dict[int, list[int]]] = [{} for _ in basis]
-    for e, slice_e in enumerate(T):
-        for c, (_, num) in enumerate(slice_e):
-            Ac = A[c]
+    d, E = len(basis), len(TY) + len(TZ) - 1
+    Dn = [x.numerator for x in D]
+    Dd = [x.denominator for x in D]
+    owners: list[list[tuple[int, int, int]]] = [[] for _ in D]
+    scale: list[Fraction] = []
+    for r in range(d):
+        cols = [sl[r] for sl in TY]
+        L = lcm(*(den * lcm(*(Dd[i] for i in num)) for den, num in cols))
+        for e1, (den, num) in enumerate(cols):
             for i, v in num.items():
-                if i in owner:
-                    r, w = owner[i]
+                owners[i].append((r, e1, Dn[i] * v * (L // (den * Dd[i]))))
+        scale.append(L * G[r])
+    col_lcm = [lcm(*(sl[c][0] for sl in TZ)) for c in range(d)]
+    # A[c][r][e1 + e2] sums (Y_e1 B)[:, r]^T D (Z_e2 B)[:, c] times L_r L_c,
+    # for the rows r that a nonzero entry reaches.
+    A: list[dict[int, list[int]]] = [{} for _ in basis]
+    for e2, slice_e in enumerate(TZ):
+        for c, (den, num) in enumerate(slice_e):
+            Ac = A[c]
+            lift = col_lcm[c] // den
+            for i, v in num.items():
+                v *= lift
+                for r, e1, w in owners[i]:
                     if r not in Ac:
-                        Ac[r] = [0] * len(T)
-                    Ac[r][e] += w * v
+                        Ac[r] = [0] * E
+                    Ac[r][e1 + e2] += w * v
     zero = PolyQ.zero()
-    F = [[zero] * len(basis) for _ in basis]
+    F = [[zero] * d for _ in basis]
     for c, Ac in enumerate(A):
-        dens = [sl[c][0] for sl in T]
+        L = col_lcm[c]
         for r, cs in Ac.items():
-            q = scale[r]
-            F[r][c] = PolyQ(
-                Fraction(x * q.denominator, den * q.numerator) for x, den in zip(cs, dens)
-            )
+            if any(cs):
+                q = scale[r]
+                F[r][c] = PolyQ(Fraction(x * q.denominator, L * q.numerator) for x in cs)
     return PolyMatrix.from_rows(F), G
 
 
@@ -220,7 +285,9 @@ def transition_matrix(
         raise EmptyInvariantSpaceError(
             f"shape {lam!r} has no row-group invariants for (n, l) = ({n}, {l})"
         )
-    F, G = _assemble(rep, basis, _jucys_murphy(rep, basis, n, l))
+    Y, Z = _split(n, l, len(basis))
+    B = [_integer_column(col) for col in basis]
+    F, G = _compress(rep, basis, _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z))
     return TransitionMatrix(
         shape=lam,
         n=n,

@@ -445,25 +445,24 @@ def _add(a, b):
 
 
 def reduced_jucys_murphy(
-    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], n: int, l: int
+    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], factors
 ) -> list[list[dict[int, Fraction]]]:
-    """The factors prod (1 + alpha L_k) on the invariant columns, in
-    Fraction slices, each column reduced by its gcd after every letter of
-    every transposition word and after every sum: T[e][c] is the alpha^e
+    """The product of the factors 1 + alpha L_y, each given as (xs, y) with
+    L_y = sum_{x in xs} (x y), on the invariant columns, in Fraction slices,
+    each column reduced by its gcd after every letter of every
+    transposition word and after every sum: T[e][c] is the alpha^e
     coefficient of column c."""
     gens = rep.gen_cols
     T = [[]]
     for col in basis:
         den = lcm(*(v.denominator for v in col.values()))
         T[0].append((den, {i: int(v * den) for i, v in col.items()}))
-    for k in range(n - 1, 0, -1):
-        for p in range(1, l + 1):
-            xs = [p + q * l for q in range(n)]
-            T.append([(1, {}) for _ in basis])
-            for e in range(len(T) - 1, 0, -1):
-                for c, col in enumerate(T[e - 1]):
-                    for i in range(k):
-                        T[e][c] = _add(T[e][c], _apply_transposition(gens, xs[i], xs[k], col))
+    for xs, y in factors:
+        T.append([(1, {}) for _ in basis])
+        for e in range(len(T) - 1, 0, -1):
+            for c, col in enumerate(T[e - 1]):
+                for x in xs:
+                    T[e][c] = _add(T[e][c], _apply_transposition(gens, x, y, col))
     return [[{i: Fraction(v, den) for i, v in num.items()} for den, num in sl] for sl in T]
 
 

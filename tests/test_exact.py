@@ -342,6 +342,18 @@ def test_rank_at_rejects_floats():
     assert rank_at(m, Fraction(-1)) == 1
 
 
+def test_eval_at_and_call_reject_floats():
+    # Both used to answer in floating point: [[0.0]] and 3.0.
+    m = PolyMatrix.from_rows([[PolyQ([1, 1])]])
+    p = PolyQ([1, 3, 2])
+    with pytest.raises(TypeError):
+        m.eval_at(-1.0)
+    with pytest.raises(TypeError):
+        p(0.5)
+    assert m.eval_at(-1) == [[Fraction(0)]]
+    assert p(Fraction(1, 2)) == 3 and type(p(Fraction(1, 2))) is Fraction
+
+
 entry_st = st.lists(st.integers(min_value=-2, max_value=2), min_size=0, max_size=3)
 
 

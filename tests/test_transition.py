@@ -15,8 +15,16 @@ from alphadet.errors import (
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_mul
 from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
-from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, nu
-from alphadet.transition import _assemble, _jucys_murphy, trace_poly, transition_matrix
+from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, kostka, nu
+from alphadet.transition import (
+    _compress,
+    _factors,
+    _integer_column,
+    _jucys_murphy,
+    _split,
+    trace_poly,
+    transition_matrix,
+)
 from reference import (
     column_matrix,
     dense_compression,
@@ -194,46 +202,82 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
 def test_integer_slices_match_per_letter_reduction():
     # The library reduces once per (factor, slice, column); the reference
     # reduces after every letter of every word and hands back Fractions.
+    # Both take the same factors: all of them, and the two halves Y and Z
+    # of the alternating deal.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
                 continue
             l = m // n
+            factors = _factors(n, l)
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 basis = invariant_basis(rep, n, l)
-                T = _jucys_murphy(rep, basis, n, l)
-                ref = reduced_jucys_murphy(rep, basis, n, l)
-                assert len(T) == len(ref), (n, l, lam)
-                for sl, ref_sl in zip(T, ref):
-                    for (den, num), ref_col in zip(sl, ref_sl, strict=True):
-                        assert {i: Fraction(v, den) for i, v in num.items()} == ref_col
-                        assert type(den) is int and den >= 1, (n, l, lam)
-                        assert all(type(i) is int and type(v) is int for i, v in num.items())
-                        assert all(num.values()), (n, l, lam)
-                        assert math.gcd(den, *num.values()) == 1, (n, l, lam)
+                B = [_integer_column(col) for col in basis]
+                for fs in (factors, factors[::2], factors[1::2]):
+                    T = _jucys_murphy(rep, B, fs)
+                    ref = reduced_jucys_murphy(rep, basis, fs)
+                    assert len(T) == len(ref) == len(fs) + 1, (n, l, lam)
+                    for sl, ref_sl in zip(T, ref):
+                        for (den, num), ref_col in zip(sl, ref_sl, strict=True):
+                            assert {i: Fraction(v, den) for i, v in num.items()} == ref_col
+                            assert type(den) is int and den >= 1, (n, l, lam)
+                            assert all(type(i) is int and type(v) is int for i, v in num.items())
+                            assert all(num.values()), (n, l, lam)
+                            assert math.gcd(den, *num.values()) == 1, (n, l, lam)
 
 
-def test_sparse_compression_matches_dense():
-    # The library divides the sparse A by the diagonal of G; the dense route
-    # inverts G in full and sums g_rk A[k][c] over every k.
+def test_compression_is_split_invariant_and_matches_dense():
+    # Each factor is self-adjoint for the Gram form D and they commute, so
+    # B^T D (Y Z) B = (Y B)^T D (Z B) for every split: with Y empty, with
+    # the alternating deal and with one factor in Y.  The dense route
+    # compresses the unsplit slices, inverts G in full and sums
+    # g_rk A[k][c] over every k.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
                 continue
             l = m // n
+            factors = _factors(n, l)
+            splits = [([], factors), (factors[::2], factors[1::2]), (factors[:1], factors[1:])]
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 basis = invariant_basis(rep, n, l)
-                T = _jucys_murphy(rep, basis, n, l)
-                F, G = _assemble(rep, basis, T)
-                dense_F, dense_G = dense_compression(rep, basis, T)
-                assert F == dense_F, (n, l, lam)
-                assert dense_G == _diagonal(G), (n, l, lam)
+                B = [_integer_column(col) for col in basis]
+                dense_F, dense_G = dense_compression(rep, basis, _jucys_murphy(rep, B, factors))
+                for Y, Z in splits:
+                    TY, TZ = _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z)
+                    F, G = _compress(rep, basis, TY, TZ)
+                    assert F == dense_F, (n, l, lam, len(Y))
+                    assert dense_G == _diagonal(G), (n, l, lam, len(Y))
+
+
+def test_split_rule():
+    # The split depends on (n, l, d) alone; d is read from the Kostka number,
+    # so no rep is built.  Y and Z always share out every factor.
+    def splits(n, l, lam):
+        Y, Z = _split(n, l, kostka(lam, n, l))
+        factors = _factors(n, l)
+        assert sorted(Y + Z) == sorted(factors)
+        assert Y or Z == factors
+        return bool(Y)
+
+    for l in range(1, 9):
+        assert all(splits(2, l, lam) == (l >= 3) for lam in admissible_shapes(2, l)), l
+    for l in (3, 4):
+        assert all(splits(3, l, lam) for lam in admissible_shapes(3, l)), l
+    for lam in admissible_shapes(6, 1):
+        assert splits(6, 1, lam) == (kostka(lam, 6, 1) <= 2), lam
+    for (n, l), count in {(4, 2): 10, (4, 3): 22, (5, 2): 14, (6, 2): 17}.items():
+        assert sum(splits(n, l, lam) for lam in admissible_shapes(n, l)) == count, (n, l)
+    lam = Partition((7, 3, 2))
+    assert kostka(lam, 6, 2) == 115
+    assert not splits(6, 2, lam)
+    assert not any(splits(1, l, Partition((l,))) for l in range(1, 6))
 
 
 def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
-    # What lets _assemble divide by diag(G): each row of B has at most one
+    # What lets _compress divide by diag(G): each row of B has at most one
     # nonzero, so G = B^T D B is diagonal.
     for m in range(1, 10):
         for n in range(1, m + 1):
@@ -249,10 +293,11 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
                 assert all(
                     not x for r, row in enumerate(G) for c, x in enumerate(row) if r != c
                 ), (n, l, lam)
-    # _assemble refuses columns that share a tableau.
+    # _compress refuses columns that share a tableau.
     rep = build_rep(Partition((2, 1)))
+    T = [[(1, {}), (1, {})]]
     with pytest.raises(AssertionError, match="share a tableau"):
-        _assemble(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), [[(1, {}), (1, {})]])
+        _compress(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), T, T)
 
 
 def test_errors():
