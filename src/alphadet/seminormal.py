@@ -95,11 +95,16 @@ class SeminormalRep:
 
     gen_cols[k-1] is the generator s_k as (m_k, columns of the integer
     matrix m_k rho(s_k)); column T lists its nonzero (row, int) entries.
+    contents[T][y] is the content col - row of the entry y in tableau T,
+    for y = 1..m, with contents[T][0] = 0 so that y indexes it directly:
+    m + 1 ints per tableau.  It is the eigenvalue of the Jucys-Murphy
+    element L_y = sum_{x<y} (x y) on the basis vector of T.
     """
 
     shape: Partition
     tableaux: tuple[Tableau, ...]
     gen_cols: tuple[IntGenerator, ...]
+    contents: tuple[list[int], ...]
     gram: tuple[Fraction, ...]
 
     @property
@@ -174,7 +179,7 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
                 elif gram[t2] != val:
                     raise AssertionError("inconsistent Gram weights")
     assert all(g is not None and g > 0 for g in gram)
-    return SeminormalRep(lam, tuple(tabs), tuple(gens), tuple(gram))
+    return SeminormalRep(lam, tuple(tabs), tuple(gens), tuple(contents), tuple(gram))
 
 
 def rep_of(rep: SeminormalRep, g: Permutation) -> QMatrix:

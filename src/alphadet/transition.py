@@ -27,8 +27,15 @@ transposition (x y) is applied straight to the sparse columns through the
 seminormal generators, along its palindromic word s_x ... s_{y-1} ... s_x.
 The rep stores each generator as the integer matrix m_k rho(s_k), so a
 letter multiplies the numerators by integers and the denominator by m_k.
-A factor's images are summed over one lcm and reduced by one gcd, so the
-slices are in lowest terms between factors.
+At l = 1 column p = 1 holds every position, so L_k = sum_{i<k} (i k) is
+the Jucys-Murphy element of S_n, and Young's seminormal basis is its
+eigenbasis: L_k e_T = c_T(k) e_T, with c_T(k) the content of k in T
+(Okounkov-Vershik).  Such a factor is applied by contents, as one letter
+that scales the numerator at tableau T by `rep.contents[T][k]`, with no
+word and no generator; for l >= 2 no factor's positions are 1..k-1, and
+every factor keeps its words.  A factor's images are summed over one lcm
+and reduced by one gcd, so the slices are in lowest terms between
+factors.
 
 The compression meets the factors in the middle.  rho is orthogonal for
 the seminormal Gram form D and a transposition is an involution, so
@@ -37,17 +44,18 @@ commute, B^T D (prod of all factors) B = (Y B)^T D (Z B) for any split of
 the factors into two groups Y and Z.  The factors, costliest first, are
 dealt alternately into Y and Z, and each group is applied to B on its
 own, so each carries about half of the (n-1) l + 1 slices.  A factor
-with k words has w = k(k+1) l - k letters, and the j-th factor applied
-meets j slices, so one group costs sum_j j w_j letter passes per column.
-The compression then takes d (|Y|+1)(|Z|+1) dot-product passes per
-column, each over at most f entries, as a letter pass is.  The factors
-are split iff the two groups' letter passes plus those dot products are
-fewer than the letter passes of applying every factor in turn.  This
-needs only (n, l, d), so it is decided before any factor is applied.
-Otherwise Y is empty, Y B = B, and the same compression runs with one
-slice on the left.  It splits every n = 2 shape with l >= 3 and every
-shape of (3,3) and (3,4), and leaves l = 1 (but for d <= 2) and large d,
-such as (7,3,2) at (6,2) with d = 115, unsplit.
+with k words has w = k(k+1) l - k letters, a factor applied by contents
+has w = 1, and the j-th factor applied meets j slices, so one group costs
+sum_j j w_j letter passes per column.  The compression then takes
+d (|Y|+1)(|Z|+1) dot-product passes per column, each over at most f
+entries, as a letter pass is.  The factors are split iff the two groups'
+letter passes plus those dot products are fewer than the letter passes
+of applying every factor in turn.  This needs only (n, l, d), so it is
+decided before any factor is applied.  Otherwise Y is empty, Y B = B,
+and the same compression runs with one slice on the left.  It splits
+every n = 2 shape with l >= 3 and every shape of (3,3) and (3,4), and
+leaves every l = 1 shape, whose factors cost one letter pass each, and
+large d, such as (7,3,2) at (6,2) with d = 115, unsplit.
 
 The slices are compressed to F = A / diag(G), A = (Y B)^T D (Z B), with A
 sparse.  B is held as its d sparse columns (`seminormal.invariant_basis`),
@@ -136,6 +144,12 @@ def _passes(letters: list[int]) -> int:
     return sum(map(mul, letters, range(1, len(letters) + 1)))
 
 
+def _by_contents(xs: tuple[int, ...], y: int) -> bool:
+    """Whether L_y is the Jucys-Murphy element sum_{x<y} (x y), which is
+    diagonal in the seminormal basis with the contents of y as eigenvalues."""
+    return xs == tuple(range(1, y))
+
+
 def _split(n: int, l: int, d: int) -> tuple[list[Factor], list[Factor]]:
     """The factors dealt into Y, applied to B on the left of the
     compression, and Z, applied on the right.
@@ -144,10 +158,13 @@ def _split(n: int, l: int, d: int) -> tuple[list[Factor], list[Factor]]:
     compression's d (|Y|+1)(|Z|+1) dot-product passes per column are fewer
     than the letter passes of applying every factor in turn; otherwise Y
     is empty.  (x_i x_{k+1}) is a word of 2(k+1-i) l - 1 letters, so a
-    factor's k words have k(k+1) l - k.
+    factor's k words have k(k+1) l - k; a factor applied by contents is
+    one letter.
     """
     factors = _factors(n, l)
-    letters = [len(xs) * ((len(xs) + 1) * l - 1) for xs, _ in factors]
+    letters = [
+        1 if _by_contents(xs, y) else len(xs) * ((len(xs) + 1) * l - 1) for xs, y in factors
+    ]
     Y, Z = letters[::2], letters[1::2]
     if _passes(Y) + _passes(Z) + d * (len(Y) + 1) * (len(Z) + 1) < _passes(letters):
         return factors[::2], factors[1::2]
@@ -170,16 +187,24 @@ def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor])
     it, and the costliest should go first.  The generators come from the
     rep as integer matrices m_w rho(s_w), so a transposition's word
     multiplies the numerators by integers and its scale by each letter's
-    m_w, with no reduction between letters.  The images and the old T_e
-    are summed over one lcm and reduced by one gcd per (factor, slice,
-    column).
+    m_w, with no reduction between letters.  A factor applied by contents
+    is one word of one letter: the diagonal matrix of the contents of y,
+    with scale 1.  The images and the old T_e are summed over one lcm and
+    reduced by one gcd per (factor, slice, column).
     """
     gens = rep.gen_cols
     T: Slices = [B]
     for xs, y in factors:
-        # (x y) is the palindromic word s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x;
-        # each word's image is scaled up to the factor's common scale S.
-        words = [[gens[w - 1] for w in chain(range(x, y), range(y - 2, x - 1, -1))] for x in xs]
+        # L_y e_T = c_T(y) e_T, or (x y) is the palindromic word
+        # s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x; each word's image is
+        # scaled up to the factor's common scale S.
+        if _by_contents(xs, y):
+            diagonal = [[(i, c[y])] if c[y] else [] for i, c in enumerate(rep.contents)]
+            words = [[(1, diagonal)]]
+        else:
+            words = [
+                [gens[w - 1] for w in chain(range(x, y), range(y - 2, x - 1, -1))] for x in xs
+            ]
         scales = [prod(m for m, _ in word) for word in words]
         S = lcm(*scales)
         lifts = [S // s for s in scales]

@@ -30,6 +30,7 @@ from reference import (
     generator_matrix,
     identity,
     mat_transpose,
+    reduced_jucys_murphy,
 )
 
 
@@ -118,6 +119,25 @@ def test_gram_makes_generators_selfadjoint():
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     assert gamma[i] * M[i][j] == M[j][i] * gamma[j]
+
+
+def test_contents_are_jucys_murphy_eigenvalues():
+    # Okounkov-Vershik: the seminormal basis diagonalizes the Jucys-Murphy
+    # element L_y = sum_{x<y} (x y), and L_y e_T = c_T(y) e_T.  The reference
+    # applies each transposition by its word through the generators.
+    for m in range(1, 8):
+        for lam in partitions(m):
+            rep = build_rep(lam)
+            assert len(rep.contents) == rep.dim, lam
+            for c in rep.contents:
+                assert type(c) is list and len(c) == m + 1, lam
+                assert all(type(x) is int for x in c), lam
+            units = tuple({t: Fraction(1)} for t in range(rep.dim))
+            for y in range(1, m + 1):
+                _, images = reduced_jucys_murphy(rep, units, [(tuple(range(1, y)), y)])
+                for t, image in enumerate(images):
+                    c = rep.contents[t][y]
+                    assert image == ({t: Fraction(c)} if c else {}), (lam, t, y)
 
 
 def test_invariant_basis_dims():

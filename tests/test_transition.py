@@ -17,6 +17,7 @@ from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, kostka, nu
 from alphadet.transition import (
+    _by_contents,
     _compress,
     _factors,
     _integer_column,
@@ -81,6 +82,13 @@ def test_l1_is_content_times_identity():
             [[c if i == j else PolyQ.zero() for j in range(d)] for i in range(d)]
         ), lam
         assert tm.gram == rep.gram, lam
+        # Every factor is applied by contents, so each slice column is one
+        # entry at its own tableau: the coefficient of alpha^e in c, or none.
+        B = [_integer_column(col) for col in basis]
+        for e, sl in enumerate(_jucys_murphy(rep, B, _factors(n, 1))):
+            for t, (den, num) in enumerate(sl):
+                ce = c.coeffs[e] if e < len(c.coeffs) else 0
+                assert num == ({t: ce * den} if ce else {}), (lam, e, t)
 
 
 def test_hook_3_2():
@@ -252,6 +260,20 @@ def test_compression_is_split_invariant_and_matches_dense():
                     assert dense_G == _diagonal(G), (n, l, lam, len(Y))
 
 
+def test_content_rule_fires_exactly_at_l1():
+    # At l = 1 every factor is the Jucys-Murphy element L_y of 1..y, applied
+    # by contents; at l >= 2 its positions step by l and none qualifies.
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            factors = _factors(n, l)
+            standard = [(xs, y) for xs, y in factors if xs == tuple(range(1, y))]
+            assert standard == (factors if l == 1 else []), (n, l)
+            assert [f for f in factors if _by_contents(*f)] == standard, (n, l)
+
+
 def test_split_rule():
     # The split depends on (n, l, d) alone; d is read from the Kostka number,
     # so no rep is built.  Y and Z always share out every factor.
@@ -267,7 +289,7 @@ def test_split_rule():
     for l in (3, 4):
         assert all(splits(3, l, lam) for lam in admissible_shapes(3, l)), l
     for lam in admissible_shapes(6, 1):
-        assert splits(6, 1, lam) == (kostka(lam, 6, 1) <= 2), lam
+        assert not splits(6, 1, lam), lam
     for (n, l), count in {(4, 2): 10, (4, 3): 22, (5, 2): 14, (6, 2): 17}.items():
         assert sum(splits(n, l, lam) for lam in admissible_shapes(n, l)) == count, (n, l)
     lam = Partition((7, 3, 2))
