@@ -159,7 +159,9 @@ def adet_eval(A: QMatrix, a: Fraction | int, max_size: int | None = None) -> Fra
     m = len(A)
     cap = DEFAULT_ADET_CAP if max_size is None else max_size
     if m > cap:
-        raise CapExceededError(f"matrix size {m} exceeds adet cap {cap}")
+        raise CapExceededError(
+            f"matrix size {m} exceeds the adet cap {cap}; pass max_size (--max-size) to override"
+        )
     if any(len(row) != m for row in A):
         raise SizeMismatchError("matrix is not square")
     if m == 0:
@@ -293,7 +295,8 @@ def cyclic_closure(
     cap = default_cap if max_size is None else max_size
     if n * l > cap:
         raise CapExceededError(
-            f"n*l = {n * l} exceeds the closure cap {cap}; pass max_size to override"
+            f"n*l = {n * l} exceeds the closure cap {cap}; "
+            "pass max_size (--max-size) to override"
         )
     if alpha is not None:
         a = Fraction(alpha)

@@ -13,6 +13,10 @@ where ax is the axial distance (content of k+1 minus content of k in T) and
 c = 1 if ax < 0, c = 1 - 1/ax^2 if ax > 0.  These matrices satisfy the
 Coxeter relations exactly and are self-adjoint for the diagonal Gram form
 computed here, which makes the group action orthogonal without leaving Q.
+The Gram weights are carried along the swap edges T -- T' as integer
+ratios, gamma_{T'}/gamma_T = (ax^2 - 1)/ax^2 for ax < 0, and every edge is
+checked for consistency by cross-multiplication; a closed form in the
+contents is the tests' second route to them.  Only stored values are Fractions.
 
 Each generator is stored once, as the integer matrix m_k rho(s_k) with
 m_k the lcm of ax^2 over the pairs with ax > 0 and of |ax| over the pairs
@@ -37,8 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator
+from math import gcd, lcm
 
 from alphadet.errors import CapExceededError, SizeMismatchError
 from alphadet.exact import QMatrix
@@ -58,25 +61,23 @@ InvariantColumn = dict[int, Fraction]
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:
     """All standard tableaux of shape lam, sorted by row-reading word."""
-    nrows = lam.length
+    parts, m = lam.parts, lam.size
+    rows: list[list[int]] = [[] for _ in parts]
+    out: list[Tableau] = []
 
-    def rec(shape: list[int], m: int) -> Iterator[list[list[int]]]:
-        if m == 0:
-            yield [[] for _ in range(nrows)]
+    def fill(x: int) -> None:
+        # Put x at the end of each row that has room below a longer row.
+        if x > m:
+            out.append(tuple(map(tuple, rows)))
             return
-        for i in range(nrows):
-            if shape[i] > 0 and (i == nrows - 1 or shape[i + 1] < shape[i]):
-                shape[i] -= 1
-                for partial in rec(shape, m - 1):
-                    partial[i].append(m)
-                    yield partial
-                    partial[i].pop()
-                shape[i] += 1
+        for i, row in enumerate(rows):
+            if len(row) < parts[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(x)
+                fill(x + 1)
+                row.pop()
 
-    out = []
-    for grid in rec(list(lam.parts), lam.size):
-        out.append(tuple(tuple(row) for row in grid))
-    out.sort(key=lambda t: tuple(x for row in t for x in row))
+    fill(1)
+    out.sort(key=lambda t: sum(t, ()))
     return out
 
 
@@ -122,7 +123,8 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
     m = lam.size
     if m > cap:
         raise CapExceededError(
-            f"|lam| = {m} exceeds the representation cap {cap}; pass max_size to override"
+            f"|lam| = {m} exceeds the representation cap {cap}; "
+            "pass max_size (--max-size) to override"
         )
     tabs = standard_tableaux(lam)
     f = len(tabs)
@@ -137,7 +139,8 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
     index = {tuple(w): t for t, w in enumerate(words)}
 
     gens: list[IntGenerator] = []
-    swap_edges: list[tuple[int, int, int]] = []
+    # edges[T] lists (T', num, den) with gamma_{T'}/gamma_T = num/den.
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(f)]
     for k in range(1, m):
         # ax = 1 is a shared row and ax = -1 a shared column.
         axes = [c[k + 1] - c[k] for c in contents]
@@ -153,32 +156,33 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
                 t2 = index[(*w[: k - 1], w[k], w[k - 1], *w[k + 1 :])]
                 if ax < 0:
                     cols.append([(t, mk // ax), (t2, mk)])
-                    swap_edges.append((t, t2, ax * ax))
+                    edges[t].append((t2, ax * ax - 1, ax * ax))
                 else:
                     cols.append([(t, mk // ax), (t2, mk - mk // (ax * ax))])
+                    edges[t].append((t2, ax * ax, ax * ax - 1))
         gens.append((mk, cols))
 
-    # Gram weights from gamma_{T'} = (1 - 1/ax^2) gamma_T along swap edges;
-    # the swap graph is connected, and revisits must agree.
-    gram: list[Fraction | None] = [None] * f
-    if f:
-        gram[0] = Fraction(1)
-        frontier = [0]
-        adj: dict[int, list[tuple[int, Fraction]]] = {}
-        for t, t2, ax2 in swap_edges:
-            factor = Fraction(ax2 - 1, ax2)
-            adj.setdefault(t, []).append((t2, factor))
-            adj.setdefault(t2, []).append((t, 1 / factor))
-        while frontier:
-            t = frontier.pop()
-            for t2, factor in adj.get(t, ()):
-                val = gram[t] * factor
-                if gram[t2] is None:
-                    gram[t2] = val
-                    frontier.append(t2)
-                elif gram[t2] != val:
+    # Gram weights from gamma_{T'} = (1 - 1/ax^2) gamma_T for ax < 0, as reduced
+    # integer (num, den) pairs from gamma = 1 at the first tableau (every shape
+    # has one); the swap graph is connected, and every revisit must agree.
+    ratio: list[tuple[int, int] | None] = [None] * f
+    ratio[0] = (1, 1)
+    frontier = [0]
+    while frontier:
+        t = frontier.pop()
+        num, den = ratio[t]
+        for t2, a, b in edges[t]:
+            if ratio[t2] is None:
+                num2, den2 = num * a, den * b
+                g = gcd(num2, den2)
+                ratio[t2] = (num2 // g, den2 // g)
+                frontier.append(t2)
+            else:
+                num2, den2 = ratio[t2]
+                if num2 * den * b != num * a * den2:
                     raise AssertionError("inconsistent Gram weights")
-    assert all(g is not None and g > 0 for g in gram)
+    assert None not in ratio
+    gram = [Fraction(num, den) for num, den in ratio]
     return SeminormalRep(lam, tuple(tabs), tuple(gens), tuple(contents), tuple(gram))
 
 
@@ -239,11 +243,11 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> tuple[InvariantColumn
     if rep.size != n * l:
         raise SizeMismatchError(f"|lam| = {rep.size} is not n*l = {n * l}")
     m = rep.size
-    # Each chain's {tableau: v(T)}, in order of its first tableau.
-    chains: dict[tuple[tuple[int, ...], ...], InvariantColumn] = {}
+    # Each chain's {tableau: (num, den) of v(T)}, in order of its first tableau.
+    chains: dict[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]] = {}
     for t, tab in enumerate(rep.tableaux):
         pos = _positions(tab, m)
-        chain, value = [], Fraction(1)
+        chain, num, den = [], 1, 1
         for start in range(1, m + 1, l):
             block = pos[start : start + l]
             if len({j for _, j in block}) < l:
@@ -253,11 +257,12 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> tuple[InvariantColumn
             for a, cx in enumerate(cs):
                 for cy in cs[a + 1 :]:
                     if cx > cy:
-                        value *= 1 - Fraction(1, cx - cy)
+                        num *= cx - cy - 1
+                        den *= cx - cy
         else:
-            chains.setdefault(tuple(chain), {})[t] = value
+            chains.setdefault(tuple(chain), {})[t] = (num, den)
     columns = []
     for col in chains.values():
-        lead = next(iter(col.values()))
-        columns.append({t: value / lead for t, value in col.items()})
+        p, q = next(iter(col.values()))  # v at the first tableau
+        columns.append({t: Fraction(num * q, den * p) for t, (num, den) in col.items()})
     return tuple(columns)

@@ -218,7 +218,8 @@ def _check_cap(n: int, l: int, max_size: int | None) -> None:
     cap = DEFAULT_ENUM_CAP if max_size is None else max_size
     if n * l > cap:
         raise CapExceededError(
-            f"n*l = {n * l} exceeds the enumeration cap {cap}; pass max_size to override"
+            f"n*l = {n * l} exceeds the enumeration cap {cap}; "
+            "pass max_size (--max-size) to override"
         )
 
 

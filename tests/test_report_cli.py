@@ -423,6 +423,24 @@ def test_cli_cap_exceeded_is_exit_2(capsys):
     assert "exceeds the representation cap 3;" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--n", "13", "--l", "1"],  # the representation cap
+        ["trace", "--n", "11", "--l", "1", "--lam", "11"],  # the enumeration cap
+        ["decompose", "--n", "7", "--l", "1", "--oracle"],  # the closure cap
+        ["adet", "ones9.csv", "--alpha=1"],  # the alpha-determinant cap
+    ],
+)
+def test_cli_cap_error_names_the_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ones9.csv").write_text("1,1,1,1,1,1,1,1,1\n" * 9)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "pass max_size (--max-size) to override" in err
+
+
 def test_cli_explore_json(capsys):
     rc = cli.main(
         ["explore-diagonalizable", "--n", "2", "--l", "2", "--lam", "3,1",

@@ -1,8 +1,10 @@
 """Seminormal representations: defining relations, characters, invariants."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,28 @@ def test_standard_tableaux_counts():
             for i in range(len(t) - 1):
                 for j in range(len(t[i + 1])):
                     assert t[i][j] < t[i + 1][j]
+
+
+def test_standard_tableaux_order_matches_brute_force():
+    # Fill the shape row by row with every permutation of 1..m and keep the
+    # standard fillings; sorted by row-reading word they are the tableaux,
+    # in order.  B's columns are ordered by their first tableau.
+    for m in range(1, 8):
+        for lam in partitions(m):
+            fillings = []
+            for word in itertools.permutations(range(1, m + 1)):
+                rows, start = [], 0
+                for part in lam.parts:
+                    rows.append(word[start : start + part])
+                    start += part
+                if all(list(row) == sorted(row) for row in rows) and all(
+                    upper[j] < lower[j]
+                    for upper, lower in zip(rows, rows[1:])
+                    for j in range(len(lower))
+                ):
+                    fillings.append(tuple(rows))
+            fillings.sort(key=lambda t: tuple(x for row in t for x in row))
+            assert standard_tableaux(lam) == fillings, lam
 
 
 def test_generator_relations():
@@ -110,15 +134,41 @@ def test_trace_equals_character():
 
 
 def test_gram_makes_generators_selfadjoint():
-    for parts in [(2, 1), (2, 2), (3, 2)]:
-        rep = build_rep(Partition(parts))
-        gamma = rep.gram
-        assert all(w > 0 for w in gamma)
-        for k in range(1, rep.size):
-            M = generator_matrix(rep, k)
-            for i in range(rep.dim):
-                for j in range(rep.dim):
-                    assert gamma[i] * M[i][j] == M[j][i] * gamma[j]
+    # gamma_i M[i][j] == M[j][i] gamma_j for every generator, read from the
+    # sparse integer columns: m_k is common to both sides.
+    for m in range(1, 8):
+        for lam in partitions(m):
+            rep = build_rep(lam)
+            gamma = rep.gram
+            assert all(w > 0 for w in gamma), lam
+            for k, (_, cols) in enumerate(rep.gen_cols, start=1):
+                entries = {(i, j): v for j, col in enumerate(cols) for i, v in col}
+                for (i, j), v in entries.items():
+                    assert gamma[i] * v == entries.get((j, i), 0) * gamma[j], (lam, k, i, j)
+
+
+def _content_product(contents):
+    # P(T): the product of 1 - 1/delta^2 over x < y with
+    # delta = c_T(x) - c_T(y) >= 2.
+    p = Fraction(1)
+    for x, cx in enumerate(contents[1:], start=1):
+        for cy in contents[x + 1 :]:
+            if cx - cy >= 2:
+                p *= 1 - Fraction(1, (cx - cy) ** 2)
+    return p
+
+
+def test_gram_weights_closed_form():
+    # A second route to the Gram weights, from the contents alone:
+    # gamma_T P(T) = P(T_0) with T_0 the first tableau, where gamma = 1.
+    for m in range(1, 9):
+        for lam in partitions(m):
+            rep = build_rep(lam)
+            assert rep.gram[0] == 1, lam
+            assert all(type(g) is Fraction for g in rep.gram), lam
+            p0 = _content_product(rep.contents[0])
+            for t, c in enumerate(rep.contents):
+                assert rep.gram[t] * _content_product(c) == p0, (lam, t)
 
 
 def test_contents_are_jucys_murphy_eigenvalues():
@@ -214,6 +264,40 @@ def test_invariant_basis_is_canonical_beyond_the_stacked_nullspace(n, l):
         firsts = [support[0] for support in supports]
         assert firsts == sorted(firsts), lam
         assert all(col[first] == 1 for col, first in zip(cols, firsts)), lam
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _seminormal_text(max_m):
+    # Canonical text of the seminormal construction for every shape with
+    # m <= max_m: tableaux, integer generators, contents, Gram weights and
+    # the invariant basis at every (n, l) with nl = m.
+    lines = []
+    for m in range(1, max_m + 1):
+        for lam in partitions(m):
+            rep = build_rep(lam)
+            lines.append(f"shape {','.join(map(str, lam.parts))}")
+            for t, tab in enumerate(rep.tableaux):
+                lines.append(f"T {t} {'/'.join(' '.join(map(str, row)) for row in tab)}")
+            for k, (mk, cols) in enumerate(rep.gen_cols, start=1):
+                lines.append(f"s {k} {mk} {cols}")
+            for t, c in enumerate(rep.contents):
+                lines.append(f"c {t} {c}")
+            lines.append("gram " + " ".join(f"{g.numerator}/{g.denominator}" for g in rep.gram))
+            for n in range(1, m + 1):
+                if m % n == 0:
+                    for col in invariant_basis(rep, n, m // n):
+                        entries = " ".join(
+                            f"{t}:{v.numerator}/{v.denominator}" for t, v in col.items()
+                        )
+                        lines.append(f"B {n} {m // n} {entries}")
+    return "\n".join(lines) + "\n"
+
+
+def test_seminormal_construction_golden_digest():
+    expected = (GOLDEN / "seminormal_m8.sha256").read_text().split()[0]
+    assert hashlib.sha256(_seminormal_text(8).encode()).hexdigest() == expected
 
 
 def test_rep_cap():
