@@ -17,6 +17,13 @@ n*l lies in the cone, so the counts read nothing else, and a lowering image
 that leaves the cone can never come back to it (each simple lowering lowers
 one partial sum by one), so dropping those images loses nothing inside it.
 
+The closure fills the module one weight space at a time, against a size
+known before any work: every image of weight w lies in the span of the
+monomials of weight w whose every column has degree l, and their number
+comes from one DP over the columns.  Once a weight space holds that many
+rows it is full, so a later image of its weight reduces to zero and is
+skipped unbuilt, and its reduced echelon rows are its unit monomials.
+
 All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
 row: a dict from monomial to int, primitive, with a positive lead.  Inside
@@ -55,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
+from types import MappingProxyType
 
 from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
 from alphadet.exact import QMatrix, mat_identity, mat_mul
@@ -225,12 +233,14 @@ def _cone_weights(n: int, l: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cone_monomial_count(n: int, l: int) -> int:
-    """Number of monomials whose every column has degree l and whose weight
-    lies in the cone: the dimension of the generic module's cone part.
+@cache
+def _weight_monomial_counts(n: int, l: int) -> Mapping[tuple[int, ...], int]:
+    """The number of monomials of each weight whose every column has degree
+    l: n x n exponent matrices with column sums l, counted by row sums.
 
-    A DP over the columns on the weight reached so far; for l = 1 it is
-    (n+1)^(n-1).
+    A DP over the columns on the weight reached so far; a weight with no
+    such monomial is absent.  Built on first use, cached per (n, l) and
+    read-only.
     """
     columns = []
     for rows in itertools.combinations_with_replacement(range(n), l):
@@ -246,7 +256,14 @@ def cone_monomial_count(n: int, l: int) -> int:
                 v = tuple(a + b for a, b in zip(w, c))
                 nxt[v] = nxt.get(v, 0) + count
         states = nxt
-    return sum(count for w, count in states.items() if _in_cone(w, l))
+    return MappingProxyType(states)
+
+
+def cone_monomial_count(n: int, l: int) -> int:
+    """Number of monomials whose every column has degree l and whose weight
+    lies in the cone: the dimension of the generic module's cone part.  For
+    l = 1 it is (n+1)^(n-1)."""
+    return sum(c for w, c in _weight_monomial_counts(n, l).items() if _in_cone(w, l))
 
 
 @dataclass(frozen=True)
@@ -378,45 +395,60 @@ def _close(n: int, l: int, a: Fraction) -> RowReducer:
     which gives U(n+) gen; phase 2 closes that under the simple lowering
     operators E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is
     U(gl_n) gen: the Cartan part U(h) only scales weight-homogeneous rows,
-    and the simple operators generate n+ and n-.  Raising from (l^n) never
-    leaves the cone.  A lowering E_j+1,j lowers the partial sum
-    mu_1 + ... + mu_j by one and no operator of phase 2 raises one, so an
-    image that leaves the cone never returns to it: phase 2 skips those
-    images, and what remains is exactly the module's cone part.  Each image
-    is reduced against the current echelon rows and kept when it is new;
-    the caller's back reduction makes the basis the unique reduced echelon
+    and the simple operators generate n+ and n-.  Each image is reduced
+    against the current echelon rows and kept when it is new.
+
+    The work goes weight space by weight space.  Each row carries its
+    weight, and E_ij moves it by e_i - e_j.  room[w] starts as the number
+    of monomials of weight w whose every column has degree l, the dimension
+    of the space every image of weight w lies in, and drops by one with
+    each row kept; once it is 0, an image of weight w reduces to zero, so
+    it is skipped unbuilt.  room holds only cone weights.  Raising from
+    (l^n) never leaves the cone, and a lowering E_j+1,j lowers the partial
+    sum mu_1 + ... + mu_j by one while no operator of phase 2 raises one,
+    so an image that leaves the cone never returns to it: those images are
+    skipped too, and what remains is exactly the module's cone part.  The
+    reduced echelon rows of a full weight space are its unit monomials, and
+    rows of different weights share no monomial, so the rows of full spaces
+    are returned as unit rows; the caller's back reduction then touches
+    only the other spaces and makes the basis the unique reduced echelon
     form of the cone part, whatever the elimination order.
     """
     b = l.bit_length()
     mask = (1 << b) - 1
     reducer = RowReducer()
-    raising = [_packed_shifts(i, i + 1, n, b) for i in range(1, n)]
-    lowering_shifts = [_packed_shifts(j + 1, j, n, b) for j in range(1, n)]
+    room = {w: c for w, c in _weight_monomial_counts(n, l).items() if _in_cone(w, l)}
+    rows: list[tuple[dict[int, int], tuple[int, ...]]] = []
 
-    def lowering(row):
-        """The simple lowering operators whose image of row stays in the cone."""
-        ops = []
-        s = 0
-        for j, x in enumerate(_monomial_weight(_unpack(max(row), n, b), n)[:-1], 1):
-            s += x
-            if s > j * l:
-                ops.append(lowering_shifts[j - 1])
-        return ops
+    def operator(i, j):
+        """E_ij's packed shifts and the weight e_i - e_j it adds."""
+        return _packed_shifts(i, j, n, b), tuple([(k == i) - (k == j) for k in range(1, n + 1)])
 
-    def close(ops_of):
-        """Close the span of the current rows under ops_of(row)."""
-        queue = deque(reducer.pivots.values())
+    def insert(row, w):
+        reducer.insert(row)
+        room[w] -= 1
+        rows.append((row, w))
+
+    def close(ops):
+        """Close the span of the current rows under ops."""
+        queue = deque(rows)
         while queue:
-            row = queue.popleft()
-            for shifts in ops_of(row):
-                new = reducer.reduce(_polarize(row, shifts, mask))
-                if new:
-                    reducer.insert(new)
-                    queue.append(new)
+            row, w = queue.popleft()
+            for shifts, step in ops:
+                v = tuple([x + d for x, d in zip(w, step)])
+                if room.get(v):
+                    new = reducer.reduce(_polarize(row, shifts, mask))
+                    if new:
+                        insert(new, v)
+                        queue.append((new, v))
 
-    reducer.insert(reducer.reduce(_generator(n, l, a)))
-    close(lambda row: raising)
-    close(lowering)
+    insert(reducer.reduce(_generator(n, l, a)), (l,) * n)
+    close([operator(i, i + 1) for i in range(1, n)])
+    close([operator(j + 1, j) for j in range(1, n)])
+    # pivots keep insertion order, one new lead per insert
+    for lead, (_, w) in zip(list(reducer.pivots), rows):
+        if not room[w]:
+            reducer.pivots[lead] = {lead: 1}
     return reducer
 
 

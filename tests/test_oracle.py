@@ -4,6 +4,7 @@ cyclic closures, highest weight multiplicities, and the Vere-Jones series."""
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -679,6 +680,104 @@ def test_generic_closure_is_the_whole_space(n, l, max_size):
     assert [list(g.terms.items()) for g in basis.generators] == [
         [(m, 1)] for m in sorted(cone_monomials, reverse=True)
     ]
+
+
+@pytest.mark.parametrize(
+    "n, l", [(n, l) for n in range(1, 7) for l in range(1, 7 // n + 1) if n * l <= 6], ids=str
+)
+def test_weight_monomial_counts_match_enumeration(n, l):
+    # Every n x n exponent matrix whose columns each sum to l, counted by
+    # its row sums.
+    columns = [c for c in itertools.product(range(l + 1), repeat=n) if sum(c) == l]
+    expected = Counter(
+        tuple(sum(col[i] for col in grid) for i in range(n))
+        for grid in itertools.product(columns, repeat=n)
+    )
+    assert oracle._weight_monomial_counts(n, l) == dict(expected)
+
+
+@pytest.mark.parametrize(
+    "n, l, count",
+    [(3, 1, 16), (2, 4, 15), (3, 2, 107), (4, 1, 125), (4, 2, 3965), (6, 1, 16807)],
+    ids=str,
+)
+def test_cone_monomial_count_is_pinned(n, l, count):
+    assert oracle.cone_monomial_count(n, l) == count
+
+
+def _packed_weight(row, n, l):
+    return oracle._monomial_weight(oracle._unpack(max(row), n, l.bit_length()), n)
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha, full_spaces",
+    [
+        (3, 2, Fraction(2), 12),
+        (4, 1, Fraction(2), 14),
+        (3, 2, Fraction(1), 1),
+        (2, 4, Fraction(1), 1),
+        (3, 2, Fraction(-1, 2), 0),
+    ],
+    ids=str,
+)
+def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alpha, full_spaces):
+    # A weight space of the closure holds at most its monomials' count of
+    # rows; once it holds that many, an image of its weight must be skipped
+    # unbuilt, and the space's rows are its unit monomials.
+    table = oracle._weight_monomial_counts(n, l)
+    held = Counter()
+    reduce, insert = RowReducer.reduce, RowReducer.insert
+
+    def checked_reduce(self, row):
+        if row:
+            w = _packed_weight(row, n, l)
+            assert _in_cone(w, l)
+            assert held[w] < table[w], f"image reduced into the full weight space {w}"
+        return reduce(self, row)
+
+    def counted_insert(self, row):
+        held[_packed_weight(row, n, l)] += 1
+        insert(self, row)
+
+    monkeypatch.setattr(RowReducer, "reduce", checked_reduce)
+    monkeypatch.setattr(RowReducer, "insert", counted_insert)
+    reducer = oracle._close(n, l, alpha)
+    assert sum(held.values()) == len(reducer.pivots)
+    full = {w for w, k in held.items() if k == table[w]}
+    assert len(full) == full_spaces
+    for lead, row in reducer.pivots.items():
+        if _packed_weight(row, n, l) in full:
+            assert row == {lead: 1}
+
+
+@pytest.mark.parametrize("n, l", [(3, 2), (4, 1)], ids=str)
+def test_closure_at_a_full_alpha_is_the_generic_basis(n, l):
+    # At alpha = 2 every weight space fills, so the specialized basis is the
+    # generic one, unit monomial for unit monomial.
+    special, generic = cyclic_closure(n, l, alpha=2), cyclic_closure(n, l)
+    assert [g.terms for g in special.generators] == [g.terms for g in generic.generators]
+    assert special.weights == generic.weights
+    assert special.dim == oracle.cone_monomial_count(n, l)
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(3, 2, Fraction(-1, 2)), (4, 1, Fraction(-1, 2)), (3, 2, Fraction(1)), (2, 4, Fraction(1))],
+    ids=str,
+)
+def test_closure_back_reduces_the_spaces_that_stay_short(n, l, alpha):
+    # Where weight spaces stay short of their monomials, their rows are
+    # back-reduced rows of several terms; the spaces that fill (one each at
+    # alpha = 1, none at -1/2) are unit rows; and together they are the
+    # tuple route's rows.
+    basis = cyclic_closure(n, l, alpha=alpha)
+    table = oracle._weight_monomial_counts(n, l)
+    dims = Counter(basis.weights)
+    assert any(len(g.terms) > 1 for g in basis.generators)
+    for g, w in zip(basis.generators, basis.weights):
+        if dims[w] == table[w]:
+            assert list(g.terms.values()) == [1]
+    assert [g.terms for g in basis.generators] == tuple_closure(n, l, alpha)
 
 
 CLOSURE_DIGESTS = {
