@@ -29,7 +29,9 @@ fraction-free until they divide by m_k.
 right action: rep_of(g o h) = rep_of(h) @ rep_of(g).  Because every operator
 assembled downstream is a sum over a subgroup closed under inversion with
 inversion-invariant coefficients, all derived quantities are independent of
-this orientation choice.
+this orientation choice.  The relabeling rho(w) in `transition` is not such
+a sum: it applies the letters of w's bubble-sort word in the order the sort
+finds them, which is rep_of(w^-1) in this orientation.
 
 `invariant_basis` returns the fixed vectors of the row group as d sparse
 columns {tableau index: value}, one per chain of horizontal strips.  Their
@@ -99,13 +101,16 @@ class SeminormalRep:
     contents[T][y] is the content col - row of the entry y in tableau T,
     for y = 1..m, with contents[T][0] = 0 so that y indexes it directly:
     m + 1 ints per tableau.  It is the eigenvalue of the Jucys-Murphy
-    element L_y = sum_{x<y} (x y) on the basis vector of T.
+    element L_y = sum_{x<y} (x y) on the basis vector of T.  rows[T] is
+    the row word of T: rows[T][x-1] is the 0-based row of the entry x, so
+    its column is contents[T][x] + rows[T][x-1].
     """
 
     shape: Partition
     tableaux: tuple[Tableau, ...]
     gen_cols: tuple[IntGenerator, ...]
     contents: tuple[list[int], ...]
+    rows: tuple[list[int], ...]
     gram: tuple[Fraction, ...]
 
     @property
@@ -183,7 +188,7 @@ def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
                     raise AssertionError("inconsistent Gram weights")
     assert None not in ratio
     gram = [Fraction(num, den) for num, den in ratio]
-    return SeminormalRep(lam, tuple(tabs), tuple(gens), tuple(contents), tuple(gram))
+    return SeminormalRep(lam, tuple(tabs), tuple(gens), tuple(contents), tuple(words), tuple(gram))
 
 
 def rep_of(rep: SeminormalRep, g: Permutation) -> QMatrix:
@@ -245,15 +250,14 @@ def invariant_basis(rep: SeminormalRep, n: int, l: int) -> tuple[InvariantColumn
     m = rep.size
     # Each chain's {tableau: (num, den) of v(T)}, in order of its first tableau.
     chains: dict[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]] = {}
-    for t, tab in enumerate(rep.tableaux):
-        pos = _positions(tab, m)
+    for t, (rows, contents) in enumerate(zip(rep.rows, rep.contents)):
         chain, num, den = [], 1, 1
-        for start in range(1, m + 1, l):
-            block = pos[start : start + l]
-            if len({j for _, j in block}) < l:
+        for start in range(0, m, l):
+            block = rows[start : start + l]
+            cs = contents[start + 1 : start + l + 1]
+            if len({c + i for c, i in zip(cs, block)}) < l:
                 break
-            chain.append(tuple(sorted(i for i, _ in block)))
-            cs = [j - i for i, j in block]
+            chain.append(tuple(sorted(block)))
             for a, cx in enumerate(cs):
                 for cy in cs[a + 1 :]:
                     if cx > cy:

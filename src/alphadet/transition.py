@@ -9,72 +9,91 @@ the cyclic module generated by the l-th power of the alpha-determinant, and
 its rank at a rational point is the specialized multiplicity.
 
 The operator is assembled in factored form, on the d invariant columns
-only: no f x f matrix is built.  H is the internal direct product of its l
-column subgroups, each a copy of S_n on the positions x_q = p + (q-1) l of
-column p, and nu is additive across these factors.  Within one factor the
-Jucys-Murphy elements L_k = sum_{i<k} (x_i x_k) give
+only: no f x f matrix is built.  The block tableau is filled row by row,
+so column p of H holds the positions p + (q-1) l, q = 1..n, and K is the
+row group of the blocks {(q-1) l + 1 .. q l}.  The assembly works in
+column-major labels instead: w maps p + (q-1) l to (p-1) n + q, so
+H' = w H w^-1 is the column group whose column p holds s+1..s+n,
+s = (p-1) n.  rho is orthogonal for the seminormal Gram form D, so
+
+    B^T D (sum_{h in H} alpha^nu(h) h) B = B'^T D (sum_{h in H'} alpha^nu(h) h) B'
+
+with B' = rho(w) B: B under the C(n,2) C(l,2) letters of w's bubble-sort
+word, applied once to each column in the order the sort finds them (in
+the right action of `seminormal.rep_of`, rep_of(w^-1)), with one gcd per
+column.  At n = 1 or l = 1, w is the identity and B' = B.  H' is the
+internal direct product of its l column subgroups, each a copy of S_n,
+and nu is additive across them.  Within column p the Jucys-Murphy
+elements L_k = sum_{i<k} (s+i s+k) give
 
     sum_{sigma in S_n} alpha^nu(sigma) sigma = prod_{k=2..n} (1 + alpha L_k),
 
 since every sigma is uniquely a product t_2 t_3 ... t_n where t_k is the
-identity or one transposition (x_i x_k) with i < k, and each transposition
+identity or one transposition (s+i s+k) with i < k, and each transposition
 adds one to nu.  So the operator is the product of the factors
 (1 + alpha L_k) over every column p and k = 2..n, all of which commute.
-The image of the basis is held as integer slices T = sum_e alpha^e T_e:
-each column of T_e is one positive denominator over sparse integer
-numerators, and each factor maps T_e to T_e + L_k T_{e-1}.  A
-transposition (x y) is applied straight to the sparse columns through the
-seminormal generators, along its palindromic word s_x ... s_{y-1} ... s_x.
-The rep stores each generator as the integer matrix m_k rho(s_k), so a
-letter multiplies the numerators by integers and the denominator by m_k.
-At l = 1 column p = 1 holds every position, so L_k = sum_{i<k} (i k) is
-the Jucys-Murphy element of S_n, and Young's seminormal basis is its
-eigenbasis: L_k e_T = c_T(k) e_T, with c_T(k) the content of k in T
-(Okounkov-Vershik).  Such a factor is applied by contents, as one letter
-that scales the numerator at tableau T by `rep.contents[T][k]`, with no
-word and no generator; for l >= 2 no factor's positions are 1..k-1, and
-every factor keeps its words.  A factor's images are summed over one lcm
-and reduced by one gcd, so the slices are in lowest terms between
-factors.
+The image of B' is held as integer slices T = sum_e alpha^e T_e: each
+column of T_e is one positive denominator over sparse integer numerators,
+and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
+applied straight to the sparse columns through the seminormal generators,
+along its palindromic word s_x ... s_{y-1} ... s_x of 2(y-x) - 1 letters,
+so the factor with k transpositions has k^2 letters at every l, where
+the row-major labels need k(k+1) l - k.  The rep stores each generator as
+the integer matrix m_k rho(s_k), so a letter multiplies the numerators by
+integers and the denominator by m_k.  Column 1 holds 1..n, so its factors
+carry the Jucys-Murphy elements L_k = sum_{i<k} (i k) of S_k < S_nl, and
+Young's seminormal basis is their eigenbasis: L_k e_T = c_T(k) e_T, with
+c_T(k) the content of k in T (Okounkov-Vershik).  Those n - 1 factors are
+applied by contents at every l, as one letter that scales the numerator
+at tableau T by `rep.contents[T][k]`, with no word and no generator; no
+other column starts at 1, and every other factor keeps its words.  A
+factor's images are summed over one lcm and reduced by one gcd, so the
+slices are in lowest terms between factors.
 
-The compression meets the factors in the middle.  rho is orthogonal for
-the seminormal Gram form D and a transposition is an involution, so
-rho(t)^T D = D rho(t): every factor is self-adjoint for D.  As they also
-commute, B^T D (prod of all factors) B = (Y B)^T D (Z B) for any split of
-the factors into two groups Y and Z.  The factors, costliest first, are
-dealt alternately into Y and Z, and each group is applied to B on its
-own, so each carries about half of the (n-1) l + 1 slices.  A factor
-with k words has w = k(k+1) l - k letters, a factor applied by contents
-has w = 1, and the j-th factor applied meets j slices, so one group costs
-sum_j j w_j letter passes per column.  The compression then takes
-d (|Y|+1)(|Z|+1) dot-product passes per column, each over at most f
-entries, as a letter pass is.  The factors are split iff the two groups'
-letter passes plus those dot products are fewer than the letter passes
-of applying every factor in turn.  This needs only (n, l, d), so it is
-decided before any factor is applied.  Otherwise Y is empty, Y B = B,
+The compression meets the factors in the middle.  A transposition is an
+involution and rho(t)^T D = D rho(t): every factor is self-adjoint for
+D.  As they also commute, B'^T D (prod of all factors) B' = (Y B')^T D
+(Z B') for any split of the factors into two groups Y and Z.  The
+factors, costliest first, are dealt alternately into Y and Z, and each
+group is applied to B' on its own, so each carries about half of the
+(n-1) l + 1 slices.  The split is priced in passes over a column: a
+factor makes one per letter, one per word to add its image in and one to
+reduce the sum, k^2 + k + 1 for k transpositions and 3 for a factor
+applied by contents, on each slice it meets, and the j-th factor applied
+meets j slices.  The compression makes o (|Y|+1)(|Z|+1) passes, where
+o = nnz(B') / f is the mean number of columns of B' on a tableau: each
+entry of a Z slice meets the entries of the Y slices on its tableau.
+B's columns have disjoint supports, but rho(w) mixes them: a column of
+B' fills from a quarter to all of the f tableaux on the shapes measured,
+so o, counted once B' is built, runs up to d.  The factors are split iff
+the two groups' passes plus their compression are fewer than the passes
+of applying every factor in turn plus its compression, o (|F|+1) for |F|
+factors.  rho(w)'s letters are paid once per column either way.  This is
+decided before any factor is applied.  Otherwise Y is empty, Y B' = B',
 and the same compression runs with one slice on the left.  It splits
-every n = 2 shape with l >= 3 and every shape of (3,3) and (3,4), and
-leaves every l = 1 shape, whose factors cost one letter pass each, and
-large d, such as (7,3,2) at (6,2) with d = 115, unsplit.
+every shape with n = 2 and l >= 2, every shape of (3,3), (3,4) and (4,2),
+and every l = 1 shape with n >= 3, whose per-slice passes outweigh the
+compression; it leaves large o, such as (7,3,2) at (6,2), where d = 115
+and o = 30, unsplit.
 
-The slices are compressed to F = A / diag(G), A = (Y B)^T D (Z B), with A
-sparse.  B is held as its d sparse columns (`seminormal.invariant_basis`),
+The slices are compressed to F = A / diag(G), A = (Y B')^T D (Z B'), with
+A sparse.  B is held as its d sparse columns (`seminormal.invariant_basis`),
 and they have disjoint supports: each tableau i belongs to at most one
-column r.  So G = B^T D B is diagonal and is kept as its d diagonal
-entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is inverted, and no
-f x d or d x d table of Fractions is built.  Row r of (Y B)^T D is kept as
-integer weights over one lcm, and each tableau lists the rows that carry
-it, so a column of Z B meets only the rows whose support it shares; with
-Y empty each tableau has at most one owner.  Each entry of A is an
-integer sum per power of alpha, and each coefficient of F is one
-Fraction.  At l = 1, column c is {c: 1} and G = D, so F is the content
-polynomial times I.
+column r.  So G = B^T D B = B'^T D B' is diagonal and is read from B as
+its d diagonal entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is
+inverted, and no f x d or d x d table of Fractions is built.  Row r of
+(Y B')^T D is kept as integer weights over one lcm, and each tableau
+lists the rows that carry it, so a column of Z B' meets only the rows
+whose support it shares.  Each entry of A is an integer sum per power of
+alpha, and each coefficient of F is one Fraction.  At l = 1, column c is
+{c: 1} and G = D, so F is the content polynomial times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
-the same matrix in the same (canonical) basis, and a dense compression of
-the unsplit slices as a second route to F and G, which every split must
-match.
+the same matrix in the same (canonical) basis, the row-major factors with
+rho(w) from `rep_of` as a second route to every slice, and a dense
+compression of the unsplit slices as a second route to F and G, which
+every split must match.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
 spherical values averaged over K, summed over H with alpha^nu weights.
@@ -90,9 +109,23 @@ from operator import mul
 
 from alphadet.errors import EmptyInvariantSpaceError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, rank_at
-from alphadet.seminormal import InvariantColumn, SeminormalRep, build_rep, invariant_basis
+from alphadet.seminormal import (
+    IntGenerator,
+    InvariantColumn,
+    SeminormalRep,
+    build_rep,
+    invariant_basis,
+)
 from alphadet.seminormal import rep_of  # noqa: F401  (perfbench traces transition.rep_of)
-from alphadet.symgrp import Partition, _coset_average, enumerate_H, enumerate_K, nu
+from alphadet.symgrp import (
+    Partition,
+    Permutation,
+    _coset_average,
+    adjacent_word,
+    enumerate_H,
+    enumerate_K,
+    nu,
+)
 
 
 @dataclass(frozen=True)
@@ -123,25 +156,16 @@ IntColumn = tuple[int, dict[int, int]]
 Slices = list[list[IntColumn]]
 
 # The factor 1 + alpha L_y, L_y = sum_{x in xs} (x y): xs are the positions
-# above y in one column of the block tableau.
+# above y in one column of H', in column-major labels.
 Factor = tuple[tuple[int, ...], int]
 
 
-def _factors(n: int, l: int) -> list[Factor]:
-    """The (n-1) l factors of sum_{h in H} alpha^nu(h) h, costliest first:
-    column p holds x_q = p + (q-1) l, and its factor for x_{k+1} has the k
-    transpositions (x_i x_{k+1}), i <= k."""
-    return [
-        (tuple(range(p, p + k * l, l)), p + k * l)
-        for k in range(n - 1, 0, -1)
-        for p in range(1, l + 1)
-    ]
-
-
-def _passes(letters: list[int]) -> int:
-    """Letter passes per column of applying factors with these letter
-    counts in turn: the j-th factor meets j slices."""
-    return sum(map(mul, letters, range(1, len(letters) + 1)))
+def _relabeling(n: int, l: int) -> list[int]:
+    """The letters of rho(w), w the relabeling p + (q-1) l -> (p-1) n + q
+    of the block tableau's entries, in the order bubble sort finds them:
+    C(n,2) C(l,2) letters, none at n = 1 or l = 1."""
+    w = Permutation([(x % l) * n + x // l + 1 for x in range(n * l)])
+    return adjacent_word(w)[::-1]
 
 
 def _by_contents(xs: tuple[int, ...], y: int) -> bool:
@@ -150,23 +174,52 @@ def _by_contents(xs: tuple[int, ...], y: int) -> bool:
     return xs == tuple(range(1, y))
 
 
-def _split(n: int, l: int, d: int) -> tuple[list[Factor], list[Factor]]:
-    """The factors dealt into Y, applied to B on the left of the
-    compression, and Z, applied on the right.
+def _cost(xs: tuple[int, ...], y: int) -> int:
+    """Passes over a column that a factor makes per slice: one per letter,
+    one per word to add its image in, and one to reduce the sum.  (x y) is
+    a word of 2(y-x) - 1 letters, so k transpositions of one column make
+    k^2 + k + 1 passes; a factor applied by contents is one word of one
+    letter, 3 passes."""
+    return 3 if _by_contents(xs, y) else sum(2 * (y - x) for x in xs) + 1
 
-    The alternating deal is taken iff its letter passes plus the
-    compression's d (|Y|+1)(|Z|+1) dot-product passes per column are fewer
-    than the letter passes of applying every factor in turn; otherwise Y
-    is empty.  (x_i x_{k+1}) is a word of 2(k+1-i) l - 1 letters, so a
-    factor's k words have k(k+1) l - k; a factor applied by contents is
-    one letter.
+
+def _factors(n: int, l: int) -> list[Factor]:
+    """The (n-1) l factors of sum_{h in H'} alpha^nu(h) h, costliest first:
+    column p holds s+1..s+n, s = (p-1) n, and its factor for s+k+1 has the k
+    transpositions (s+i s+k+1), i <= k, k^2 letters in all."""
+    factors = [
+        (tuple(range(s + 1, s + k + 1)), s + k + 1)
+        for s in range(0, n * l, n)
+        for k in range(n - 1, 0, -1)
+    ]
+    return sorted(factors, key=lambda f: -_cost(*f))
+
+
+def _passes(costs: list[int]) -> int:
+    """Passes per column of applying factors with these costs in turn: the
+    j-th factor meets j slices."""
+    return sum(map(mul, costs, range(1, len(costs) + 1)))
+
+
+def _split(n: int, l: int, f: int, entries: int) -> tuple[list[Factor], list[Factor]]:
+    """The factors dealt into Y, applied to B' on the left of the
+    compression, and Z, applied on the right, for a B' with `entries`
+    nonzeros over f tableaux.
+
+    The factors, costliest first, are dealt alternately into Y and Z iff
+    that takes fewer passes per column than applying them all in turn;
+    otherwise Y is empty.  Each side pays its factors' passes (`_passes`)
+    and the compression: each entry of a Z slice meets the entries of the
+    Y slices on its tableau, o = entries / f per slice on average, so
+    the compression makes o (|Y|+1)(|Z|+1) passes.  rho(w)'s letters are
+    paid once per column either way.
     """
     factors = _factors(n, l)
-    letters = [
-        1 if _by_contents(xs, y) else len(xs) * ((len(xs) + 1) * l - 1) for xs, y in factors
-    ]
-    Y, Z = letters[::2], letters[1::2]
-    if _passes(Y) + _passes(Z) + d * (len(Y) + 1) * (len(Z) + 1) < _passes(letters):
+    costs = [_cost(*fc) for fc in factors]
+    Y, Z = costs[::2], costs[1::2]
+    # Both sides times f, so the comparison stays in integers.
+    split = f * (_passes(Y) + _passes(Z)) + entries * (len(Y) + 1) * (len(Z) + 1)
+    if split < f * _passes(costs) + entries * (len(costs) + 1):
         return factors[::2], factors[1::2]
     return [], factors
 
@@ -175,6 +228,34 @@ def _integer_column(col: InvariantColumn) -> IntColumn:
     """An invariant column over the lcm of its denominators."""
     den = lcm(*(v.denominator for v in col.values()))
     return den, {i: int(v * den) for i, v in col.items()}
+
+
+def _word(word: list[IntGenerator], vec: dict[int, int]) -> dict[int, int]:
+    """The integer generators of a word applied to sparse numerators, first
+    letter first; the image is scaled by the product of the letters' m_k."""
+    for _, gen in word:
+        out: dict[int, int] = {}
+        for r, v in vec.items():
+            for i, g in gen[r]:
+                if i in out:
+                    out[i] += g * v
+                else:
+                    out[i] = g * v
+        vec = out
+    return vec
+
+
+def _relabel(rep: SeminormalRep, B: list[IntColumn], letters: list[int]) -> list[IntColumn]:
+    """B' = rho(w) B from the letters of `_relabeling`, with no reduction
+    between letters and one gcd per column."""
+    word = [rep.gen_cols[w - 1] for w in letters]
+    S = prod(m for m, _ in word)
+    out = []
+    for den, num in B:
+        vec = {i: v for i, v in _word(word, num).items() if v}
+        g = gcd(den * S, *vec.values())
+        out.append((den * S // g, {i: v // g for i, v in vec.items()}))
+    return out
 
 
 def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor]) -> Slices:
@@ -216,18 +297,8 @@ def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor])
                 acc = {i: v * (L // old_den) for i, v in old.items()}
                 s = L // (den * S)
                 for word, lift in zip(words, lifts):
-                    vec = num
-                    for _, gen in word:
-                        out: dict[int, int] = {}
-                        for r, v in vec.items():
-                            for i, g in gen[r]:
-                                if i in out:
-                                    out[i] += g * v
-                                else:
-                                    out[i] = g * v
-                        vec = out
                     t = s * lift
-                    for i, v in vec.items():
+                    for i, v in _word(word, num).items():
                         if i in acc:
                             acc[i] += v * t
                         else:
@@ -310,8 +381,11 @@ def transition_matrix(
         raise EmptyInvariantSpaceError(
             f"shape {lam!r} has no row-group invariants for (n, l) = ({n}, {l})"
         )
-    Y, Z = _split(n, l, len(basis))
     B = [_integer_column(col) for col in basis]
+    letters = _relabeling(n, l)
+    if letters:
+        B = _relabel(rep, B, letters)
+    Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in B))
     F, G = _compress(rep, basis, _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z))
     return TransitionMatrix(
         shape=lam,

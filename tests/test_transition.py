@@ -1,8 +1,10 @@
 """Transition matrices: frozen small cases, structural invariants, and the
 independent trace route."""
 
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +17,15 @@ from alphadet.errors import (
 from alphadet.exact import PolyMatrix, PolyQ, generic_rank, mat_mul
 from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
-from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, kostka, nu
+from alphadet.symgrp import Partition, Permutation, admissible_shapes, enumerate_H, kostka, nu
 from alphadet.transition import (
     _by_contents,
     _compress,
     _factors,
     _integer_column,
     _jucys_murphy,
+    _relabel,
+    _relabeling,
     _split,
     trace_poly,
     transition_matrix,
@@ -35,6 +39,8 @@ from reference import (
 )
 
 A = PolyQ([0, 1])
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def entry00(n, l, parts):
@@ -207,11 +213,59 @@ def test_jucys_murphy_assembly_matches_sum_over_H():
                 assert G == _diagonal(tm.gram), (n, l, lam)
 
 
+def _relabeled(rep, n, l):
+    """The invariant columns B and B' = rho(w) B as the library builds them,
+    B' also as Fraction columns for the reference routes."""
+    basis = invariant_basis(rep, n, l)
+    B = _relabel(rep, [_integer_column(col) for col in basis], _relabeling(n, l))
+    return basis, B, tuple({i: Fraction(v, den) for i, v in num.items()} for den, num in B)
+
+
+def _row_major_factors(n, l):
+    """The factors in the labels x_q = p + (q-1) l, which fill the block
+    tableau row by row: column p's factor for x_{k+1} has the k
+    transpositions (x_i x_{k+1}), i <= k."""
+    return [
+        (tuple(range(p, p + k * l, l)), p + k * l)
+        for k in range(n - 1, 0, -1)
+        for p in range(1, l + 1)
+    ]
+
+
+def test_relabeled_slices_are_rho_w_of_the_row_major_slices():
+    # H' = w H w^-1 with w: p + (q-1) l -> (p-1) n + q.  `rep_of` is a
+    # right action, so B' = rep_of(w^-1) B, and the library's slices on B'
+    # under the column-major factors are rep_of(w^-1) times the reference
+    # slices on B under the row-major factors, reduced after every letter.
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            letters = _relabeling(n, l)
+            assert len(letters) == math.comb(n, 2) * math.comb(l, 2), (n, l)
+            w = [(x % l) * n + x // l + 1 for x in range(m)]
+            w_inv = Permutation(sorted(range(1, m + 1), key=lambda x: w[x - 1]))
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                R = rep_of(rep, w_inv)
+                basis, B, _ = _relabeled(rep, n, l)
+                T = _jucys_murphy(rep, B, _factors(n, l))
+                ref = reduced_jucys_murphy(rep, basis, _row_major_factors(n, l))
+                assert len(T) == len(ref) == (n - 1) * l + 1, (n, l, lam)
+                for sl, ref_sl in zip(T, ref):
+                    for (den, num), col in zip(sl, ref_sl, strict=True):
+                        image = [sum(R[i][j] * x for j, x in col.items()) for i in range(rep.dim)]
+                        assert {i: Fraction(v, den) for i, v in num.items()} == {
+                            i: x for i, x in enumerate(image) if x
+                        }, (n, l, lam)
+
+
 def test_integer_slices_match_per_letter_reduction():
     # The library reduces once per (factor, slice, column); the reference
     # reduces after every letter of every word and hands back Fractions.
-    # Both take the same factors: all of them, and the two halves Y and Z
-    # of the alternating deal.
+    # Both take B' = rho(w) B, the library's input, and the same factors:
+    # all of them, and the two halves Y and Z of the alternating deal.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
@@ -220,11 +274,10 @@ def test_integer_slices_match_per_letter_reduction():
             factors = _factors(n, l)
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
-                basis = invariant_basis(rep, n, l)
-                B = [_integer_column(col) for col in basis]
+                _, B, relabeled = _relabeled(rep, n, l)
                 for fs in (factors, factors[::2], factors[1::2]):
                     T = _jucys_murphy(rep, B, fs)
-                    ref = reduced_jucys_murphy(rep, basis, fs)
+                    ref = reduced_jucys_murphy(rep, relabeled, fs)
                     assert len(T) == len(ref) == len(fs) + 1, (n, l, lam)
                     for sl, ref_sl in zip(T, ref):
                         for (den, num), ref_col in zip(sl, ref_sl, strict=True):
@@ -237,10 +290,11 @@ def test_integer_slices_match_per_letter_reduction():
 
 def test_compression_is_split_invariant_and_matches_dense():
     # Each factor is self-adjoint for the Gram form D and they commute, so
-    # B^T D (Y Z) B = (Y B)^T D (Z B) for every split: with Y empty, with
-    # the alternating deal and with one factor in Y.  The dense route
-    # compresses the unsplit slices, inverts G in full and sums
-    # g_rk A[k][c] over every k.
+    # B'^T D (Y Z) B' = (Y B')^T D (Z B') for every split: with Y empty,
+    # with the alternating deal and with one factor in Y.  The dense route
+    # compresses the unsplit slices against B' itself, forms G' = B'^T D B'
+    # in full, inverts it and sums g_rk A[k][c] over every k; rho(w) is
+    # orthogonal for D, so G' is the library's diagonal G = B^T D B.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
@@ -250,9 +304,8 @@ def test_compression_is_split_invariant_and_matches_dense():
             splits = [([], factors), (factors[::2], factors[1::2]), (factors[:1], factors[1:])]
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
-                basis = invariant_basis(rep, n, l)
-                B = [_integer_column(col) for col in basis]
-                dense_F, dense_G = dense_compression(rep, basis, _jucys_murphy(rep, B, factors))
+                basis, B, relabeled = _relabeled(rep, n, l)
+                dense_F, dense_G = dense_compression(rep, relabeled, _jucys_murphy(rep, B, factors))
                 for Y, Z in splits:
                     TY, TZ = _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z)
                     F, G = _compress(rep, basis, TY, TZ)
@@ -260,38 +313,47 @@ def test_compression_is_split_invariant_and_matches_dense():
                     assert dense_G == _diagonal(G), (n, l, lam, len(Y))
 
 
-def test_content_rule_fires_exactly_at_l1():
-    # At l = 1 every factor is the Jucys-Murphy element L_y of 1..y, applied
-    # by contents; at l >= 2 its positions step by l and none qualifies.
+def test_content_rule_fires_exactly_on_column_one():
+    # Column p holds s+1..s+n, s = (p-1) n.  Column 1's n-1 factors are the
+    # Jucys-Murphy elements L_2..L_n of 1..y, applied by contents at every
+    # l; every other column starts above n and none of its factors
+    # qualifies.  A factor with k transpositions has k^2 letters.
     for m in range(1, 13):
         for n in range(1, m + 1):
             if m % n:
                 continue
             l = m // n
             factors = _factors(n, l)
+            assert sorted(factors) == sorted(
+                (tuple(range(s + 1, s + k + 1)), s + k + 1)
+                for s in range(0, m, n)
+                for k in range(1, n)
+            ), (n, l)
             standard = [(xs, y) for xs, y in factors if xs == tuple(range(1, y))]
-            assert standard == (factors if l == 1 else []), (n, l)
+            assert sorted(standard) == [(tuple(range(1, y)), y) for y in range(2, n + 1)], (n, l)
             assert [f for f in factors if _by_contents(*f)] == standard, (n, l)
+            for xs, y in factors:
+                assert sum(2 * (y - x) - 1 for x in xs) == len(xs) ** 2, (n, l)
 
 
 def test_split_rule():
-    # The split depends on (n, l, d) alone; d is read from the Kostka number,
-    # so no rep is built.  Y and Z always share out every factor.
+    # The split depends on (n, l), f and the entries of B' = rho(w) B, read
+    # once B' is built and before any factor is applied.  Y and Z always
+    # share out every factor.
     def splits(n, l, lam):
-        Y, Z = _split(n, l, kostka(lam, n, l))
+        rep = build_rep(lam)
+        _, B, _ = _relabeled(rep, n, l)
+        Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in B))
         factors = _factors(n, l)
         assert sorted(Y + Z) == sorted(factors)
         assert Y or Z == factors
         return bool(Y)
 
-    for l in range(1, 9):
-        assert all(splits(2, l, lam) == (l >= 3) for lam in admissible_shapes(2, l)), l
-    for l in (3, 4):
-        assert all(splits(3, l, lam) for lam in admissible_shapes(3, l)), l
-    for lam in admissible_shapes(6, 1):
-        assert not splits(6, 1, lam), lam
-    for (n, l), count in {(4, 2): 10, (4, 3): 22, (5, 2): 14, (6, 2): 17}.items():
-        assert sum(splits(n, l, lam) for lam in admissible_shapes(n, l)) == count, (n, l)
+    for l in range(1, 7):
+        assert all(splits(2, l, lam) == (l >= 2) for lam in admissible_shapes(2, l)), l
+    for n, l in ((3, 3), (3, 4), (4, 2)) + tuple((n, 1) for n in range(3, 9)):
+        assert all(splits(n, l, lam) for lam in admissible_shapes(n, l)), (n, l)
+    assert sum(splits(5, 2, lam) for lam in admissible_shapes(5, 2)) == 14
     lam = Partition((7, 3, 2))
     assert kostka(lam, 6, 2) == 115
     assert not splits(6, 2, lam)
@@ -320,6 +382,34 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
     T = [[(1, {}), (1, {})]]
     with pytest.raises(AssertionError, match="share a tableau"):
         _compress(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), T, T)
+
+
+def _transition_text(max_m):
+    # Canonical text of F and G for every shape of every (n, l) with
+    # nl <= max_m: each coefficient of each entry of F, row by row, and
+    # each diagonal entry of G, as p/q.
+    lines = []
+    for m in range(1, max_m + 1):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                tm = transition_matrix(n, l, lam)
+                lines.append(f"shape {n} {l} {','.join(map(str, lam.parts))} d {tm.d}")
+                for r, row in enumerate(tm.entries.to_rows()):
+                    for c, x in enumerate(row):
+                        coeffs = " ".join(f"{v.numerator}/{v.denominator}" for v in x.coeffs)
+                        lines.append(f"F {r} {c} {coeffs}")
+                lines.append("G " + " ".join(f"{g.numerator}/{g.denominator}" for g in tm.gram))
+    return "\n".join(lines) + "\n"
+
+
+def test_transition_golden_digest():
+    # F and G for every shape with nl <= 9, (2,2), (2,3), (8,1) and (9,1)
+    # included, which no JSON golden pins.
+    expected = (GOLDEN / "transition_m9.sha256").read_text().split()[0]
+    assert hashlib.sha256(_transition_text(9).encode()).hexdigest() == expected
 
 
 def test_errors():
