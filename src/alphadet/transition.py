@@ -32,68 +32,78 @@ since every sigma is uniquely a product t_2 t_3 ... t_n where t_k is the
 identity or one transposition (s+i s+k) with i < k, and each transposition
 adds one to nu.  So the operator is the product of the factors
 (1 + alpha L_k) over every column p and k = 2..n, all of which commute.
-The image of B' is held as integer slices T = sum_e alpha^e T_e: each
-column of T_e is one positive denominator over sparse integer numerators,
-and each factor maps T_e to T_e + L_k T_{e-1}.  A transposition (x y) is
-applied straight to the sparse columns through the seminormal generators,
-along its palindromic word s_x ... s_{y-1} ... s_x of 2(y-x) - 1 letters,
-so the factor with k transpositions has k^2 letters at every l, where
-the row-major labels need k(k+1) l - k.  The rep stores each generator as
-the integer matrix m_k rho(s_k), so a letter multiplies the numerators by
-integers and the denominator by m_k.  Column 1 holds 1..n, so its factors
-carry the Jucys-Murphy elements L_k = sum_{i<k} (i k) of S_k < S_nl, and
-Young's seminormal basis is their eigenbasis: L_k e_T = c_T(k) e_T, with
-c_T(k) the content of k in T (Okounkov-Vershik).  Those n - 1 factors are
-applied by contents at every l, as one letter that scales the numerator
-at tableau T by `rep.contents[T][k]`, with no word and no generator; no
-other column starts at 1, and every other factor keeps its words.  A
-factor's images are summed over one lcm and reduced by one gcd, so the
-slices are in lowest terms between factors.
+
+Column 1 holds 1..n, so its factors carry the Jucys-Murphy elements
+L_k = sum_{i<k} (i k) of S_k < S_nl, and Young's seminormal basis is
+their eigenbasis: L_k e_T = c_T(k) e_T, with c_T(k) the content of k in
+T (Okounkov-Vershik).  Their product is the diagonal weight
+P e_T = p_T(alpha) e_T, p_T = prod_{k=2..n} (1 + alpha c_T(k)), an integer
+polynomial fixed by the shape that 1..n fill in T, so a shape lam has at
+most p(n) distinct ones (`_content_weights`).  Column 1's factors are
+never applied to a column: P enters the compression as a weight.
+
+The factors of columns 2..l, (n-1)(l-1) of them and none at l = 1, are
+applied to B'.  Its image is held as integer slices
+T = sum_e alpha^e T_e: each column of T_e is one positive denominator
+over sparse integer numerators, and each factor maps T_e to
+T_e + L_k T_{e-1}.  A transposition (x y) is applied straight to the
+sparse columns through the seminormal generators, along its palindromic
+word s_x ... s_{y-1} ... s_x of 2(y-x) - 1 letters, so the factor with k
+transpositions has k^2 letters at every l, where the row-major labels
+need k(k+1) l - k.  The rep stores each generator as the integer matrix
+m_k rho(s_k), so a letter multiplies the numerators by integers and the
+denominator by m_k.  A factor's images are summed over one lcm and
+reduced by one gcd, so the slices are in lowest terms between factors.
 
 The compression meets the factors in the middle.  A transposition is an
 involution and rho(t)^T D = D rho(t): every factor is self-adjoint for
-D.  As they also commute, B'^T D (prod of all factors) B' = (Y B')^T D
-(Z B') for any split of the factors into two groups Y and Z.  The
-factors, costliest first, are dealt alternately into Y and Z, and each
-group is applied to B' on its own, so each carries about half of the
-(n-1) l + 1 slices.  The split is priced in passes over a column: a
-factor makes one per letter, one per word to add its image in and one to
-reduce the sum, k^2 + k + 1 for k transpositions and 3 for a factor
-applied by contents, on each slice it meets, and the j-th factor applied
-meets j slices.  The compression makes o (|Y|+1)(|Z|+1) passes, where
-o = nnz(B') / f is the mean number of columns of B' on a tableau: each
-entry of a Z slice meets the entries of the Y slices on its tableau.
-B's columns have disjoint supports, but rho(w) mixes them: a column of
-B' fills from a quarter to all of the f tableaux on the shapes measured,
-so o, counted once B' is built, runs up to d.  The factors are split iff
-the two groups' passes plus their compression are fewer than the passes
-of applying every factor in turn plus its compression, o (|F|+1) for |F|
-factors.  rho(w)'s letters are paid once per column either way.  This is
-decided before any factor is applied.  Otherwise Y is empty, Y B' = B',
-and the same compression runs with one slice on the left.  It splits
-every shape with n = 2 and l >= 2, every shape of (3,3), (3,4) and (4,2),
-and every l = 1 shape with n >= 3, whose per-slice passes outweigh the
-compression; it leaves large o, such as (7,3,2) at (6,2), where d = 115
-and o = 30, unsplit.
+D.  As they also commute, B'^T D P (prod of the word factors) B' =
+(Y B')^T D P (Z B') for any split of the word factors into two groups Y
+and Z.  The factors, costliest first, are dealt alternately into Y and
+Z, and each group is applied to B' on its own, so each carries about half
+of the (n-1)(l-1) + 1 slices.  The split is priced in passes over a
+column: a factor makes one per letter, one per word to add its image in
+and one to reduce the sum, k^2 + k + 1 for k transpositions, on each
+slice it meets, and the j-th factor applied meets j slices.  The
+compression makes o (|Y|+1)(|Z|+1) passes, where o = nnz(B') / f is the
+mean number of columns of B' on a tableau: each entry of a Z slice meets
+the entries of the Y slices on its tableau.  B's columns have disjoint
+supports, but rho(w) mixes them: a column of B' fills from a quarter to
+all of the f tableaux on the shapes measured, so o, counted once B' is
+built, runs up to d.  The factors are split iff the two groups' passes
+plus their compression are fewer than the passes of applying every
+factor in turn plus its compression, o (|F|+1) for |F| factors.  rho(w)'s
+letters are paid once per column either way.  This is decided before any
+factor is applied.  Otherwise Y is empty, Y B' = B', and the same
+compression runs with one slice on the left.  One factor prices the same
+either way and none gives nothing to split, so no shape with l = 1 or at
+(2,2) splits; every shape with n = 2 and l >= 3, every shape of (3,3),
+(3,4) and (4,2), and 21 of the 30 of (5,2) split, and large o, such as
+(7,3,2) at (6,2), where d = 115 and o = 30, stays unsplit.
 
-The slices are compressed to F = A / diag(G), A = (Y B')^T D (Z B'), with
-A sparse.  B is held as its d sparse columns (`seminormal.invariant_basis`),
-and they have disjoint supports: each tableau i belongs to at most one
-column r.  So G = B^T D B = B'^T D B' is diagonal and is read from B as
-its d diagonal entries G[r], and F[r][c] = A[r][c] / G[r]: no matrix is
-inverted, and no f x d or d x d table of Fractions is built.  Row r of
-(Y B')^T D is kept as integer weights over one lcm, and each tableau
-lists the rows that carry it, so a column of Z B' meets only the rows
-whose support it shares.  Each entry of A is an integer sum per power of
-alpha, and each coefficient of F is one Fraction.  At l = 1, column c is
-{c: 1} and G = D, so F is the content polynomial times I.
+The slices are compressed to F = A / diag(G), A = (Y B')^T D P (Z B'),
+with A sparse.  B is held as its d sparse columns
+(`seminormal.invariant_basis`), and they have disjoint supports: each
+tableau i belongs to at most one column r.  So G = B^T D B = B'^T D B' is
+diagonal and is read from B as its d diagonal entries G[r], and
+F[r][c] = A[r][c] / G[r]: no matrix is inverted, and no f x d or d x d
+table of Fractions is built.  Row r of (Y B')^T D is kept as integer
+weights over one lcm, and each tableau lists the rows that carry it, so a
+column of Z B' meets only the rows whose support it shares.  Each entry
+of A is held as one integer sum per power of alpha and per distinct
+content weight; once per nonzero entry, each part is multiplied by its
+weight polynomial and the parts are added, and each coefficient of F is
+one Fraction.  At l = 1, column c is {c: 1}, G = D and every tableau has
+the one weight content_poly(lam), so F is that polynomial times I.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
 the same matrix in the same (canonical) basis, the row-major factors with
-rho(w) from `rep_of` as a second route to every slice, and a dense
-compression of the unsplit slices as a second route to F and G, which
-every split must match.
+rho(w) from `rep_of` as a second route to every slice, column 1's factors
+applied by their words to every e_T as a second route to the content
+weights, and a dense compression of the slices of all (n-1) l factors,
+column 1's by their words, as a second route to F and G, which every
+split must match.
 
 `trace_poly` computes the trace of F by a second, independent route: zonal
 spherical values averaged over K, summed over H with alpha^nu weights.
@@ -168,31 +178,46 @@ def _relabeling(n: int, l: int) -> list[int]:
     return adjacent_word(w)[::-1]
 
 
-def _by_contents(xs: tuple[int, ...], y: int) -> bool:
-    """Whether L_y is the Jucys-Murphy element sum_{x<y} (x y), which is
-    diagonal in the seminormal basis with the contents of y as eigenvalues."""
-    return xs == tuple(range(1, y))
-
-
 def _cost(xs: tuple[int, ...], y: int) -> int:
     """Passes over a column that a factor makes per slice: one per letter,
     one per word to add its image in, and one to reduce the sum.  (x y) is
     a word of 2(y-x) - 1 letters, so k transpositions of one column make
-    k^2 + k + 1 passes; a factor applied by contents is one word of one
-    letter, 3 passes."""
-    return 3 if _by_contents(xs, y) else sum(2 * (y - x) for x in xs) + 1
+    k^2 + k + 1 passes."""
+    return sum(2 * (y - x) for x in xs) + 1
 
 
 def _factors(n: int, l: int) -> list[Factor]:
-    """The (n-1) l factors of sum_{h in H'} alpha^nu(h) h, costliest first:
+    """The (n-1)(l-1) factors of columns 2..l of H', costliest first:
     column p holds s+1..s+n, s = (p-1) n, and its factor for s+k+1 has the k
-    transpositions (s+i s+k+1), i <= k, k^2 letters in all."""
+    transpositions (s+i s+k+1), i <= k, k^2 letters in all.  Column 1's
+    factors are the content weights of `_content_weights`."""
     factors = [
         (tuple(range(s + 1, s + k + 1)), s + k + 1)
-        for s in range(0, n * l, n)
+        for s in range(n, n * l, n)
         for k in range(n - 1, 0, -1)
     ]
     return sorted(factors, key=lambda f: -_cost(*f))
+
+
+def _content_weights(rep: SeminormalRep, n: int) -> tuple[list[int], list[list[int]]]:
+    """Column 1's factors on Young's basis: prod_{k=2..n} (1 + alpha L_k)
+    maps e_T to p_T(alpha) e_T, p_T = prod_k (1 + alpha c_T(k)), which
+    depends only on the shape that 1..n fill in T.  Returns j with
+    p_T = polys[j[T]], and the distinct p_T as integer coefficient lists of
+    length n."""
+    index: dict[tuple[int, ...], int] = {}
+    polys: list[list[int]] = []
+    js = []
+    for c in rep.contents:
+        key = tuple(sorted(c[2 : n + 1]))
+        if key not in index:
+            index[key] = len(polys)
+            p = [1]
+            for x in key:
+                p = [a + x * b for a, b in zip(p + [0], [0] + p)]
+            polys.append(p)
+        js.append(index[key])
+    return js, polys
 
 
 def _passes(costs: list[int]) -> int:
@@ -202,9 +227,9 @@ def _passes(costs: list[int]) -> int:
 
 
 def _split(n: int, l: int, f: int, entries: int) -> tuple[list[Factor], list[Factor]]:
-    """The factors dealt into Y, applied to B' on the left of the
-    compression, and Z, applied on the right, for a B' with `entries`
-    nonzeros over f tableaux.
+    """The word factors of columns 2..l dealt into Y, applied to B' on the
+    left of the compression, and Z, applied on the right, for a B' with
+    `entries` nonzeros over f tableaux.
 
     The factors, costliest first, are dealt alternately into Y and Z iff
     that takes fewer passes per column than applying them all in turn;
@@ -268,24 +293,16 @@ def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor])
     it, and the costliest should go first.  The generators come from the
     rep as integer matrices m_w rho(s_w), so a transposition's word
     multiplies the numerators by integers and its scale by each letter's
-    m_w, with no reduction between letters.  A factor applied by contents
-    is one word of one letter: the diagonal matrix of the contents of y,
-    with scale 1.  The images and the old T_e are summed over one lcm and
-    reduced by one gcd per (factor, slice, column).
+    m_w, with no reduction between letters.  The images and the old T_e
+    are summed over one lcm and reduced by one gcd per (factor, slice,
+    column).
     """
     gens = rep.gen_cols
     T: Slices = [B]
     for xs, y in factors:
-        # L_y e_T = c_T(y) e_T, or (x y) is the palindromic word
-        # s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x; each word's image is
-        # scaled up to the factor's common scale S.
-        if _by_contents(xs, y):
-            diagonal = [[(i, c[y])] if c[y] else [] for i, c in enumerate(rep.contents)]
-            words = [[(1, diagonal)]]
-        else:
-            words = [
-                [gens[w - 1] for w in chain(range(x, y), range(y - 2, x - 1, -1))] for x in xs
-            ]
+        # (x y) is the palindromic word s_x ... s_{y-2} s_{y-1} s_{y-2} ... s_x;
+        # each word's image is scaled up to the factor's common scale S.
+        words = [[gens[w - 1] for w in chain(range(x, y), range(y - 2, x - 1, -1))] for x in xs]
         scales = [prod(m for m, _ in word) for word in words]
         S = lcm(*scales)
         lifts = [S // s for s in scales]
@@ -310,24 +327,27 @@ def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor])
 
 
 def _compress(
-    rep: SeminormalRep, basis: tuple[InvariantColumn, ...], TY: Slices, TZ: Slices
+    rep: SeminormalRep, n: int, basis: tuple[InvariantColumn, ...], TY: Slices, TZ: Slices
 ) -> tuple[PolyMatrix, list[Fraction]]:
-    """F = A / diag(G), A = (Y B)^T D (Z B), and the diagonal of G = B^T D B,
-    from the slices TY of Y B and TZ of Z B.
+    """F = A / diag(G), A = (Y B)^T D P (Z B), and the diagonal of
+    G = B^T D B, from the slices TY of Y B and TZ of Z B, where P is the
+    diagonal of column 1's content weights p_T (`_content_weights`).
 
     Row r of (Y B)^T D is kept as integer weights over one lcm L_r, and
-    each tableau i lists the (row, slice, weight) triples it carries.  A
-    column of Z B then meets only the rows whose support it shares; with Y
-    empty these are the invariant columns' disjoint supports, so each
-    tableau has at most one owner.  Column c's Z slices are lifted to the
-    lcm L_c of their denominators, so each entry of A is an integer sum
-    per power of alpha, and each coefficient of F is one Fraction, divided
-    by L_c L_r G[r].
+    each tableau i lists the (row, slot, weight) triples it carries, the
+    slot e1 + E j_i holding Y's power e1 of alpha under i's weight
+    polynomial j_i.  A column of Z B then meets only the rows whose
+    support it shares.  Column c's Z slices are lifted to the lcm L_c of
+    their denominators, so each entry of A is E integer sums per distinct
+    weight; each part is convolved with its weight once per nonzero
+    (r, c), and each coefficient of F is one Fraction, divided by
+    L_c L_r G[r].
     """
     D = rep.gram
     G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
     if len(set().union(*basis)) != sum(map(len, basis)):
         raise AssertionError("two invariant columns share a tableau")
+    js, polys = _content_weights(rep, n)
     d, E = len(basis), len(TY) + len(TZ) - 1
     Dn = [x.numerator for x in D]
     Dd = [x.denominator for x in D]
@@ -338,27 +358,35 @@ def _compress(
         L = lcm(*(den * lcm(*(Dd[i] for i in num)) for den, num in cols))
         for e1, (den, num) in enumerate(cols):
             for i, v in num.items():
-                owners[i].append((r, e1, Dn[i] * v * (L // (den * Dd[i]))))
+                owners[i].append((r, e1 + E * js[i], Dn[i] * v * (L // (den * Dd[i]))))
         scale.append(L * G[r])
     col_lcm = [lcm(*(sl[c][0] for sl in TZ)) for c in range(d)]
-    # A[c][r][e1 + e2] sums (Y_e1 B)[:, r]^T D (Z_e2 B)[:, c] times L_r L_c,
-    # for the rows r that a nonzero entry reaches.
+    # A[c][r][e1 + e2 + E j] sums (Y_e1 B)[:, r]^T D (Z_e2 B)[:, c] over the
+    # tableaux of weight polys[j], times L_r L_c, for the rows r that a
+    # nonzero entry reaches.
     A: list[dict[int, list[int]]] = [{} for _ in basis]
+    size = E * len(polys)
     for e2, slice_e in enumerate(TZ):
         for c, (den, num) in enumerate(slice_e):
             Ac = A[c]
             lift = col_lcm[c] // den
             for i, v in num.items():
                 v *= lift
-                for r, e1, w in owners[i]:
+                for r, slot, w in owners[i]:
                     if r not in Ac:
-                        Ac[r] = [0] * E
-                    Ac[r][e1 + e2] += w * v
+                        Ac[r] = [0] * size
+                    Ac[r][slot + e2] += w * v
     zero = PolyQ.zero()
     F = [[zero] * d for _ in basis]
     for c, Ac in enumerate(A):
         L = col_lcm[c]
-        for r, cs in Ac.items():
+        for r, parts in Ac.items():
+            cs = [0] * (E + n - 1)
+            for j, p in enumerate(polys):
+                for e, x in enumerate(parts[E * j : E * j + E]):
+                    if x:
+                        for k, y in enumerate(p, e):
+                            cs[k] += x * y
             if any(cs):
                 q = scale[r]
                 F[r][c] = PolyQ(Fraction(x * q.denominator, L * q.numerator) for x in cs)
@@ -386,7 +414,7 @@ def transition_matrix(
     if letters:
         B = _relabel(rep, B, letters)
     Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in B))
-    F, G = _compress(rep, basis, _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z))
+    F, G = _compress(rep, n, basis, _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z))
     return TransitionMatrix(
         shape=lam,
         n=n,

@@ -19,8 +19,8 @@ from alphadet.formulas import content_poly
 from alphadet.seminormal import build_rep, invariant_basis, rep_of
 from alphadet.symgrp import Partition, Permutation, admissible_shapes, enumerate_H, kostka, nu
 from alphadet.transition import (
-    _by_contents,
     _compress,
+    _content_weights,
     _factors,
     _integer_column,
     _jucys_murphy,
@@ -88,13 +88,10 @@ def test_l1_is_content_times_identity():
             [[c if i == j else PolyQ.zero() for j in range(d)] for i in range(d)]
         ), lam
         assert tm.gram == rep.gram, lam
-        # Every factor is applied by contents, so each slice column is one
-        # entry at its own tableau: the coefficient of alpha^e in c, or none.
+        # Every factor is in column 1, a content weight, so no word is
+        # applied and the one slice is B itself.
         B = [_integer_column(col) for col in basis]
-        for e, sl in enumerate(_jucys_murphy(rep, B, _factors(n, 1))):
-            for t, (den, num) in enumerate(sl):
-                ce = c.coeffs[e] if e < len(c.coeffs) else 0
-                assert num == ({t: ce * den} if ce else {}), (lam, e, t)
+        assert _jucys_murphy(rep, B, _factors(n, 1)) == [B], lam
 
 
 def test_hook_3_2():
@@ -222,21 +219,28 @@ def _relabeled(rep, n, l):
 
 
 def _row_major_factors(n, l):
-    """The factors in the labels x_q = p + (q-1) l, which fill the block
-    tableau row by row: column p's factor for x_{k+1} has the k
-    transpositions (x_i x_{k+1}), i <= k."""
+    """The factors of columns 2..l in the labels x_q = p + (q-1) l, which
+    fill the block tableau row by row: column p's factor for x_{k+1} has
+    the k transpositions (x_i x_{k+1}), i <= k."""
     return [
         (tuple(range(p, p + k * l, l)), p + k * l)
         for k in range(n - 1, 0, -1)
-        for p in range(1, l + 1)
+        for p in range(2, l + 1)
     ]
+
+
+def _column_one(n):
+    """Column 1's factors as transposition words: L_y = sum_{x<y} (x y),
+    y = 2..n."""
+    return [(tuple(range(1, y)), y) for y in range(2, n + 1)]
 
 
 def test_relabeled_slices_are_rho_w_of_the_row_major_slices():
     # H' = w H w^-1 with w: p + (q-1) l -> (p-1) n + q.  `rep_of` is a
     # right action, so B' = rep_of(w^-1) B, and the library's slices on B'
-    # under the column-major factors are rep_of(w^-1) times the reference
-    # slices on B under the row-major factors, reduced after every letter.
+    # under the column-major factors of columns 2..l are rep_of(w^-1) times
+    # the reference slices on B under the row-major factors of the same
+    # columns, reduced after every letter.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
@@ -252,7 +256,7 @@ def test_relabeled_slices_are_rho_w_of_the_row_major_slices():
                 basis, B, _ = _relabeled(rep, n, l)
                 T = _jucys_murphy(rep, B, _factors(n, l))
                 ref = reduced_jucys_murphy(rep, basis, _row_major_factors(n, l))
-                assert len(T) == len(ref) == (n - 1) * l + 1, (n, l, lam)
+                assert len(T) == len(ref) == (n - 1) * (l - 1) + 1, (n, l, lam)
                 for sl, ref_sl in zip(T, ref):
                     for (den, num), col in zip(sl, ref_sl, strict=True):
                         image = [sum(R[i][j] * x for j, x in col.items()) for i in range(rep.dim)]
@@ -265,7 +269,8 @@ def test_integer_slices_match_per_letter_reduction():
     # The library reduces once per (factor, slice, column); the reference
     # reduces after every letter of every word and hands back Fractions.
     # Both take B' = rho(w) B, the library's input, and the same factors:
-    # all of them, and the two halves Y and Z of the alternating deal.
+    # all (n-1) l of them, column 1's by their words, and the two halves Y
+    # and Z of the alternating deal of columns 2..l.
     for m in range(1, 9):
         for n in range(1, m + 1):
             if m % n:
@@ -275,7 +280,7 @@ def test_integer_slices_match_per_letter_reduction():
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 _, B, relabeled = _relabeled(rep, n, l)
-                for fs in (factors, factors[::2], factors[1::2]):
+                for fs in (_column_one(n) + factors, factors[::2], factors[1::2]):
                     T = _jucys_murphy(rep, B, fs)
                     ref = reduced_jucys_murphy(rep, relabeled, fs)
                     assert len(T) == len(ref) == len(fs) + 1, (n, l, lam)
@@ -290,10 +295,11 @@ def test_integer_slices_match_per_letter_reduction():
 
 def test_compression_is_split_invariant_and_matches_dense():
     # Each factor is self-adjoint for the Gram form D and they commute, so
-    # B'^T D (Y Z) B' = (Y B')^T D (Z B') for every split: with Y empty,
-    # with the alternating deal and with one factor in Y.  The dense route
-    # compresses the unsplit slices against B' itself, forms G' = B'^T D B'
-    # in full, inverts it and sums g_rk A[k][c] over every k; rho(w) is
+    # B'^T D (P Y Z) B' = (Y B')^T D P (Z B') for every split of the word
+    # factors of columns 2..l, with P column 1's content weights.  The
+    # dense route compresses the slices of all (n-1) l factors, column 1's
+    # applied by their words, against B' itself, forms G' = B'^T D B' in
+    # full, inverts it and sums g_rk A[k][c] over every k; rho(w) is
     # orthogonal for D, so G' is the library's diagonal G = B^T D B.
     for m in range(1, 9):
         for n in range(1, m + 1):
@@ -301,23 +307,27 @@ def test_compression_is_split_invariant_and_matches_dense():
                 continue
             l = m // n
             factors = _factors(n, l)
-            splits = [([], factors), (factors[::2], factors[1::2]), (factors[:1], factors[1:])]
+            splits = []
+            for mask in range(2 ** len(factors)):
+                Y = [f for i, f in enumerate(factors) if mask >> i & 1]
+                splits.append((Y, [f for f in factors if f not in Y]))
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 basis, B, relabeled = _relabeled(rep, n, l)
-                dense_F, dense_G = dense_compression(rep, relabeled, _jucys_murphy(rep, B, factors))
+                every = _jucys_murphy(rep, B, _column_one(n) + factors)
+                dense_F, dense_G = dense_compression(rep, relabeled, every)
                 for Y, Z in splits:
                     TY, TZ = _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z)
-                    F, G = _compress(rep, basis, TY, TZ)
-                    assert F == dense_F, (n, l, lam, len(Y))
-                    assert dense_G == _diagonal(G), (n, l, lam, len(Y))
+                    F, G = _compress(rep, n, basis, TY, TZ)
+                    assert F == dense_F, (n, l, lam, Y)
+                    assert dense_G == _diagonal(G), (n, l, lam, Y)
 
 
-def test_content_rule_fires_exactly_on_column_one():
-    # Column p holds s+1..s+n, s = (p-1) n.  Column 1's n-1 factors are the
-    # Jucys-Murphy elements L_2..L_n of 1..y, applied by contents at every
-    # l; every other column starts above n and none of its factors
-    # qualifies.  A factor with k transpositions has k^2 letters.
+def test_factors_are_columns_two_to_l():
+    # Column p holds s+1..s+n, s = (p-1) n.  Column 1's factors are the
+    # content weights, so the words cover the (n-1)(l-1) factors of columns
+    # 2..l, none at l = 1, and a factor with k transpositions has k^2
+    # letters.
     for m in range(1, 13):
         for n in range(1, m + 1):
             if m % n:
@@ -326,14 +336,46 @@ def test_content_rule_fires_exactly_on_column_one():
             factors = _factors(n, l)
             assert sorted(factors) == sorted(
                 (tuple(range(s + 1, s + k + 1)), s + k + 1)
-                for s in range(0, m, n)
+                for s in range(n, m, n)
                 for k in range(1, n)
             ), (n, l)
-            standard = [(xs, y) for xs, y in factors if xs == tuple(range(1, y))]
-            assert sorted(standard) == [(tuple(range(1, y)), y) for y in range(2, n + 1)], (n, l)
-            assert [f for f in factors if _by_contents(*f)] == standard, (n, l)
+            assert len(factors) == (n - 1) * (l - 1), (n, l)
+            assert all(min(xs) > n for xs, _ in factors), (n, l)
             for xs, y in factors:
                 assert sum(2 * (y - x) - 1 for x in xs) == len(xs) ** 2, (n, l)
+        assert _factors(m, 1) == [], m
+
+
+def test_column_one_factors_are_content_weights():
+    # Column 1 holds 1..n, so its factors are the Jucys-Murphy elements
+    # L_2..L_n of S_n < S_nl.  Applied by their transposition words to every
+    # e_T, their product is p_T(alpha) e_T, with p_T the library's weight of
+    # T; two tableaux share a weight iff 1..n fill the same shape in both.
+    # At l = 1 that shape is lam, and the one weight is its content
+    # polynomial.
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            l = m // n
+            for lam in admissible_shapes(n, l):
+                rep = build_rep(lam)
+                js, polys = _content_weights(rep, n)
+                assert len(js) == rep.dim and all(len(p) == n for p in polys), (n, l, lam)
+                inner = [
+                    tuple(sum(1 for x in row if x <= n) for row in t) for t in rep.tableaux
+                ]
+                pairs = set(zip(inner, js))
+                assert len(pairs) == len(set(inner)) == len(set(js)) == len(polys), (n, l, lam)
+                units = tuple({t: Fraction(1)} for t in range(rep.dim))
+                T = reduced_jucys_murphy(rep, units, _column_one(n))
+                assert len(T) == n, (n, l, lam)
+                for t in range(rep.dim):
+                    p = polys[js[t]]
+                    for e, sl in enumerate(T):
+                        assert sl[t] == ({t: Fraction(p[e])} if p[e] else {}), (n, l, lam, t)
+                if l == 1:
+                    assert [PolyQ(p) for p in polys] == [content_poly(lam)], lam
 
 
 def test_split_rule():
@@ -349,11 +391,15 @@ def test_split_rule():
         assert Y or Z == factors
         return bool(Y)
 
+    # One word factor, as at (2,2), prices the same either way, and at
+    # l = 1 there is none, so neither splits.
     for l in range(1, 7):
-        assert all(splits(2, l, lam) == (l >= 2) for lam in admissible_shapes(2, l)), l
-    for n, l in ((3, 3), (3, 4), (4, 2)) + tuple((n, 1) for n in range(3, 9)):
+        assert all(splits(2, l, lam) == (l >= 3) for lam in admissible_shapes(2, l)), l
+    for n, l in ((3, 3), (3, 4), (4, 2)):
         assert all(splits(n, l, lam) for lam in admissible_shapes(n, l)), (n, l)
-    assert sum(splits(5, 2, lam) for lam in admissible_shapes(5, 2)) == 14
+    for n in range(1, 9):
+        assert not any(splits(n, 1, lam) for lam in admissible_shapes(n, 1)), n
+    assert sum(splits(5, 2, lam) for lam in admissible_shapes(5, 2)) == 21
     lam = Partition((7, 3, 2))
     assert kostka(lam, 6, 2) == 115
     assert not splits(6, 2, lam)
@@ -381,7 +427,7 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
     rep = build_rep(Partition((2, 1)))
     T = [[(1, {}), (1, {})]]
     with pytest.raises(AssertionError, match="share a tableau"):
-        _compress(rep, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), T, T)
+        _compress(rep, 3, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), T, T)
 
 
 def _transition_text(max_m):
