@@ -3,8 +3,8 @@
 Rationals are `fractions.Fraction` throughout: always reduced, positive
 denominator, and `str()` already produces the canonical "p/q" text form.
 `PolyQ` is a dense univariate polynomial over Q with coefficients stored in
-ascending degree; the zero polynomial has degree -1.  `PolyMatrix` is a dense
-matrix of `PolyQ` entries.
+ascending degree; the zero polynomial has degree -1.  `PolyMatrix` stores a
+matrix of `PolyQ` entries by the nonzero entries of each row.
 
 Ranks over the rational function field are certified by specialization:
 evaluating at a point can only lower a rank, so the largest rank over the
@@ -12,8 +12,8 @@ points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
 F(0) = I.  A rank at a = p/q does no Fraction arithmetic: each matrix keeps,
-built once, its rows over Z[a] (row i times the lcm L_i of its coefficient
-denominators, zero entries dropped) and its largest degree D.  Row i of
+built once, its rows over Z[a] (row i's stored entries times the lcm L_i
+of their coefficient denominators) and its largest degree D.  Row i of
 F(p/q) times L_i q^D is then a row of integers, and the rank counts the rows
 that `kernels.RowReducer` keeps.  `eval_at` still builds F(a) in Fractions,
 for exploration and the verify suites.  Polynomial gcds use Euclid over Q.
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -243,34 +244,36 @@ def _coerce(value) -> PolyQ:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Dense matrix over Q[a], entries stored row-major."""
+    """Matrix over Q[a], stored as each row's nonzero entries: nonzero[i]
+    maps column j to entry (i, j).  Absent entries are zero, and `entry`,
+    `row`, `to_rows` and `str` show them.  The rows are read-only: a rank
+    reads integer rows cached from them."""
 
     rows: int
     cols: int
-    entries: tuple[PolyQ, ...]
+    nonzero: tuple[dict[int, PolyQ], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+        # Equality compares the stored entries, so none may be zero.
+        if len(self.nonzero) != self.rows:
+            raise ValueError("row count does not match shape")
+        stored = (item for row in self.nonzero for item in row.items())
+        if not all(j in range(self.cols) and isinstance(e, PolyQ) and e for j, e in stored):
+            raise ValueError("a stored entry is zero, not a PolyQ, or outside the columns")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[PolyQ]]) -> PolyMatrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        # Equal entries share one object, which eval_at evaluates once.
-        shared: dict[PolyQ, PolyQ] = {}
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(shared.setdefault(p, p) for p in map(_coerce, row))
-        return cls(nrows, ncols, tuple(flat))
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        nonzero = tuple({j: p for j, p in enumerate(map(_coerce, row)) if p} for row in rows)
+        return cls(len(rows), ncols, nonzero)
 
     def entry(self, i: int, j: int) -> PolyQ:
-        return self.entries[i * self.cols + j]
+        return self.nonzero[i].get(j) or PolyQ.zero()
 
     def row(self, i: int) -> list[PolyQ]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [self.entry(i, j) for j in range(self.cols)]
 
     def to_rows(self) -> list[list[PolyQ]]:
         return [self.row(i) for i in range(self.rows)]
@@ -278,51 +281,47 @@ class PolyMatrix:
     def trace(self) -> PolyQ:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = PolyQ.zero()
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
+        # Each coefficient is summed in integers over one lcm L.
+        diag = [row[i].coeffs for i, row in enumerate(self.nonzero) if i in row]
+        L = lcm(*(c.denominator for cs in diag for c in cs))
+        return PolyQ(
+            Fraction(sum(c.numerator * (L // c.denominator) for c in cs), L)
+            for cs in zip_longest(*diag, fillvalue=Fraction(0))
+        )
 
     def eval_at(self, a: Fraction | int) -> QMatrix:
-        """The matrix at a.  Zero entries cost nothing, and each entry object
-        is evaluated once: from_rows shares equal entries, so at l = 1 F(a)
-        takes one evaluation.  a must be an int or a Fraction."""
+        """The matrix at a, evaluating the stored entries only.  a must be an
+        int or a Fraction."""
         a = _as_fraction(a)
         zero = Fraction(0)
-        values: dict[int, Fraction] = {}
-        flat = []
-        for e in self.entries:
-            if not e.coeffs:
-                flat.append(zero)
-                continue
-            v = values.get(id(e))
-            if v is None:
-                v = values[id(e)] = e(a)
-            flat.append(v)
-        return [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for values, row in zip(out, self.nonzero):
+            for j, e in row.items():
+                values[j] = e(a)
+        return out
 
     @cached_property
     def _integer_rows(self) -> tuple[int, tuple[dict[int, tuple[int, ...]], ...]]:
         """(D, rows): D the largest entry degree (0 for a zero matrix), and
-        row i as {column: coefficients} over its nonzero entries, each
+        row i as {column: coefficients} over its stored entries, each
         coefficient times L_i, the lcm of the row's coefficient denominators.
         Equal coefficient tuples share one object, which rank_at evaluates
         once per point."""
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         rows = []
-        for i in range(self.rows):
-            nonzero = [(j, e.coeffs) for j, e in enumerate(self.row(i)) if e.coeffs]
-            scale = lcm(*(c.denominator for _, cs in nonzero for c in cs))
+        degree = 0
+        for entries in self.nonzero:
+            scale = lcm(*(c.denominator for e in entries.values() for c in e.coeffs))
             row = {}
-            for j, cs in nonzero:
-                t = tuple(c.numerator * (scale // c.denominator) for c in cs)
+            for j, e in entries.items():
+                t = tuple(c.numerator * (scale // c.denominator) for c in e.coeffs)
                 row[j] = shared.setdefault(t, t)
+                degree = max(degree, len(t) - 1)
             rows.append(row)
-        degree = max((e.degree for e in self.entries), default=0)
-        return max(degree, 0), tuple(rows)
+        return degree, tuple(rows)
 
     def __str__(self) -> str:
-        cells = [[self.entry(i, j).format() for j in range(self.cols)] for i in range(self.rows)]
+        cells = [[e.format() for e in row] for row in self.to_rows()]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)] if self.rows else []
         return "\n".join(
             "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.cols)) + " ]"

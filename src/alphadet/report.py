@@ -61,22 +61,22 @@ def build_report(
     oracle_max_size: int | None = None,
 ) -> DecompositionReport:
     shapes = admissible_shapes(n, l)
-    mats = [transition_matrix(n, l, lam, max_size=max_size) for lam in shapes]
-    rows = tuple(
-        ReportRow(
-            shape=lam,
-            kostka=tm.d,
-            generic_multiplicity=tm.generic_rank(),
-            trace=tm.trace,
-            transition=tm.entries if include_matrices else None,
+    rows, ranks = [], []
+    for lam in shapes:
+        # One shape at a time: F is dropped once read, unless it is printed.
+        tm = transition_matrix(n, l, lam, max_size=max_size)
+        rows.append(
+            ReportRow(
+                shape=lam,
+                kostka=tm.d,
+                generic_multiplicity=tm.generic_rank(),
+                trace=tm.trace,
+                transition=tm.entries if include_matrices else None,
+            )
         )
-        for lam, tm in zip(shapes, mats)
-    )
-    specs = None
-    if alphas:
-        specs = tuple(
-            (a, tuple(tm.rank_at(a) for tm in mats)) for a in alphas
-        )
+        ranks.append(tuple(tm.rank_at(a) for a in alphas))
+        del tm
+    specs = tuple(zip(alphas, zip(*ranks))) if alphas else None
     oracle = None
     if with_oracle:
         from alphadet.oracle import cyclic_closure, hwv_multiplicity
@@ -96,7 +96,7 @@ def build_report(
             generic=generic, specialized=tuple(specialized), agrees=agrees
         )
     return DecompositionReport(
-        n=n, l=l, rows=rows, alpha_specializations=specs, oracle=oracle
+        n=n, l=l, rows=tuple(rows), alpha_specializations=specs, oracle=oracle
     )
 
 

@@ -87,14 +87,15 @@ with A sparse.  B is held as its d sparse columns
 tableau i belongs to at most one column r.  So G = B^T D B = B'^T D B' is
 diagonal and is read from B as its d diagonal entries G[r], and
 F[r][c] = A[r][c] / G[r]: no matrix is inverted, and no f x d or d x d
-table of Fractions is built.  Row r of (Y B')^T D is kept as integer
-weights over one lcm, and each tableau lists the rows that carry it, so a
-column of Z B' meets only the rows whose support it shares.  Each entry
-of A is held as one integer sum per power of alpha and per distinct
-content weight; once per nonzero entry, each part is multiplied by its
-weight polynomial and the parts are added, and each coefficient of F is
-one Fraction.  At l = 1, column c is {c: 1}, G = D and every tableau has
-the one weight content_poly(lam), so F is that polynomial times I.
+table is built.  Row r of (Y B')^T D is kept as integer weights over one
+lcm, and each tableau lists the rows that carry it, so a column of Z B'
+meets only the rows whose support it shares.  Each entry of A is held as
+one integer sum per power of alpha and per distinct content weight; once
+per nonzero entry, each part is multiplied by its weight polynomial and
+the parts are added, and each coefficient of F is one Fraction, stored in
+F's rows of nonzero entries (`exact.PolyMatrix`).  At l = 1, column c is
+{c: 1}, G = D and every tableau has the one weight content_poly(lam), so
+F is that polynomial times I: d stored entries.
 
 This is the only assembly in the library.  The tests carry the direct sum
 of alpha^nu(h) rho(h) over every h in H as an independent second route to
@@ -376,8 +377,7 @@ def _compress(
                     if r not in Ac:
                         Ac[r] = [0] * size
                     Ac[r][slot + e2] += w * v
-    zero = PolyQ.zero()
-    F = [[zero] * d for _ in basis]
+    F: list[dict[int, PolyQ]] = [{} for _ in basis]
     for c, Ac in enumerate(A):
         L = col_lcm[c]
         for r, parts in Ac.items():
@@ -390,7 +390,7 @@ def _compress(
             if any(cs):
                 q = scale[r]
                 F[r][c] = PolyQ(Fraction(x * q.denominator, L * q.numerator) for x in cs)
-    return PolyMatrix.from_rows(F), G
+    return PolyMatrix(d, d, tuple(F)), G
 
 
 def transition_matrix(

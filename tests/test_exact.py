@@ -173,6 +173,32 @@ def test_polymatrix_basics():
         PolyMatrix.from_rows([[A], [A, A]])
 
 
+def test_polymatrix_stores_nonzero_entries():
+    # from_rows drops zeros, so it gives the same matrix as the sparse
+    # constructor, and equality compares the stored entries; the constructor
+    # rejects what would break that.
+    m = PolyMatrix.from_rows([[PolyQ.zero(), A, 0], [PolyQ.zero()] * 3, [1 - A, 0, 2]])
+    sparse = PolyMatrix(3, 3, ({1: A}, {}, {0: 1 - A, 2: PolyQ.constant(2)}))
+    assert m == sparse
+    assert m.nonzero == sparse.nonzero
+    assert m.to_rows() == [[0, A, 0], [0, 0, 0], [1 - A, 0, 2]]
+    assert m.entry(1, 1) == PolyQ.zero() and m.trace() == 2
+    # The trace sums the stored diagonal over one lcm of its denominators.
+    h, q = PolyQ([Fraction(1, 2), Fraction(1, 3)]), PolyQ([Fraction(1, 6), 0, Fraction(-3, 4)])
+    assert PolyMatrix(3, 3, ({0: h}, {0: A}, {2: q})).trace() == h + q
+    bad = [
+        (1, 1, ({0: PolyQ.zero()},)),  # a stored zero
+        (1, 1, ({0: 0},)),  # not a PolyQ
+        (1, 1, ({1: A},)),  # column outside range(cols)
+        (1, 1, ({-1: A},)),
+        (1, 1, ({0: A}, {})),  # more rows than `rows`
+        (2, 1, ({0: A},)),  # fewer
+    ]
+    for shape in bad:
+        with pytest.raises(ValueError):
+            PolyMatrix(*shape)
+
+
 def test_polymatrix_str():
     m = PolyMatrix.from_rows([[PolyQ.one(), A]])
     assert str(m) == "[ 1  a ]"
@@ -246,10 +272,9 @@ def test_rank_at_drops_on_zero_set():
 
 
 def test_eval_at_on_zeros_and_repeats():
-    # eval_at skips zero entries and evaluates each entry object once, and
-    # from_rows makes equal entries one object; entrywise evaluation is the
-    # reference.  Equal entries start as distinct objects, as in a
-    # transition matrix, and the constructor keeps them distinct.
+    # eval_at fills the zeros and evaluates each stored entry; entrywise
+    # evaluation is the reference.  Equal entries are distinct objects, as
+    # in a transition matrix.
     rng = random.Random(5)
     pool = [[1, -2], [0, 1, 3], [Fraction(1, 2)], [2, 0, -1], [1, 3, 2]]
     mats = [
@@ -258,7 +283,6 @@ def test_eval_at_on_zeros_and_repeats():
             [[PolyQ([1, 3, 2]) if i == j else PolyQ.zero() for j in range(5)] for i in range(5)]
         )
     ]
-    assert len({id(e) for e in mats[0].entries if e}) == 1
     for _ in range(30):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [
@@ -266,7 +290,7 @@ def test_eval_at_on_zeros_and_repeats():
             for _ in range(nr)
         ]
         mats.append(PolyMatrix.from_rows(rows))
-        mats.append(PolyMatrix(nr, nc, tuple(e for row in rows for e in row)))
+        mats.append(PolyMatrix(nr, nc, tuple({j: e for j, e in enumerate(row) if e} for row in rows)))
     for m in mats:
         for a in (0, 1, Fraction(-1, 2), Fraction(7, 3)):
             ref = [[m.entry(i, j)(a) for j in range(m.cols)] for i in range(m.rows)]
@@ -322,13 +346,13 @@ def test_rank_at_matches_gauss_jordan_on_eval_at(case):
     # The integer rows against the Fraction route: evaluate entrywise by
     # Horner, then the textbook elimination.
     m, a = case
-    before = m.entries
-    coeffs = [e.coeffs for e in m.entries]
+    before = m.nonzero
+    stored = [dict(row) for row in m.nonzero]
     got = rank_at(m, a)
     assert got == len(gauss_jordan(m.eval_at(a))[1])
     assert rank_at(m, a) == got
-    assert m.entries is before
-    assert [e.coeffs for e in m.entries] == coeffs
+    assert m.nonzero is before
+    assert list(m.nonzero) == stored
 
 
 def test_rank_at_rejects_floats():
