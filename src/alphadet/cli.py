@@ -19,7 +19,7 @@ from alphadet import __version__
 from alphadet.errors import AlphadetError
 from alphadet.exact import parse_rational
 from alphadet.formulas import n2_transition
-from alphadet.report import build_report, sanity_check, to_csv, to_json, to_text
+from alphadet.report import _matrix_obj, build_report, sanity_check, to_csv, to_json, to_text
 from alphadet.symgrp import Partition, Permutation, coset_rep_n2, zonal
 from alphadet.transition import trace_poly, transition_matrix
 from alphadet.verify import SUITES, run_suite
@@ -107,7 +107,7 @@ def cmd_transition(args) -> int:
             "l": tm.l,
             "shape": list(tm.shape.parts),
             "size": tm.d,
-            "matrix": [[p.coeff_strings() for p in row] for row in tm.entries.to_rows()],
+            "matrix": _matrix_obj(tm.entries),
             "trace": tm.trace.coeff_strings(),
             "generic_rank": tm.generic_rank(),
             "checks": checks or None,

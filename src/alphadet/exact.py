@@ -4,31 +4,31 @@ Rationals are `fractions.Fraction` throughout: always reduced, positive
 denominator, and `str()` already produces the canonical "p/q" text form.
 `PolyQ` is a dense univariate polynomial over Q with coefficients stored in
 ascending degree; the zero polynomial has degree -1.  `PolyMatrix` stores a
-matrix of `PolyQ` entries by the nonzero entries of each row.
+matrix over Q[a] as integer rows over Z[a]: each row is one positive
+denominator over the integer coefficients of its nonzero entries, in
+lowest terms, and the matrix keeps its largest degree D.
 
 Ranks over the rational function field are certified by specialization:
 evaluating at a point can only lower a rank, so the largest rank over the
 points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
-F(0) = I.  A rank at a = p/q does no Fraction arithmetic: each matrix keeps,
-built once, its rows over Z[a] (row i's stored entries times the lcm L_i
-of their coefficient denominators) and its largest degree D.  Row i of
-F(p/q) times L_i q^D is then a row of integers, and the rank counts the rows
-that `kernels.RowReducer` keeps.  `eval_at` still builds F(a) in Fractions,
-for exploration and the verify suites.  Polynomial gcds use Euclid over Q.
-No floating point and no polynomial factorization anywhere.  No package
-module solves a system; `nullspace_q` stays for the benchmark's trace and
-the tests.
+F(0) = I.  A rank at a = p/q does no Fraction arithmetic: row i of F(p/q)
+times its denominator and q^D is a row of integers, read straight from the
+stored row, and the rank counts the rows that `kernels.RowReducer` keeps.
+`eval_at` still builds F(a) in Fractions, entry by entry, for exploration,
+the verify suites and the tests' second route to every rank.  Polynomial
+gcds use Euclid over Q.  No floating point and no polynomial factorization
+anywhere.  No package module solves a system; `nullspace_q` stays for the
+benchmark's trace and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import zip_longest
-from math import lcm
+from itertools import chain, zip_longest
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -244,33 +244,50 @@ def _coerce(value) -> PolyQ:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Matrix over Q[a], stored as each row's nonzero entries: nonzero[i]
-    maps column j to entry (i, j).  Absent entries are zero, and `entry`,
-    `row`, `to_rows` and `str` show them.  The rows are read-only: a rank
-    reads integer rows cached from them."""
+    """Matrix over Q[a], stored as integer rows over Z[a]: entry (i, j) is
+    nonzero[i][j] / dens[i], ascending coefficients with no trailing zero,
+    or zero if j is not stored.  dens[i] > 0 is coprime to row i's
+    coefficients, so the form is unique and equality is value equality.
+    `entry`, `row`, `to_rows` and `str` build `PolyQ`s on demand.  degree
+    is the largest entry degree, 0 for a zero matrix.  Read-only."""
 
     rows: int
     cols: int
-    nonzero: tuple[dict[int, PolyQ], ...]
+    dens: tuple[int, ...]
+    nonzero: tuple[dict[int, tuple[int, ...]], ...]
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Equality compares the stored entries, so none may be zero.
-        if len(self.nonzero) != self.rows:
+        if not len(self.dens) == len(self.nonzero) == self.rows:
             raise ValueError("row count does not match shape")
-        stored = (item for row in self.nonzero for item in row.items())
-        if not all(j in range(self.cols) and isinstance(e, PolyQ) and e for j, e in stored):
-            raise ValueError("a stored entry is zero, not a PolyQ, or outside the columns")
+        for den, row in zip(self.dens, self.nonzero):
+            if not (
+                type(den) is int and den > 0
+                and all(j in range(self.cols) and type(cs) is tuple and cs and cs[-1] for j, cs in row.items())
+                and all(type(c) is int for cs in row.values() for c in cs)
+                and gcd(den, *chain.from_iterable(row.values())) == 1
+            ):
+                raise ValueError("a row is not in lowest terms over Z[a]")
+        degree = max((len(cs) - 1 for row in self.nonzero for cs in row.values()), default=0)
+        object.__setattr__(self, "degree", degree)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[PolyQ]]) -> PolyMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        nonzero = tuple({j: p for j, p in enumerate(map(_coerce, row)) if p} for row in rows)
-        return cls(len(rows), ncols, nonzero)
+        dens, nonzero = [], []
+        for row in rows:
+            row = {j: p.coeffs for j, p in enumerate(map(_coerce, row)) if p}
+            # Over the lcm of its reduced denominators a row is in lowest terms.
+            den = lcm(*(c.denominator for cs in row.values() for c in cs))
+            dens.append(den)
+            nonzero.append({j: tuple(c.numerator * den // c.denominator for c in cs) for j, cs in row.items()})
+        return cls(len(rows), ncols, tuple(dens), tuple(nonzero))
 
     def entry(self, i: int, j: int) -> PolyQ:
-        return self.nonzero[i].get(j) or PolyQ.zero()
+        cs = self.nonzero[i].get(j, ())
+        return PolyQ(Fraction(c, self.dens[i]) for c in cs)
 
     def row(self, i: int) -> list[PolyQ]:
         return [self.entry(i, j) for j in range(self.cols)]
@@ -282,43 +299,21 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         # Each coefficient is summed in integers over one lcm L.
-        diag = [row[i].coeffs for i, row in enumerate(self.nonzero) if i in row]
-        L = lcm(*(c.denominator for cs in diag for c in cs))
-        return PolyQ(
-            Fraction(sum(c.numerator * (L // c.denominator) for c in cs), L)
-            for cs in zip_longest(*diag, fillvalue=Fraction(0))
-        )
+        diag = [(self.dens[i], row[i]) for i, row in enumerate(self.nonzero) if i in row]
+        L = lcm(*(den for den, _ in diag))
+        lifted = [[c * (L // den) for c in cs] for den, cs in diag]
+        return PolyQ(Fraction(sum(cs), L) for cs in zip_longest(*lifted, fillvalue=0))
 
     def eval_at(self, a: Fraction | int) -> QMatrix:
-        """The matrix at a, evaluating the stored entries only.  a must be an
-        int or a Fraction."""
+        """The matrix at a, each stored entry by Horner's rule over Q.  a
+        must be an int or a Fraction."""
         a = _as_fraction(a)
         zero = Fraction(0)
         out = [[zero] * self.cols for _ in range(self.rows)]
-        for values, row in zip(out, self.nonzero):
-            for j, e in row.items():
-                values[j] = e(a)
+        for i, (values, row) in enumerate(zip(out, self.nonzero)):
+            for j in row:
+                values[j] = self.entry(i, j)(a)
         return out
-
-    @cached_property
-    def _integer_rows(self) -> tuple[int, tuple[dict[int, tuple[int, ...]], ...]]:
-        """(D, rows): D the largest entry degree (0 for a zero matrix), and
-        row i as {column: coefficients} over its stored entries, each
-        coefficient times L_i, the lcm of the row's coefficient denominators.
-        Equal coefficient tuples share one object, which rank_at evaluates
-        once per point."""
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        rows = []
-        degree = 0
-        for entries in self.nonzero:
-            scale = lcm(*(c.denominator for e in entries.values() for c in e.coeffs))
-            row = {}
-            for j, e in entries.items():
-                t = tuple(c.numerator * (scale // c.denominator) for c in e.coeffs)
-                row[j] = shared.setdefault(t, t)
-                degree = max(degree, len(t) - 1)
-            rows.append(row)
-        return degree, tuple(rows)
 
     def __str__(self) -> str:
         cells = [[e.format() for e in row] for row in self.to_rows()]
@@ -333,14 +328,13 @@ def generic_rank(mat: PolyMatrix) -> int:
     """Rank of a PolyQ matrix over the rational function field Q(a).
 
     The largest rank at a = 0, 1, 2, ..., stopping once it reaches
-    full = min(rows, cols) and otherwise after a = full*D, D the largest
-    entry degree: a nonzero r x r minor has degree at most r*D <= full*D, so
-    it cannot vanish at all full*D + 1 points.
+    full = min(rows, cols) and otherwise after a = full*D, D = mat.degree:
+    a nonzero r x r minor has degree at most r*D <= full*D, so it cannot
+    vanish at all full*D + 1 points.
     """
     full = min(mat.rows, mat.cols)
-    degree = mat._integer_rows[0]
     rank = 0
-    for a in range(full * degree + 1):
+    for a in range(full * mat.degree + 1):
         if rank == full:
             break
         rank = max(rank, rank_at(mat, a))
@@ -350,23 +344,19 @@ def generic_rank(mat: PolyMatrix) -> int:
 def rank_at(mat: PolyMatrix, a: Fraction | int) -> int:
     """Rank over Q of the matrix specialized at a.
 
-    At a = p/q each cached integer row becomes the integers
-    sum_e c_e p^e q^(D-e): row i of F(a) times L_i q^D, which keeps the rank.
-    Each distinct coefficient tuple is evaluated once, and the nonzero values
-    go, keyed by -column, into one `kernels.RowReducer`.
+    At a = p/q, D = mat.degree, each stored integer row becomes the
+    integers sum_e c_e p^e q^(D-e): row i of F(a) times dens[i] q^D, which
+    keeps the rank.  The nonzero values go, keyed by -column, into one
+    `kernels.RowReducer`.
     """
     a = _as_fraction(a)
-    degree, int_rows = mat._integer_rows
     p, q = a.numerator, a.denominator
-    weights = [p**e * q ** (degree - e) for e in range(degree + 1)]
-    values: dict[int, int] = {}
+    weights = [p**e * q ** (mat.degree - e) for e in range(mat.degree + 1)]
     reducer = kernels.RowReducer()
-    for entries in int_rows:
+    for entries in mat.nonzero:
         row = {}
         for j, coeffs in entries.items():
-            v = values.get(id(coeffs))
-            if v is None:
-                v = values[id(coeffs)] = sum(map(mul, coeffs, weights))
+            v = sum(map(mul, coeffs, weights))
             if v:
                 row[-j] = v
         row = reducer.reduce(row)

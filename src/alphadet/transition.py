@@ -92,8 +92,9 @@ lcm, and each tableau lists the rows that carry it, so a column of Z B'
 meets only the rows whose support it shares.  Each entry of A is held as
 one integer sum per power of alpha and per distinct content weight; once
 per nonzero entry, each part is multiplied by its weight polynomial and
-the parts are added, and each coefficient of F is one Fraction, stored in
-F's rows of nonzero entries (`exact.PolyMatrix`).  At l = 1, column c is
+the parts are added.  Each row of F is then put over one denominator and
+reduced by one gcd, and stored as it is, integer coefficients over Z[alpha]
+(`exact.PolyMatrix`), which the ranks read directly.  At l = 1, column c is
 {c: 1}, G = D and every tableau has the one weight content_poly(lam), so
 F is that polynomial times I: d stored entries.
 
@@ -341,8 +342,9 @@ def _compress(
     support it shares.  Column c's Z slices are lifted to the lcm L_c of
     their denominators, so each entry of A is E integer sums per distinct
     weight; each part is convolved with its weight once per nonzero
-    (r, c), and each coefficient of F is one Fraction, divided by
-    L_c L_r G[r].
+    (r, c), giving F[r][c] as integers cs over L_c q, q = L_r G[r].  Row r
+    of F is then put over q's numerator times the lcm M of its columns'
+    L_c, and reduced by one gcd: no Fraction and no PolyQ is built.
     """
     D = rep.gram
     G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
@@ -377,9 +379,8 @@ def _compress(
                     if r not in Ac:
                         Ac[r] = [0] * size
                     Ac[r][slot + e2] += w * v
-    F: list[dict[int, PolyQ]] = [{} for _ in basis]
+    F: list[dict[int, list[int]]] = [{} for _ in basis]
     for c, Ac in enumerate(A):
-        L = col_lcm[c]
         for r, parts in Ac.items():
             cs = [0] * (E + n - 1)
             for j, p in enumerate(polys):
@@ -387,10 +388,19 @@ def _compress(
                     if x:
                         for k, y in enumerate(p, e):
                             cs[k] += x * y
-            if any(cs):
-                q = scale[r]
-                F[r][c] = PolyQ(Fraction(x * q.denominator, L * q.numerator) for x in cs)
-    return PolyMatrix(d, d, tuple(F)), G
+            while cs and not cs[-1]:
+                cs.pop()
+            if cs:
+                F[r][c] = cs
+    dens, rows = [], []
+    for r, row in enumerate(F):
+        q = scale[r]
+        M = lcm(*(col_lcm[c] for c in row))
+        row = {c: [x * q.denominator * (M // col_lcm[c]) for x in cs] for c, cs in row.items()}
+        g = gcd(q.numerator * M, *chain.from_iterable(row.values()))
+        dens.append(q.numerator * M // g)
+        rows.append({c: tuple(x // g for x in cs) for c, cs in row.items()})
+    return PolyMatrix(d, d, tuple(dens), tuple(rows)), G
 
 
 def transition_matrix(

@@ -174,25 +174,38 @@ def test_polymatrix_basics():
 
 
 def test_polymatrix_stores_nonzero_entries():
-    # from_rows drops zeros, so it gives the same matrix as the sparse
-    # constructor, and equality compares the stored entries; the constructor
-    # rejects what would break that.
+    # from_rows lifts each row to one denominator over integer coefficients
+    # and drops zeros, so it gives the same matrix as the raw constructor,
+    # and equality compares the stored rows; the constructor rejects every
+    # form but the one in lowest terms.
     m = PolyMatrix.from_rows([[PolyQ.zero(), A, 0], [PolyQ.zero()] * 3, [1 - A, 0, 2]])
-    sparse = PolyMatrix(3, 3, ({1: A}, {}, {0: 1 - A, 2: PolyQ.constant(2)}))
+    sparse = PolyMatrix(3, 3, (1, 1, 1), ({1: (0, 1)}, {}, {0: (1, -1), 2: (2,)}))
     assert m == sparse
-    assert m.nonzero == sparse.nonzero
+    assert (m.dens, m.nonzero, m.degree) == (sparse.dens, sparse.nonzero, 1)
     assert m.to_rows() == [[0, A, 0], [0, 0, 0], [1 - A, 0, 2]]
     assert m.entry(1, 1) == PolyQ.zero() and m.trace() == 2
-    # The trace sums the stored diagonal over one lcm of its denominators.
+    # A row's denominator is the lcm of its reduced ones, and the trace sums
+    # the stored diagonal over one lcm of the rows' denominators.
     h, q = PolyQ([Fraction(1, 2), Fraction(1, 3)]), PolyQ([Fraction(1, 6), 0, Fraction(-3, 4)])
-    assert PolyMatrix(3, 3, ({0: h}, {0: A}, {2: q})).trace() == h + q
+    t = PolyMatrix.from_rows([[h, 0, 0], [A, 0, 0], [0, 0, q]])
+    assert t.dens == (6, 1, 12) and t.nonzero[2] == {2: (2, 0, -9)}
+    assert t.trace() == h + q and t.degree == 2
     bad = [
-        (1, 1, ({0: PolyQ.zero()},)),  # a stored zero
-        (1, 1, ({0: 0},)),  # not a PolyQ
-        (1, 1, ({1: A},)),  # column outside range(cols)
-        (1, 1, ({-1: A},)),
-        (1, 1, ({0: A}, {})),  # more rows than `rows`
-        (2, 1, ({0: A},)),  # fewer
+        (1, 1, (1,), ({0: (0,)},)),  # a stored zero
+        (1, 1, (1,), ({0: (1, 0)},)),  # a trailing zero
+        (1, 1, (1,), ({0: ()},)),  # an empty coefficient tuple
+        (1, 1, (1,), ({0: A},)),  # not a tuple of ints
+        (1, 1, (1,), ({0: [1]},)),
+        (1, 1, (1,), ({0: (Fraction(1, 2),)},)),
+        (1, 1, (0,), ({0: (1,)},)),  # a denominator <= 0
+        (1, 1, (-1,), ({0: (1,)},)),
+        (1, 1, (2,), ({0: (2, 4)},)),  # denominator and coefficients share 2
+        (1, 1, (2,), ({},)),  # an empty row over 2
+        (1, 1, (1,), ({1: (1,)},)),  # column outside range(cols)
+        (1, 1, (1,), ({-1: (1,)},)),
+        (1, 1, (1, 1), ({0: (1,)}, {})),  # more rows than `rows`
+        (2, 1, (1,), ({0: (1,)},)),  # fewer
+        (1, 1, (1, 1), ({0: (1,)},)),  # a denominator per row
     ]
     for shape in bad:
         with pytest.raises(ValueError):
@@ -217,7 +230,7 @@ def test_generic_rank_known():
     dep = PolyMatrix.from_rows([[PolyQ.one(), A], [A, A**2]])
     assert generic_rank(dep) == 1
     assert generic_rank(PolyMatrix.from_rows([[PolyQ.zero()]])) == 0
-    assert generic_rank(PolyMatrix(0, 0, ())) == 0
+    assert generic_rank(PolyMatrix(0, 0, (), ())) == 0
 
 
 def test_generic_rank_needs_every_certified_point():
@@ -273,8 +286,8 @@ def test_rank_at_drops_on_zero_set():
 
 def test_eval_at_on_zeros_and_repeats():
     # eval_at fills the zeros and evaluates each stored entry; entrywise
-    # evaluation is the reference.  Equal entries are distinct objects, as
-    # in a transition matrix.
+    # evaluation is the reference, and rank_at, on the integer rows, must
+    # match its rank.
     rng = random.Random(5)
     pool = [[1, -2], [0, 1, 3], [Fraction(1, 2)], [2, 0, -1], [1, 3, 2]]
     mats = [
@@ -290,7 +303,6 @@ def test_eval_at_on_zeros_and_repeats():
             for _ in range(nr)
         ]
         mats.append(PolyMatrix.from_rows(rows))
-        mats.append(PolyMatrix(nr, nc, tuple({j: e for j, e in enumerate(row) if e} for row in rows)))
     for m in mats:
         for a in (0, 1, Fraction(-1, 2), Fraction(7, 3)):
             ref = [[m.entry(i, j)(a) for j in range(m.cols)] for i in range(m.rows)]
@@ -339,19 +351,19 @@ def rank_test_points(draw):
 
 
 @given(rank_test_points())
-@example((PolyMatrix(0, 0, ()), 0)).via("the 0 x 0 matrix")
+@example((PolyMatrix(0, 0, (), ()), 0)).via("the 0 x 0 matrix")
 @example((PolyMatrix.from_rows([[PolyQ.zero()] * 3] * 2), Fraction(-1, 2))).via("all zero")
 @settings(max_examples=150, deadline=None)
 def test_rank_at_matches_gauss_jordan_on_eval_at(case):
     # The integer rows against the Fraction route: evaluate entrywise by
     # Horner, then the textbook elimination.
     m, a = case
-    before = m.nonzero
+    dens, before = m.dens, m.nonzero
     stored = [dict(row) for row in m.nonzero]
     got = rank_at(m, a)
     assert got == len(gauss_jordan(m.eval_at(a))[1])
     assert rank_at(m, a) == got
-    assert m.nonzero is before
+    assert m.dens is dens and m.nonzero is before
     assert list(m.nonzero) == stored
 
 

@@ -82,8 +82,11 @@ def test_l1_is_content_times_identity():
             assert sum(map(len, basis)) == rep.dim == 768
             continue
         tm = transition_matrix(n, 1, lam)
-        # F stores its d diagonal entries and nothing else.
-        assert tm.entries.nonzero == tuple({i: content_poly(lam)} for i in range(tm.d)), lam
+        # F stores its d diagonal entries, over denominator 1, and nothing
+        # else.
+        content = tuple(map(int, content_poly(lam).coeffs))
+        assert tm.entries.dens == (1,) * tm.d, lam
+        assert tm.entries.nonzero == tuple({i: content} for i in range(tm.d)), lam
         assert tm.gram == rep.gram, lam
         # Every factor is in column 1, a content weight, so no word is
         # applied and the one slice is B itself.
