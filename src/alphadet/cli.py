@@ -116,9 +116,9 @@ def cmd_transition(args) -> int:
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["row", "col", "entry"])
-        for i, row in enumerate(tm.entries.to_rows()):
-            for j, p in enumerate(row):
-                writer.writerow([i, j, ",".join(p.coeff_strings())])
+        for i, row in enumerate(_matrix_obj(tm.entries)):
+            for j, cell in enumerate(row):
+                writer.writerow([i, j, ",".join(cell)])
     else:
         shape = ",".join(str(p) for p in tm.shape.parts)
         print(f"transition matrix for n={tm.n}, l={tm.l}, shape=({shape})")

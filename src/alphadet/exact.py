@@ -14,10 +14,13 @@ points a = 0, 1, 2, ... is the generic rank once it reaches min(rows, cols),
 or once enough points have been tried that no nonzero minor can vanish at
 all of them.  Every transition matrix stops at the first point, because
 F(0) = I.  A rank at a = p/q does no Fraction arithmetic: row i of F(p/q)
-times its denominator and q^D is a row of integers, read straight from the
-stored row, and the rank counts the rows that `kernels.RowReducer` keeps.
-`eval_at` still builds F(a) in Fractions, entry by entry, for exploration,
-the verify suites and the tests' second route to every rank.  Polynomial
+times its denominator and q^D is a row of integers, built from the stored
+row in one pass, and the rank counts the rows that `kernels.RowReducer.add`
+keeps.  `eval_at` still builds F(a) in Fractions, entry by entry, for
+exploration, the verify suites and the tests' second route to every rank.
+The JSON and CSV cells of a printed matrix are read from the stored rows
+too (`report._matrix_obj`), one Fraction per stored coefficient; only the
+text form and entry-by-entry reads build `PolyQ`s.  Polynomial
 gcds use Euclid over Q.  No floating point and no polynomial factorization
 anywhere.  No package module solves a system; `nullspace_q` stays for the
 benchmark's trace and the tests.
@@ -347,21 +350,14 @@ def rank_at(mat: PolyMatrix, a: Fraction | int) -> int:
     At a = p/q, D = mat.degree, each stored integer row becomes the
     integers sum_e c_e p^e q^(D-e): row i of F(a) times dens[i] q^D, which
     keeps the rank.  The nonzero values go, keyed by -column, into one
-    `kernels.RowReducer`.
+    `kernels.RowReducer`, one `add` per row.
     """
     a = _as_fraction(a)
     p, q = a.numerator, a.denominator
     weights = [p**e * q ** (mat.degree - e) for e in range(mat.degree + 1)]
     reducer = kernels.RowReducer()
     for entries in mat.nonzero:
-        row = {}
-        for j, coeffs in entries.items():
-            v = sum(map(mul, coeffs, weights))
-            if v:
-                row[-j] = v
-        row = reducer.reduce(row)
-        if row:
-            reducer.insert(row)
+        reducer.add({-j: v for j, cs in entries.items() if (v := sum(map(mul, cs, weights)))})
     return len(reducer.pivots)
 
 

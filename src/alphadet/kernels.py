@@ -6,7 +6,11 @@ keyed by packed monomial, and `exact.rank_at` the integer rows of a
 specialized matrix keyed by -column.  `q_echelon` scales rational rows to
 integer rows keyed the same way, only for `qm_rref`, which reads the
 reduced row echelon form off the reducer.  Callers reach `qm_rref` as
-`kernels.qm_rref`, so one wrapper on the module sees it all.
+`kernels.qm_rref`, so one wrapper on the module sees it all.  Every caller
+but the closure hands each row to `RowReducer.add`, which reduces it and
+keeps it if it is new in one call, finding its lead once; the closure,
+which books a weight for each kept row, calls `reduce` and `insert`.  A
+one-entry row is kept as {lead: 1}, with no gcd.
 
 The integer-polynomial ("zp") functions work over Z[x]: lists of int
 coefficients in ascending degree with no trailing zeros, [] the zero
@@ -136,12 +140,24 @@ class RowReducer:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return _normalize_int(row)
+                return _normalize_int(row, lead)
             row = _eliminate_int(row, piv, lead)
         return row
 
     def insert(self, row: dict) -> None:
         self.pivots[max(row)] = row
+
+    def add(self, row: dict) -> dict:
+        """`reduce` then `insert` in one pass, finding the new lead once:
+        returns the kept row, or {} when the row is dependent."""
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                row = self.pivots[lead] = _normalize_int(row, lead)
+                return row
+            row = _eliminate_int(row, piv, lead)
+        return row
 
     def back_reduce(self) -> list[dict]:
         """Eliminate every pivot lead from every other row.
@@ -154,7 +170,7 @@ class RowReducer:
             row = self.pivots[lead]
             for hit in [m for m in row if m != lead and m in self.pivots]:
                 row = _eliminate_int(row, self.pivots[hit], hit)
-            self.pivots[lead] = _normalize_int(row)
+            self.pivots[lead] = _normalize_int(row, lead)
         return [self.pivots[lead] for lead in sorted(self.pivots, reverse=True)]
 
 
@@ -171,9 +187,11 @@ def _eliminate_int(row, piv, at):
     return out
 
 
-def _normalize_int(row):
+def _normalize_int(row, lead):
+    if len(row) == 1:
+        return {lead: 1}
     g = gcd(*row.values())
-    if row[max(row)] < 0:
+    if row[lead] < 0:
         g = -g
     return row if g == 1 else {m: c // g for m, c in row.items()}
 
@@ -189,9 +207,7 @@ def q_echelon(rows) -> RowReducer:
     for values in rows:
         nonzero = [(j, x) for j, x in enumerate(values) if x]
         scale = lcm(*(x.denominator for _, x in nonzero))
-        row = reducer.reduce({-j: x.numerator * (scale // x.denominator) for j, x in nonzero})
-        if row:
-            reducer.insert(row)
+        reducer.add({-j: x.numerator * (scale // x.denominator) for j, x in nonzero})
     return reducer
 
 

@@ -479,15 +479,13 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     reducer = RowReducer()
     for terms in rows:
         packed = {_pack(m, b): c for m, c in terms.items()}
-        row = reducer.reduce(
+        reducer.add(
             {
                 m << k | i: c
                 for i, shifts in raising
                 for m, c in _polarize(packed, shifts, mask).items()
             }
         )
-        if row:
-            reducer.insert(row)
     return len(rows) - len(reducer.pivots)
 
 

@@ -2,8 +2,10 @@
 
 A report is the full multiplicity table for one (n, l): one row per shape
 lam of n*l with at most n rows, in descending lex order.  Polynomials are
-carried as PolyQ and serialized as ascending "p/q" coefficient arrays, so
-JSON output round-trips exactly and is byte-stable across runs.
+serialized as ascending "p/q" coefficient arrays, so JSON output
+round-trips exactly and is byte-stable across runs.  Traces are carried
+as PolyQ; a transition matrix keeps its integer rows over Z[a], and its
+JSON and CSV cells are written straight from them (`_matrix_obj`).
 """
 
 from __future__ import annotations
@@ -105,7 +107,17 @@ def build_report(
 
 
 def _matrix_obj(m: PolyMatrix) -> list[list[list[str]]]:
-    return [[p.coeff_strings() for p in row] for row in m.to_rows()]
+    """Each cell's ascending "p/q" coefficient strings, read from the
+    stored integer rows: one Fraction per stored coefficient, none over
+    denominator 1, and no PolyQ.  Zero cells share one empty list."""
+    empty: list[str] = []
+    out = []
+    for den, row in zip(m.dens, m.nonzero):
+        cells = [empty] * m.cols
+        for j, cs in row.items():
+            cells[j] = [str(c) for c in cs] if den == 1 else [str(Fraction(c, den)) for c in cs]
+        out.append(cells)
+    return out
 
 
 def _matrix_from_obj(obj) -> PolyMatrix:

@@ -87,9 +87,12 @@ with A sparse.  B is held as its d sparse columns
 tableau i belongs to at most one column r.  So G = B^T D B = B'^T D B' is
 diagonal and is read from B as its d diagonal entries G[r], and
 F[r][c] = A[r][c] / G[r]: no matrix is inverted, and no f x d or d x d
-table is built.  Row r of (Y B')^T D is kept as integer weights over one
-lcm, and each tableau lists the rows that carry it, so a column of Z B'
-meets only the rows whose support it shares.  Each entry of A is held as
+table is built.  G[r] is summed in integers from B's integer column r,
+and each row's scale L_r G[r] is kept as a reduced integer pair: the d
+entries of G are the only Fractions the compression makes.  Row r of
+(Y B')^T D is kept as integer weights over one lcm L_r, and each tableau
+lists the rows that carry it, so a column of Z B' meets only the rows
+whose support it shares.  Each entry of A is held as
 one integer sum per power of alpha and per distinct content weight; once
 per nonzero entry, each part is multiplied by its weight polynomial and
 the parts are added.  Each row of F is then put over one denominator and
@@ -254,7 +257,7 @@ def _split(n: int, l: int, f: int, entries: int) -> tuple[list[Factor], list[Fac
 def _integer_column(col: InvariantColumn) -> IntColumn:
     """An invariant column over the lcm of its denominators."""
     den = lcm(*(v.denominator for v in col.values()))
-    return den, {i: int(v * den) for i, v in col.items()}
+    return den, {i: v.numerator * (den // v.denominator) for i, v in col.items()}
 
 
 def _word(word: list[IntGenerator], vec: dict[int, int]) -> dict[int, int]:
@@ -329,45 +332,52 @@ def _jucys_murphy(rep: SeminormalRep, B: list[IntColumn], factors: list[Factor])
 
 
 def _compress(
-    rep: SeminormalRep, n: int, basis: tuple[InvariantColumn, ...], TY: Slices, TZ: Slices
+    rep: SeminormalRep, n: int, B: list[IntColumn], TY: Slices, TZ: Slices
 ) -> tuple[PolyMatrix, list[Fraction]]:
-    """F = A / diag(G), A = (Y B)^T D P (Z B), and the diagonal of
-    G = B^T D B, from the slices TY of Y B and TZ of Z B, where P is the
+    """F = A / diag(G), A = (Y B')^T D P (Z B'), and the diagonal of
+    G = B^T D B = B'^T D B', from the integer invariant columns B, before
+    rho(w), and the slices TY of Y B' and TZ of Z B', where P is the
     diagonal of column 1's content weights p_T (`_content_weights`).
 
-    Row r of (Y B)^T D is kept as integer weights over one lcm L_r, and
-    each tableau i lists the (row, slot, weight) triples it carries, the
-    slot e1 + E j_i holding Y's power e1 of alpha under i's weight
-    polynomial j_i.  A column of Z B then meets only the rows whose
-    support it shares.  Column c's Z slices are lifted to the lcm L_c of
-    their denominators, so each entry of A is E integer sums per distinct
-    weight; each part is convolved with its weight once per nonzero
-    (r, c), giving F[r][c] as integers cs over L_c q, q = L_r G[r].  Row r
-    of F is then put over q's numerator times the lcm M of its columns'
-    L_c, and reduced by one gcd: no Fraction and no PolyQ is built.
+    G[r] = sum_i v_i^2 D_i / den^2 over column r = (den, {i: v_i}) is
+    summed in integers over the lcm of the D_i's denominators and made the
+    one Fraction per entry that the caller keeps.  Row r of (Y B')^T D is
+    kept as integer weights over one lcm L_r, and each tableau i lists the
+    (row, slot, weight) triples it carries, the slot e1 + E j_i holding Y's
+    power e1 of alpha under i's weight polynomial j_i.  A column of Z B'
+    then meets only the rows whose support it shares.  Column c's Z slices
+    are lifted to the lcm L_c of their denominators, so each entry of A is
+    E integer sums per distinct weight; each part is convolved with its
+    weight once per nonzero (r, c), giving F[r][c] as integers cs over
+    L_c q, q = L_r G[r] a reduced integer pair.  Row r of F is then put
+    over q's numerator times the lcm M of its columns' L_c, and reduced by
+    one gcd: no other Fraction and no PolyQ is built.
     """
-    D = rep.gram
-    G = [sum(x * x * D[i] for i, x in col.items()) for col in basis]
-    if len(set().union(*basis)) != sum(map(len, basis)):
+    if len(set().union(*(num for _, num in B))) != sum(len(num) for _, num in B):
         raise AssertionError("two invariant columns share a tableau")
+    Dn = [x.numerator for x in rep.gram]
+    Dd = [x.denominator for x in rep.gram]
+    G = []
+    for den, num in B:
+        LD = lcm(*(Dd[i] for i in num))
+        G.append(Fraction(sum(v * v * Dn[i] * (LD // Dd[i]) for i, v in num.items()), LD * den * den))
     js, polys = _content_weights(rep, n)
-    d, E = len(basis), len(TY) + len(TZ) - 1
-    Dn = [x.numerator for x in D]
-    Dd = [x.denominator for x in D]
-    owners: list[list[tuple[int, int, int]]] = [[] for _ in D]
-    scale: list[Fraction] = []
-    for r in range(d):
+    d, E = len(B), len(TY) + len(TZ) - 1
+    owners: list[list[tuple[int, int, int]]] = [[] for _ in Dn]
+    scale: list[tuple[int, int]] = []
+    for r, g_r in enumerate(G):
         cols = [sl[r] for sl in TY]
         L = lcm(*(den * lcm(*(Dd[i] for i in num)) for den, num in cols))
         for e1, (den, num) in enumerate(cols):
             for i, v in num.items():
                 owners[i].append((r, e1 + E * js[i], Dn[i] * v * (L // (den * Dd[i]))))
-        scale.append(L * G[r])
+        g = gcd(L, g_r.denominator)
+        scale.append((L // g * g_r.numerator, g_r.denominator // g))
     col_lcm = [lcm(*(sl[c][0] for sl in TZ)) for c in range(d)]
     # A[c][r][e1 + e2 + E j] sums (Y_e1 B)[:, r]^T D (Z_e2 B)[:, c] over the
     # tableaux of weight polys[j], times L_r L_c, for the rows r that a
     # nonzero entry reaches.
-    A: list[dict[int, list[int]]] = [{} for _ in basis]
+    A: list[dict[int, list[int]]] = [{} for _ in B]
     size = E * len(polys)
     for e2, slice_e in enumerate(TZ):
         for c, (den, num) in enumerate(slice_e):
@@ -379,7 +389,7 @@ def _compress(
                     if r not in Ac:
                         Ac[r] = [0] * size
                     Ac[r][slot + e2] += w * v
-    F: list[dict[int, list[int]]] = [{} for _ in basis]
+    F: list[dict[int, list[int]]] = [{} for _ in B]
     for c, Ac in enumerate(A):
         for r, parts in Ac.items():
             cs = [0] * (E + n - 1)
@@ -393,12 +403,11 @@ def _compress(
             if cs:
                 F[r][c] = cs
     dens, rows = [], []
-    for r, row in enumerate(F):
-        q = scale[r]
+    for (qn, qd), row in zip(scale, F):
         M = lcm(*(col_lcm[c] for c in row))
-        row = {c: [x * q.denominator * (M // col_lcm[c]) for x in cs] for c, cs in row.items()}
-        g = gcd(q.numerator * M, *chain.from_iterable(row.values()))
-        dens.append(q.numerator * M // g)
+        row = {c: [x * qd * (M // col_lcm[c]) for x in cs] for c, cs in row.items()}
+        g = gcd(qn * M, *chain.from_iterable(row.values()))
+        dens.append(qn * M // g)
         rows.append({c: tuple(x // g for x in cs) for c, cs in row.items()})
     return PolyMatrix(d, d, tuple(dens), tuple(rows)), G
 
@@ -421,10 +430,9 @@ def transition_matrix(
         )
     B = [_integer_column(col) for col in basis]
     letters = _relabeling(n, l)
-    if letters:
-        B = _relabel(rep, B, letters)
-    Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in B))
-    F, G = _compress(rep, n, basis, _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z))
+    Bw = _relabel(rep, B, letters) if letters else B
+    Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in Bw))
+    F, G = _compress(rep, n, B, _jucys_murphy(rep, Bw, Y), _jucys_murphy(rep, Bw, Z))
     return TransitionMatrix(
         shape=lam,
         n=n,

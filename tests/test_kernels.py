@@ -201,3 +201,41 @@ def test_parity_matrix_ops():
         assert all(isinstance(x, Fraction) for row in got[0] for x in row)
         assert qrows == before
         assert all(r is not g for r, g in zip(qrows, got[0]))
+
+
+def test_row_reducer_add_keeps_primitive_rows_with_positive_lead():
+    reducer = kernels.RowReducer()
+    # A one-entry row is kept as {lead: 1}.
+    assert reducer.add({-3: -6}) == {-3: 1}
+    assert reducer.pivots == {-3: {-3: 1}}
+    # A row with more entries is divided by its content, lead made positive.
+    kept = reducer.add({5: -4, 2: 6, -1: 10})
+    assert kept == {5: 2, 2: -3, -1: -5}
+    assert reducer.pivots[5] is kept
+    # A dependent row returns {} and leaves the pivots as they were.
+    before = {lead: dict(row) for lead, row in reducer.pivots.items()}
+    assert reducer.add({5: 6, 2: -9, -1: -15, -3: 7}) == {}
+    assert reducer.add({}) == {}
+    assert reducer.pivots == before
+
+
+_int_rows_st = st.lists(
+    st.dictionaries(st.integers(-5, 5), st.integers(-9, 9).filter(bool), max_size=6),
+    max_size=8,
+)
+
+
+@given(_int_rows_st)
+@settings(max_examples=120, deadline=None)
+def test_row_reducer_add_matches_reduce_then_insert(rows):
+    one, two = kernels.RowReducer(), kernels.RowReducer()
+    for row in rows:
+        kept = one.add(dict(row))
+        reduced = two.reduce(dict(row))
+        if reduced:
+            two.insert(reduced)
+        assert kept == reduced
+    assert one.pivots == two.pivots
+    assert len(one.pivots) == rank_q(
+        [[Fraction(row.get(k, 0)) for k in range(-5, 6)] for row in rows]
+    )

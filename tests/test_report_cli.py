@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import alphadet.cli as cli
+from alphadet.exact import PolyMatrix, PolyQ
 from alphadet.report import (
+    _matrix_obj,
     build_report,
     from_json,
     sanity_check,
@@ -19,6 +21,8 @@ from alphadet.report import (
     to_json,
     to_text,
 )
+from alphadet.symgrp import Partition, admissible_shapes
+from alphadet.transition import transition_matrix
 from alphadet.verify import SUITES, CheckResult
 
 
@@ -188,6 +192,51 @@ def test_cli_transition_refuses_csv_check(capsys):
     assert captured.err == "error: --check has no CSV encoding; use --format json or text\n"
     assert cli.main(argv[:-2] + ["--format", "text"]) == 0
     assert cli.main(argv[:7] + ["--format", "csv"]) == 0
+
+
+def test_cli_transition_csv_bytes(capsys):
+    # One cell per entry, zeros empty, each cell's "p/q" coefficients
+    # joined by commas, from the same encoder as the JSON matrix.
+    argv = ["transition", "--n", "3", "--l", "2", "--lam", "4,2", "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "row,col,entry\n"
+        '0,0,"1,1,-1/3,1/3,2/3"\n'
+        "0,1,\n"
+        '0,2,"0,0,5/9,10/9,5/9"\n'
+        "1,0,\n"
+        '1,1,"1,1,-1,-1"\n'
+        "1,2,\n"
+        '2,0,"0,0,1,2,1"\n'
+        "2,1,\n"
+        '2,2,"1,1,-1/6,2/3,5/6"\n'
+    )
+
+
+def test_matrix_cells_match_the_polyq_route():
+    # The cells are read from the stored integer rows; the second route
+    # builds every entry as a PolyQ and prints its coefficients.
+    def polyq_cells(F):
+        return [[p.coeff_strings() for p in row] for row in F.to_rows()]
+
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if m % n:
+                continue
+            for lam in admissible_shapes(n, m // n):
+                F = transition_matrix(n, m // n, lam).entries
+                assert _matrix_obj(F) == polyq_cells(F), (n, lam)
+    # No PolyQ is built on the way.
+    F = transition_matrix(3, 2, Partition((4, 2))).entries
+    want = polyq_cells(F)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolyQ, "__init__", None)
+        assert _matrix_obj(F) == want
+    # A row over 6, an all-zero row and a row over 1.
+    F = PolyMatrix(3, 2, (6, 1, 1), ({0: (3, -2), 1: (1,)}, {}, {1: (0, 0, 5)}))
+    cells = [[["1/2", "-1/3"], ["1/6"]], [[], []], [[], ["0", "0", "5"]]]
+    assert _matrix_obj(F) == polyq_cells(F) == cells
+    assert _matrix_obj(PolyMatrix(0, 0, (), ())) == []
 
 
 def test_cli_transition_check(capsys):

@@ -314,13 +314,38 @@ def test_compression_is_split_invariant_and_matches_dense():
             for lam in admissible_shapes(n, l):
                 rep = build_rep(lam)
                 basis, B, relabeled = _relabeled(rep, n, l)
+                integer_basis = [_integer_column(col) for col in basis]
                 every = _jucys_murphy(rep, B, _column_one(n) + factors)
                 dense_F, dense_G = dense_compression(rep, relabeled, every)
                 for Y, Z in splits:
                     TY, TZ = _jucys_murphy(rep, B, Y), _jucys_murphy(rep, B, Z)
-                    F, G = _compress(rep, n, basis, TY, TZ)
+                    F, G = _compress(rep, n, integer_basis, TY, TZ)
                     assert F == dense_F, (n, l, lam, Y)
                     assert dense_G == _diagonal(G), (n, l, lam, Y)
+
+
+def test_compression_makes_one_fraction_per_gram_entry(monkeypatch):
+    # F leaves the compression as integer rows, and G and the row scales
+    # are summed as integer pairs: the d entries of G are the only
+    # Fractions made, at l = 1, with rho(w), and with a split.
+    new = Fraction.__new__
+    for n, l, parts in ((4, 1, (2, 1, 1)), (3, 2, (4, 2)), (3, 3, (5, 3, 1))):
+        rep = build_rep(Partition(parts))
+        basis, Bw, _ = _relabeled(rep, n, l)
+        B = [_integer_column(col) for col in basis]
+        Y, Z = _split(n, l, rep.dim, sum(len(num) for _, num in Bw))
+        TY, TZ = _jucys_murphy(rep, Bw, Y), _jucys_murphy(rep, Bw, Z)
+        made = []
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        F, G = _compress(rep, n, B, TY, TZ)
+        monkeypatch.undo()
+        assert len(made) == len(G) == len(basis) > 1, (n, l, parts)
+        assert F == transition_matrix(n, l, Partition(parts)).entries
 
 
 def test_factors_are_columns_two_to_l():
@@ -427,7 +452,7 @@ def test_invariant_columns_have_disjoint_supports_and_diagonal_gram():
     rep = build_rep(Partition((2, 1)))
     T = [[(1, {}), (1, {})]]
     with pytest.raises(AssertionError, match="share a tableau"):
-        _compress(rep, 3, ({0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}), T, T)
+        _compress(rep, 3, [(1, {0: 1}), (1, {0: 1, 1: 1})], T, T)
 
 
 def _transition_text(max_m):
