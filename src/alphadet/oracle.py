@@ -26,18 +26,19 @@ skipped unbuilt, and its reduced echelon rows are its unit monomials.
 
 All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
-row: a dict from monomial to int, primitive, with a positive lead.  Inside
-the closure and the counts a monomial is one packed int: its n^2 exponents
-are digits of width b, x11 the most significant, so E_ij moves a degree
-from x_js to x_is by adding a constant to the key.  The closure takes
-b = l.bit_length().  Each column of every monomial it meets has degree l
-(adet(X)^l has, and polarization moves degree within a column), so no
-exponent exceeds l, no digit carries, and the order of the packed ints is
-the lex order of the exponent tuples: the leads, and so the reduced
-echelon rows, are those of the tuples.  The closure's reduced echelon rows
-go into the basis as they are, with their monomials unpacked to exponent
-tuples; the counts pack the rows they read again, with the digit width of
-n*l, the degree of every monomial of a weight of size n*l.  The generic
+row: a dict from monomial to int, primitive, with a positive lead.  A
+monomial is one packed int: its n^2 exponents are digits of width b, x11
+the most significant, so E_ij moves a degree from x_js to x_is by adding a
+constant to the key.  The closure takes b = l.bit_length().  Each column
+of every monomial it meets has degree l (adet(X)^l has, and polarization
+moves degree within a column), so no exponent exceeds l, no digit carries,
+and the order of the packed ints is the lex order of the exponent tuples:
+the leads, and so the reduced echelon rows, are those of the tuples.  The
+closure's reduced echelon rows go into the basis as they are, packed, and
+the counts polarize them at the same width: a raising operator keeps every
+column's degree too.  A hand-built basis is packed with the width of n*l,
+the degree of every monomial of a weight of size n*l.  Exponent tuples
+are made only when a caller reads `ModuleBasis.generators`.  The generic
 module over Q(alpha) is certified by specialization.  It lies in the space
 of polynomials whose every column has degree l, and specializing alpha can
 only lower the dimension of each weight space; so one closure at a rational
@@ -57,10 +58,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial, prod
 from types import MappingProxyType
 
@@ -141,10 +142,10 @@ class MultiPoly:
     """Sparse polynomial in the n^2 entries of an n x n variable matrix.
 
     Terms map exponent vectors (length n^2, variable order x11, x12, ...,
-    xnn) to coefficients, and falsy means zero.  The alpha-determinant has
-    coefficients in Q[alpha], specialized ones are rational, and a module
-    row is an integer row (see the module docstring).  The library only
-    stores polynomials here and does no arithmetic on them.
+    xnn) to coefficients, and falsy means zero.  The library does no
+    arithmetic on them: a MultiPoly is the exponent-tuple view of a packed
+    module row, an integer row (see the module docstring), that
+    `ModuleBasis.generators` makes and `ModuleBasis.from_generators` takes.
     """
 
     __slots__ = ("n", "terms")
@@ -272,24 +273,78 @@ class ModuleBasis:
 
     The cone part is the sum of the module's weight spaces M_mu with mu in
     the cone {mu_1 + ... + mu_k >= k*l for all k}; it holds every dominant
-    weight, which is all the highest-weight counts read.  `generators` are
-    the basis rows in descending lead order, with int coefficients: each
+    weight, which is all the highest-weight counts read.  `rows` are the
+    basis rows in descending lead order, integer rows keyed by monomial
+    packed with digit width `width` (l.bit_length() for a closure): each
     row primitive, its lead positive, and no other row's lead among its
     terms.  `alpha` is the specialization point, or None for the generic
     module over Q(alpha), whose certified basis is the unit monomials of
     cone weight.  Each row is weight-homogeneous; `weights` lists the
-    row-degree vectors.
+    row-degree vectors.  `generators` unpacks the rows into MultiPolys
+    on first read.  A basis built by hand enters through `from_generators`.
     """
 
     n: int
     l: int
     alpha: Fraction | None
-    generators: tuple[MultiPoly, ...]
+    rows: tuple[dict[int, int], ...]
     weights: tuple[tuple[int, ...], ...]
+    width: int
 
     @property
     def dim(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
+
+    @cached_property
+    def generators(self) -> tuple[MultiPoly, ...]:
+        """The rows with exponent tuples for monomials, sharing one tuple
+        per monomial."""
+        n, b = self.n, self.width
+        monomial: dict[int, Monomial] = {}
+        out = []
+        for row in self.rows:
+            terms = {}
+            for m, c in row.items():
+                key = monomial.get(m)
+                if key is None:
+                    key = monomial[m] = _unpack(m, n, b)
+                terms[key] = c
+            out.append(MultiPoly(n, terms))
+        return tuple(out)
+
+    @classmethod
+    def from_generators(
+        cls,
+        n: int,
+        l: int,
+        alpha: Fraction | None,
+        generators: Iterable[MultiPoly],
+        weights: Iterable[tuple[int, ...]],
+    ) -> ModuleBasis:
+        """A basis of hand-built rows, each of the given weight, packed with
+        the digit width of n*l.  The counts group rows by weight alone, so a
+        row that is zero, is not homogeneous of its stated weight, or whose
+        degree is not n*l raises SizeMismatchError; a coefficient that is not
+        an int raises TypeError."""
+        generators, weights = tuple(generators), tuple(map(tuple, weights))
+        if len(generators) != len(weights):
+            raise SizeMismatchError(f"{len(generators)} generators but {len(weights)} weights")
+        b = (n * l).bit_length()
+        rows = []
+        for k, (g, w) in enumerate(zip(generators, weights)):
+            if len(w) != n or sum(w) != n * l:
+                raise SizeMismatchError(f"weight {w} of row {k} is not of size n*l = {n * l}")
+            if not g.terms:
+                raise SizeMismatchError(f"row {k} is zero")
+            row = {}
+            for m, c in g.terms.items():
+                if type(c) is not int:
+                    raise TypeError(f"row {k} has the coefficient {c!r}, not an int")
+                if len(m) != n * n or min(m) < 0 or _monomial_weight(m, n) != w:
+                    raise SizeMismatchError(f"row {k} has the monomial {m}, not of weight {w}")
+                row[_pack(m, b)] = c
+            rows.append(row)
+        return cls(n=n, l=l, alpha=alpha, rows=tuple(rows), weights=weights, width=b)
 
 
 def cyclic_closure(
@@ -317,15 +372,17 @@ def cyclic_closure(
         )
     if alpha is not None:
         a = Fraction(alpha)
-        return _module_basis(n, l, a, _close(n, l, a).back_reduce())
+        reducer, weight_of = _close(n, l, a)
+        return _module_basis(n, l, a, reducer.back_reduce(), weight_of)
     full = cone_monomial_count(n, l)
     for a in CERTIFYING_ALPHAS:
-        leads = sorted(_close(n, l, a).pivots, reverse=True)
-        if len(leads) == full:
+        reducer, weight_of = _close(n, l, a)
+        if len(reducer.pivots) == full:
             # full distinct leads of cone weight are every monomial of cone
             # weight, so the reduced echelon basis is the unit monomials and
             # needs no back reduction.
-            return _module_basis(n, l, None, [{m: 1} for m in leads])
+            leads = sorted(reducer.pivots, reverse=True)
+            return _module_basis(n, l, None, [{m: 1} for m in leads], weight_of)
     tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
     raise UncertifiedClosureError(
         f"no closure for n = {n}, l = {l} reached the dimension {full} of the "
@@ -334,27 +391,22 @@ def cyclic_closure(
 
 
 def _module_basis(
-    n: int, l: int, alpha: Fraction | None, rows: list[dict[int, int]]
+    n: int,
+    l: int,
+    alpha: Fraction | None,
+    rows: list[dict[int, int]],
+    weight_of: dict[int, tuple[int, ...]],
 ) -> ModuleBasis:
-    """Unpack reduced echelon rows of packed monomials, in descending lead
-    order, into a ModuleBasis; the rows share one tuple per monomial."""
-    b = l.bit_length()
-    monomial: dict[int, Monomial] = {}
-    generators = []
-    for row in rows:
-        terms = {}
-        for m, c in row.items():
-            key = monomial.get(m)
-            if key is None:
-                key = monomial[m] = _unpack(m, n, b)
-            terms[key] = c
-        generators.append(MultiPoly(n, terms))
+    """The ModuleBasis of reduced echelon rows packed as `_close` packs
+    them, in descending lead order, weighted by `_close`'s weight of each
+    lead."""
     return ModuleBasis(
         n=n,
         l=l,
         alpha=alpha,
-        generators=tuple(generators),
-        weights=tuple(_monomial_weight(monomial[max(row)], n) for row in rows),
+        rows=tuple(rows),
+        weights=tuple([weight_of[max(row)] for row in rows]),
+        width=l.bit_length(),
     )
 
 
@@ -369,13 +421,12 @@ def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
     """
     p, q = a.numerator, a.denominator
     b = l.bit_length()
+    top = n * n - 1
     base = {}
     for imgs in itertools.permutations(range(n)):
-        m = [0] * (n * n)
-        for col, row in enumerate(imgs):
-            m[_var(row + 1, col + 1, n)] = 1
+        key = sum(1 << b * (top - _var(row + 1, col + 1, n)) for col, row in enumerate(imgs))
         cycles = _cycle_count(imgs)
-        base[_pack(m, b)] = p ** (n - cycles) * q ** (cycles - 1)
+        base[key] = p ** (n - cycles) * q ** (cycles - 1)
     gen = {0: 1}
     for _ in range(l):
         out: dict[int, int] = {}
@@ -387,9 +438,10 @@ def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
     return gen
 
 
-def _close(n: int, l: int, a: Fraction) -> RowReducer:
+def _close(n: int, l: int, a: Fraction) -> tuple[RowReducer, dict[int, tuple[int, ...]]]:
     """Echelon rows spanning the cone part of the closure of adet(X)^l at
-    alpha = a, on integer rows keyed by packed monomial.
+    alpha = a, on integer rows keyed by packed monomial, and the weight of
+    each row's lead.
 
     Phase 1 closes the span under the simple raising operators E_i,i+1,
     which gives U(n+) gen; phase 2 closes that under the simple lowering
@@ -399,70 +451,89 @@ def _close(n: int, l: int, a: Fraction) -> RowReducer:
     against the current echelon rows and kept when it is new.
 
     The work goes weight space by weight space.  Each row carries its
-    weight, and E_ij moves it by e_i - e_j.  room[w] starts as the number
-    of monomials of weight w whose every column has degree l, the dimension
-    of the space every image of weight w lies in, and drops by one with
-    each row kept; once it is 0, an image of weight w reduces to zero, so
-    it is skipped unbuilt.  room holds only cone weights.  Raising from
-    (l^n) never leaves the cone, and a lowering E_j+1,j lowers the partial
-    sum mu_1 + ... + mu_j by one while no operator of phase 2 raises one,
-    so an image that leaves the cone never returns to it: those images are
-    skipped too, and what remains is exactly the module's cone part.  The
-    reduced echelon rows of a full weight space are its unit monomials, and
-    rows of different weights share no monomial, so the rows of full spaces
-    are returned as unit rows; the caller's back reduction then touches
-    only the other spaces and makes the basis the unique reduced echelon
-    form of the cone part, whatever the elimination order.
+    weight as an index into the cone weights, and E_ij moves it by
+    e_i - e_j, looked up in E_ij's neighbour table.  room[k] starts as the
+    number of monomials of the k-th weight whose every column has degree l,
+    the dimension of the space every image of that weight lies in, and
+    drops by one with each row kept; once it is 0, an image of that weight
+    reduces to zero, so it is skipped unbuilt.  Only cone weights have an
+    index; a step to any other weight leads to one extra slot whose room
+    stays 0.  Raising from (l^n) never leaves the cone, and a lowering
+    E_j+1,j lowers the partial sum mu_1 + ... + mu_j by one while no
+    operator of phase 2 raises one, so an image that leaves the cone never
+    returns to it: those images are skipped too, and what remains is
+    exactly the module's cone part.  The reduced echelon rows of a full
+    weight space are its unit monomials, and rows of different weights
+    share no monomial, so the rows of full spaces are returned as unit
+    rows; the caller's back reduction then touches only the other spaces
+    and makes the basis the unique reduced echelon form of the cone part,
+    whatever the elimination order.
     """
     b = l.bit_length()
     mask = (1 << b) - 1
     reducer = RowReducer()
-    room = {w: c for w, c in _weight_monomial_counts(n, l).items() if _in_cone(w, l)}
-    rows: list[tuple[dict[int, int], tuple[int, ...]]] = []
+    counts = _weight_monomial_counts(n, l)
+    cone = [w for w in counts if _in_cone(w, l)]
+    index = {w: k for k, w in enumerate(cone)}
+    outside = len(cone)
+    room = [counts[w] for w in cone] + [0]
+    rows: list[tuple[dict[int, int], int]] = []
 
     def operator(i, j):
-        """E_ij's packed shifts and the weight e_i - e_j it adds."""
-        return _packed_shifts(i, j, n, b), tuple([(k == i) - (k == j) for k in range(1, n + 1)])
+        """E_ij's packed shifts and its neighbour table: the index of each
+        cone weight plus e_i - e_j, or `outside`."""
+        table = []
+        for w in cone:
+            v = list(w)
+            v[i - 1] += 1
+            v[j - 1] -= 1
+            table.append(index.get(tuple(v), outside))
+        return _packed_shifts(i, j, n, b), table
 
-    def insert(row, w):
+    def insert(row, k):
         reducer.insert(row)
-        room[w] -= 1
-        rows.append((row, w))
+        room[k] -= 1
+        rows.append((row, k))
 
     def close(ops):
         """Close the span of the current rows under ops."""
         queue = deque(rows)
         while queue:
-            row, w = queue.popleft()
-            for shifts, step in ops:
-                v = tuple([x + d for x, d in zip(w, step)])
-                if room.get(v):
+            row, k = queue.popleft()
+            for shifts, table in ops:
+                v = table[k]
+                if room[v]:
                     new = reducer.reduce(_polarize(row, shifts, mask))
                     if new:
                         insert(new, v)
                         queue.append((new, v))
 
-    insert(reducer.reduce(_generator(n, l, a)), (l,) * n)
+    insert(reducer.reduce(_generator(n, l, a)), index[(l,) * n])
     close([operator(i, i + 1) for i in range(1, n)])
     close([operator(j + 1, j) for j in range(1, n)])
     # pivots keep insertion order, one new lead per insert
-    for lead, (_, w) in zip(list(reducer.pivots), rows):
-        if not room[w]:
+    weight_of = {}
+    for lead, (_, k) in zip(list(reducer.pivots), rows):
+        weight_of[lead] = cone[k]
+        if not room[k]:
             reducer.pivots[lead] = {lead: 1}
-    return reducer
+    return reducer, weight_of
 
 
 def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     """Multiplicity of the highest weight lam in the module: the dimension of
     the joint kernel of all raising operators on the weight-lam rows.
 
-    Each weight-lam generator maps to one sparse integer row, its images
-    under the simple raising operators E_i,i+1, the image of E_i,i+1 at
-    monomial m keyed by (packed m << k) | i with 2^k > n.  The rows go
-    through the closure's fraction-free reducer; the multiplicity
-    is the number of rows less the number that survive reduction.  The
-    generators must have int coefficients, as every closure's do; the
-    reducer raises TypeError on a nonzero image of any other kind.
+    Each weight-lam row maps to one sparse integer row, its images under
+    the simple raising operators E_i,i+1, polarized at the basis's digit
+    width (a raising operator keeps every column's degree, so a closure
+    row's image cannot carry, and no exponent of degree n*l passes the
+    width of a hand-built basis), the image of E_i,i+1 at monomial m keyed
+    by (m << k) | i with 2^k > n.  The rows go through the closure's
+    fraction-free reducer; the multiplicity is the number of rows less the
+    number that survive reduction.  The rows must have int coefficients, as
+    every closure's and every `from_generators` basis's do; the reducer
+    raises TypeError on a nonzero image of any other kind.
     """
     n = basis.n
     if lam.size != n * basis.l:
@@ -470,20 +541,18 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     if lam.length > n:
         return 0
     target = tuple(lam.part(i) for i in range(1, n + 1))
-    rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
-    # a monomial of weight lam has degree n*l, so no exponent passes n*l
-    b = lam.size.bit_length()
+    rows = [row for row, w in zip(basis.rows, basis.weights) if w == target]
+    b = basis.width
     mask = (1 << b) - 1
     k = n.bit_length()
     raising = [(i, _packed_shifts(i, i + 1, n, b)) for i in range(1, n)]
     reducer = RowReducer()
-    for terms in rows:
-        packed = {_pack(m, b): c for m, c in terms.items()}
+    for row in rows:
         reducer.add(
             {
                 m << k | i: c
                 for i, shifts in raising
-                for m, c in _polarize(packed, shifts, mask).items()
+                for m, c in _polarize(row, shifts, mask).items()
             }
         )
     return len(rows) - len(reducer.pivots)

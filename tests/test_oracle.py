@@ -473,15 +473,11 @@ def test_closure_weight_consistency():
         assert all(_in_cone(w, l) for w in basis.weights)
         # a row short of some weight space, or a row outside the cone, fails
         assert not weight_consistency_check(
-            replace(basis, generators=basis.generators[1:], weights=basis.weights[1:]), counts
+            replace(basis, rows=basis.rows[1:], weights=basis.weights[1:]), counts
         )
         outside = (0,) * (n - 1) + (n * l,)
         assert not weight_consistency_check(
-            replace(
-                basis,
-                generators=basis.generators + (basis.generators[0],),
-                weights=basis.weights + (outside,),
-            ),
+            replace(basis, rows=basis.rows + (basis.rows[0],), weights=basis.weights + (outside,)),
             counts,
         )
         # the check reads the multiplicities it is given: one count off fails
@@ -516,12 +512,8 @@ def test_hwv_rejects_bad_shapes():
 
 def _hand_built_basis(alpha, g1, g2):
     # two weight-(1, 1) rows of an n = 2, l = 1 basis
-    return ModuleBasis(
-        n=2,
-        l=1,
-        alpha=alpha,
-        generators=(MultiPoly(2, g1), MultiPoly(2, g2)),
-        weights=((1, 1), (1, 1)),
+    return ModuleBasis.from_generators(
+        2, 1, alpha, (MultiPoly(2, g1), MultiPoly(2, g2)), ((1, 1), (1, 1))
     )
 
 
@@ -741,8 +733,10 @@ def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alph
 
     monkeypatch.setattr(RowReducer, "reduce", checked_reduce)
     monkeypatch.setattr(RowReducer, "insert", counted_insert)
-    reducer = oracle._close(n, l, alpha)
+    reducer, weight_of = oracle._close(n, l, alpha)
     assert sum(held.values()) == len(reducer.pivots)
+    # the weight handed back for each lead is the weight of its row
+    assert weight_of == {lead: _packed_weight(row, n, l) for lead, row in reducer.pivots.items()}
     full = {w for w, k in held.items() if k == table[w]}
     assert len(full) == full_spaces
     for lead, row in reducer.pivots.items():
@@ -851,14 +845,86 @@ def test_generic_closure_is_one_call(monkeypatch):
 
 
 def test_hwv_refuses_fraction_coefficients():
-    # A module row is an integer row; a rational one is not counted.
-    basis = _hand_built_basis(
-        Fraction(1),
-        {(1, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): 1},
-        {(0, 1, 1, 0): 1, (1, 0, 1, 0): 2},
-    )
+    # A module row is an integer row; a rational one is not counted.  A
+    # hand-built basis refuses it when it is built, and the count refuses
+    # it in a basis that skipped that check.
+    g1 = {(1, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): 1}
+    g2 = {(0, 1, 1, 0): 1, (1, 0, 1, 0): 2}
+    with pytest.raises(TypeError):
+        _hand_built_basis(Fraction(1), g1, g2)
+    rows = tuple({oracle._pack(m, 2): c for m, c in g.items()} for g in (g1, g2))
+    basis = ModuleBasis(2, 1, Fraction(1), rows, ((1, 1), (1, 1)), 2)
     with pytest.raises(TypeError):
         hwv_multiplicity(basis, Partition((1, 1)))
+
+
+def test_from_generators_refuses_rows_off_their_weight():
+    # The counts group rows by their stated weight alone, so a hand-built
+    # row must be homogeneous of that weight and of degree n*l.
+    basis = cyclic_closure(3, 1, alpha=Fraction(-1, 2))
+    gens, weights = basis.generators, list(basis.weights)
+    k = next(k for k, w in enumerate(weights) if w != weights[0])
+    swapped = [weights[k]] + weights[1:]
+    with pytest.raises(SizeMismatchError, match="row 0 has the monomial"):
+        ModuleBasis.from_generators(3, 1, basis.alpha, gens, swapped)
+    mixed = MultiPoly(3, {**gens[0].terms, **gens[k].terms})
+    with pytest.raises(SizeMismatchError, match="not of weight"):
+        ModuleBasis.from_generators(3, 1, basis.alpha, [mixed], [weights[0]])
+    with pytest.raises(SizeMismatchError, match="not of size n\\*l"):
+        ModuleBasis.from_generators(3, 2, basis.alpha, gens[:1], weights[:1])
+    with pytest.raises(SizeMismatchError, match="is zero"):
+        ModuleBasis.from_generators(3, 1, basis.alpha, [MultiPoly(3)], weights[:1])
+    with pytest.raises(SizeMismatchError, match="generators but"):
+        ModuleBasis.from_generators(3, 1, basis.alpha, gens, weights[1:])
+    assert ModuleBasis.from_generators(3, 1, basis.alpha, gens, weights).dim == basis.dim
+
+
+ORACLE_SPECIAL_CASES = ((3, 1), (2, 4), (3, 2), (4, 1))
+
+
+@pytest.mark.parametrize(
+    "n, l, alpha",
+    [(2, 2, None), (3, 1, None), (3, 2, None)]
+    + [
+        (n, l, a)
+        for n, l in ORACLE_SPECIAL_CASES
+        for a in (Fraction(1), Fraction(-1, 2), Fraction(3, 7))
+    ],
+    ids=str,
+)
+def test_from_generators_round_trip_keeps_every_count(n, l, alpha):
+    # The closure's rows, unpacked and packed again at the width of n*l,
+    # are the same rows and give the same count for every shape.
+    basis = cyclic_closure(n, l, alpha=alpha)
+    again = ModuleBasis.from_generators(n, l, basis.alpha, basis.generators, basis.weights)
+    assert (basis.width, again.width) == (l.bit_length(), (n * l).bit_length())
+    assert [g.terms for g in again.generators] == [g.terms for g in basis.generators]
+    assert again.weights == basis.weights
+    for lam in admissible_shapes(n, l):
+        assert hwv_multiplicity(again, lam) == hwv_multiplicity(basis, lam)
+
+
+def test_closure_and_counts_make_no_exponent_tuple(monkeypatch):
+    # From the generator to the count a row stays packed: neither the
+    # closure nor any count packs or unpacks a monomial.  The bases are
+    # still the tuple route's rows when read.
+    def refuse(*args):
+        raise AssertionError("a monomial was packed or unpacked")
+
+    alphas = (Fraction(1), Fraction(-1), Fraction(-1, 2), Fraction(2))
+    bases = []
+    monkeypatch.setattr(oracle, "_pack", refuse)
+    monkeypatch.setattr(oracle, "_unpack", refuse)
+    for n, l in ORACLE_SPECIAL_CASES:
+        for a in alphas:
+            basis = cyclic_closure(n, l, alpha=a)
+            counts = [hwv_multiplicity(basis, lam) for lam in admissible_shapes(n, l)]
+            bases.append((basis, counts))
+    monkeypatch.undo()
+    for basis, counts in bases:
+        n, l = basis.n, basis.l
+        assert [g.terms for g in basis.generators] == tuple_closure(n, l, basis.alpha)
+        assert counts == [tuple_hwv_multiplicity(basis, lam) for lam in admissible_shapes(n, l)]
 
 
 def test_closure_caps():

@@ -159,6 +159,17 @@ def test_cli_decompose_csv_alphas_golden_bytes(capsys, n, l):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_cli_decompose_csv_oracle_golden_bytes(capsys):
+    # The oracle's counts byte for byte: the generic closure, two where
+    # counts drop below the generic ones (1 and -1/2), and one whose
+    # closure fills the cone part (2).
+    argv = ["decompose", "--n", "3", "--l", "2", "--oracle",
+            "--alpha=1", "--alpha=-1/2", "--alpha=2", "--format", "csv"]
+    assert cli.main(argv) == 0
+    golden = (GOLDEN / "decompose_3_2_oracle.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
     rc = cli.main(
         ["decompose", "--n", "2", "--l", "2", "--alpha=1", "--alpha=-1/2",
