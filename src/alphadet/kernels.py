@@ -7,10 +7,9 @@ specialized matrix keyed by -column.  `q_echelon` scales rational rows to
 integer rows keyed the same way, only for `qm_rref`, which reads the
 reduced row echelon form off the reducer.  Callers reach `qm_rref` as
 `kernels.qm_rref`, so one wrapper on the module sees it all.  Every caller
-but the closure hands each row to `RowReducer.add`, which reduces it and
-keeps it if it is new in one call, finding its lead once; the closure,
-which books a weight for each kept row, calls `reduce` and `insert`.  A
-one-entry row is kept as {lead: 1}, with no gcd.
+hands each row to `RowReducer.add`, which reduces it and keeps it if it is
+new in one call, finding its lead once.  A one-entry row is kept as
+{lead: 1}, with no gcd.
 
 The integer-polynomial ("zp") functions work over Z[x]: lists of int
 coefficients in ascending degree with no trailing zeros, [] the zero
@@ -135,21 +134,10 @@ class RowReducer:
     def __init__(self):
         self.pivots: dict = {}
 
-    def reduce(self, row: dict) -> dict:
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return _normalize_int(row, lead)
-            row = _eliminate_int(row, piv, lead)
-        return row
-
-    def insert(self, row: dict) -> None:
-        self.pivots[max(row)] = row
-
     def add(self, row: dict) -> dict:
-        """`reduce` then `insert` in one pass, finding the new lead once:
-        returns the kept row, or {} when the row is dependent."""
+        """Reduce the row against the pivots and keep it as a new pivot if
+        anything is left, finding its lead once: returns the kept row, or
+        {} when the row is dependent."""
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)

@@ -17,12 +17,21 @@ n*l lies in the cone, so the counts read nothing else, and a lowering image
 that leaves the cone can never come back to it (each simple lowering lowers
 one partial sum by one), so dropping those images loses nothing inside it.
 
-The closure fills the module one weight space at a time, against a size
-known before any work: every image of weight w lies in the span of the
+The closure fills the module one weight space at a time, each in its own
+reducer, in an order that finishes every space before any space it feeds.
+The height of a weight, the sum of its prefix sums, goes up by one under
+a simple raising operator and down by one under a simple lowering one, so
+the raising phase visits the cone weights by ascending height and the
+lowering phase by descending height, and each space takes the images of
+its finished neighbours' rows.  Each space is filled against a size known
+before any work: every image of weight w lies in the span of the
 monomials of weight w whose every column has degree l, and their number
-comes from one DP over the columns.  Once a weight space holds that many
-rows it is full, so a later image of its weight reduces to zero and is
-skipped unbuilt, and its reduced echelon rows are its unit monomials.
+comes from one DP over the columns.  Once a space holds that many rows it
+is full and takes no further image.  A finished space hands on its
+reduced echelon rows, which for a full space are its unit monomials, so
+no image is ever taken of a row that only served to fill a space, and the
+coefficients stay those of reduced echelon rows.  The order, the sizes
+and each space's feeds do not depend on alpha and are cached per (n, l).
 
 All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
@@ -57,7 +66,7 @@ index-repeated blocks.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -372,17 +381,13 @@ def cyclic_closure(
         )
     if alpha is not None:
         a = Fraction(alpha)
-        reducer, weight_of = _close(n, l, a)
-        return _module_basis(n, l, a, reducer.back_reduce(), weight_of)
+        return _module_basis(n, l, a, _close(n, l, a))
     full = cone_monomial_count(n, l)
     for a in CERTIFYING_ALPHAS:
-        reducer, weight_of = _close(n, l, a)
-        if len(reducer.pivots) == full:
-            # full distinct leads of cone weight are every monomial of cone
-            # weight, so the reduced echelon basis is the unit monomials and
-            # needs no back reduction.
-            leads = sorted(reducer.pivots, reverse=True)
-            return _module_basis(n, l, None, [{m: 1} for m in leads], weight_of)
+        spaces = _close(n, l, a)
+        if sum(map(len, spaces)) == full:
+            # every space is full, so its rows are its unit monomials
+            return _module_basis(n, l, None, spaces)
     tried = ", ".join(str(a) for a in CERTIFYING_ALPHAS)
     raise UncertifiedClosureError(
         f"no closure for n = {n}, l = {l} reached the dimension {full} of the "
@@ -391,21 +396,22 @@ def cyclic_closure(
 
 
 def _module_basis(
-    n: int,
-    l: int,
-    alpha: Fraction | None,
-    rows: list[dict[int, int]],
-    weight_of: dict[int, tuple[int, ...]],
+    n: int, l: int, alpha: Fraction | None, spaces: list[list[dict[int, int]]]
 ) -> ModuleBasis:
-    """The ModuleBasis of reduced echelon rows packed as `_close` packs
-    them, in descending lead order, weighted by `_close`'s weight of each
-    lead."""
+    """The ModuleBasis of `_close`'s reduced echelon rows of each weight
+    space, packed as `_close` packs them, in descending lead order."""
+    cone = _closure_plan(n, l)[0]
+    rows = sorted(
+        ((row, w) for w, space in zip(cone, spaces) for row in space),
+        key=lambda rw: max(rw[0]),
+        reverse=True,
+    )
     return ModuleBasis(
         n=n,
         l=l,
         alpha=alpha,
-        rows=tuple(rows),
-        weights=tuple([weight_of[max(row)] for row in rows]),
+        rows=tuple([row for row, _ in rows]),
+        weights=tuple([w for _, w in rows]),
         width=l.bit_length(),
     )
 
@@ -438,86 +444,109 @@ def _generator(n: int, l: int, a: Fraction) -> dict[int, int]:
     return gen
 
 
-def _close(n: int, l: int, a: Fraction) -> tuple[RowReducer, dict[int, tuple[int, ...]]]:
-    """Echelon rows spanning the cone part of the closure of adet(X)^l at
-    alpha = a, on integer rows keyed by packed monomial, and the weight of
-    each row's lead.
+def _height(w: tuple[int, ...]) -> int:
+    """The sum of the prefix sums of w: a simple raising operator E_i,i+1
+    adds one to it, and a simple lowering operator E_i+1,i takes one off."""
+    return sum(itertools.accumulate(w))
 
-    Phase 1 closes the span under the simple raising operators E_i,i+1,
-    which gives U(n+) gen; phase 2 closes that under the simple lowering
-    operators E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this is
-    U(gl_n) gen: the Cartan part U(h) only scales weight-homogeneous rows,
-    and the simple operators generate n+ and n-.  Each image is reduced
-    against the current echelon rows and kept when it is new.
 
-    The work goes weight space by weight space.  Each row carries its
-    weight as an index into the cone weights, and E_ij moves it by
-    e_i - e_j, looked up in E_ij's neighbour table.  room[k] starts as the
-    number of monomials of the k-th weight whose every column has degree l,
-    the dimension of the space every image of that weight lies in, and
-    drops by one with each row kept; once it is 0, an image of that weight
-    reduces to zero, so it is skipped unbuilt.  Only cone weights have an
-    index; a step to any other weight leads to one extra slot whose room
-    stays 0.  Raising from (l^n) never leaves the cone, and a lowering
-    E_j+1,j lowers the partial sum mu_1 + ... + mu_j by one while no
-    operator of phase 2 raises one, so an image that leaves the cone never
-    returns to it: those images are skipped too, and what remains is
-    exactly the module's cone part.  The reduced echelon rows of a full
-    weight space are its unit monomials, and rows of different weights
-    share no monomial, so the rows of full spaces are returned as unit
-    rows; the caller's back reduction then touches only the other spaces
-    and makes the basis the unique reduced echelon form of the cone part,
-    whatever the elimination order.
+@cache
+def _closure_plan(n: int, l: int) -> tuple:
+    """The order and the feeds of the closure of `_close`, which do not
+    depend on alpha: (cone, sizes, raising, lowering).
+
+    `cone` holds the cone weights that have monomials, by ascending height,
+    so (l^n), the one weight of least height, comes first; `sizes[k]` is
+    the number of monomials of cone[k] whose every column has degree l.
+    `raising[k]` lists (source, shifts) for each cone weight cone[source]
+    that a simple raising operator maps onto cone[k], with that operator's
+    `_packed_shifts`; `lowering[k]` does the same for the simple lowering
+    operators.  A raising source sits one height below its target, so
+    before it in `cone`, and a lowering source one height above, so after
+    it.  Cached per (n, l), like `_weight_monomial_counts`.
     """
     b = l.bit_length()
-    mask = (1 << b) - 1
-    reducer = RowReducer()
     counts = _weight_monomial_counts(n, l)
-    cone = [w for w in counts if _in_cone(w, l)]
+    cone = sorted((w for w in counts if _in_cone(w, l)), key=_height)
     index = {w: k for k, w in enumerate(cone)}
-    outside = len(cone)
-    room = [counts[w] for w in cone] + [0]
-    rows: list[tuple[dict[int, int], int]] = []
 
-    def operator(i, j):
-        """E_ij's packed shifts and its neighbour table: the index of each
-        cone weight plus e_i - e_j, or `outside`."""
-        table = []
+    def sources(ops):
+        out = []
         for w in cone:
-            v = list(w)
-            v[i - 1] += 1
-            v[j - 1] -= 1
-            table.append(index.get(tuple(v), outside))
-        return _packed_shifts(i, j, n, b), table
+            feeds = []
+            for i, j in ops:
+                v = list(w)
+                v[i - 1] -= 1
+                v[j - 1] += 1
+                k = index.get(tuple(v))
+                if k is not None:
+                    feeds.append((k, _packed_shifts(i, j, n, b)))
+            out.append(tuple(feeds))
+        return tuple(out)
 
-    def insert(row, k):
-        reducer.insert(row)
-        room[k] -= 1
-        rows.append((row, k))
+    raising = sources([(i, i + 1) for i in range(1, n)])
+    lowering = sources([(j + 1, j) for j in range(1, n)])
+    return tuple(cone), tuple(counts[w] for w in cone), raising, lowering
 
-    def close(ops):
-        """Close the span of the current rows under ops."""
-        queue = deque(rows)
-        while queue:
-            row, k = queue.popleft()
-            for shifts, table in ops:
-                v = table[k]
-                if room[v]:
-                    new = reducer.reduce(_polarize(row, shifts, mask))
-                    if new:
-                        insert(new, v)
-                        queue.append((new, v))
 
-    insert(reducer.reduce(_generator(n, l, a)), index[(l,) * n])
-    close([operator(i, i + 1) for i in range(1, n)])
-    close([operator(j + 1, j) for j in range(1, n)])
-    # pivots keep insertion order, one new lead per insert
-    weight_of = {}
-    for lead, (_, k) in zip(list(reducer.pivots), rows):
-        weight_of[lead] = cone[k]
-        if not room[k]:
-            reducer.pivots[lead] = {lead: 1}
-    return reducer, weight_of
+def _close(n: int, l: int, a: Fraction) -> list[list[dict[int, int]]]:
+    """The reduced echelon rows of each weight space of the cone part of the
+    closure of adet(X)^l at alpha = a, one list per weight of
+    `_closure_plan(n, l)`'s cone, on integer rows keyed by packed monomial.
+
+    Phase 1 closes the generator under the simple raising operators
+    E_i,i+1, which gives U(n+) gen; phase 2 closes that under the simple
+    lowering operators E_i+1,i, which gives U(n-) U(n+) gen.  By PBW this
+    is U(gl_n) gen: the Cartan part U(h) only scales weight-homogeneous
+    rows, and the simple operators generate n+ and n-.
+
+    Each phase fills one weight space at a time, in its own reducer: phase
+    1 by ascending height, phase 2 by descending height.  A space starts
+    from its rows so far (the generator, or its phase-1 rows) and takes the
+    images of the rows of each source space under the operator that maps
+    that source onto it.  A raising source sits one height lower and a
+    lowering source one height higher, so every source is finished before
+    its target, and the space gets its whole share of the span.  Every
+    image of weight w lies in the span of the `sizes` monomials of weight w
+    whose every column has degree l, so a space stops taking images as
+    soon as it holds that many rows, and a phase-2 space that phase 1
+    filled takes none.  A finished space hands on its reduced echelon rows:
+    for a full space those are its unit monomials, its leads, so no image
+    is taken of a row that only served to fill a space.  Raising from
+    (l^n) never leaves the cone, and the lowering source of a cone weight
+    has one partial sum mu_1 + ... + mu_j larger, so it lies in the cone
+    too: the plan lists only cone sources, and no weight outside the cone
+    is visited.  Rows of different weights share no monomial, so the
+    spaces' reduced echelon rows together are the unique reduced echelon
+    form of the cone part, whatever the order of the fill.
+    """
+    cone, sizes, raising, lowering = _closure_plan(n, l)
+    mask = (1 << l.bit_length()) - 1
+    spaces: list[list[dict[int, int]]] = [[] for _ in cone]
+    spaces[0] = [_generator(n, l, a)]
+
+    def fill(k, feeds):
+        """The reduced echelon rows of the k-th space: its rows so far and
+        the images of its sources' rows, until it is full."""
+        reducer = RowReducer()
+        for row in spaces[k]:
+            reducer.add(row)
+        size = sizes[k]
+        for source, shifts in feeds[k]:
+            for row in spaces[source]:
+                if len(reducer.pivots) == size:
+                    break
+                reducer.add(_polarize(row, shifts, mask))
+        if len(reducer.pivots) == size:
+            return [{m: 1} for m in reducer.pivots]
+        return reducer.back_reduce()
+
+    for k in range(len(cone)):
+        spaces[k] = fill(k, raising)
+    for k in reversed(range(len(cone))):
+        if len(spaces[k]) < sizes[k]:
+            spaces[k] = fill(k, lowering)
+    return spaces
 
 
 def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:

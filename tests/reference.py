@@ -7,7 +7,8 @@ Weyl dimension of an irreducible gl_n module, the column-wise splitting
 theta of H, the sum D over H that equals a power of the alpha-determinant,
 dense forms of the library's sparse matrices, the alpha-determinant of the
 generic matrix over Q[alpha], the polarization operator E_ij on monomials
-kept as exponent tuples, the cyclic closure and highest-weight count on
+kept as exponent tuples, the library's reducer taken in the two steps
+`reduce` and `insert`, the cyclic closure and highest-weight count on
 those tuples, the Jucys-Murphy slices reduced after every letter, the
 dense compression G^-1 B^T D T of the transition slices, Young's
 seminormal generators built in Fractions, the reduced row echelon form by
@@ -30,7 +31,7 @@ from math import factorial, gcd, lcm, prod
 from alphadet import kernels
 from alphadet.errors import AlphadetError, SizeMismatchError
 from alphadet.exact import PolyMatrix, PolyQ, QMatrix, mat_identity
-from alphadet.kernels import RowReducer
+from alphadet.kernels import RowReducer, _eliminate_int, _normalize_int
 from alphadet.oracle import ModuleBasis, Monomial, MultiPoly, _monomial_weight, _var
 from alphadet.seminormal import InvariantColumn, SeminormalRep
 from alphadet.symgrp import Partition, Permutation, enumerate_H, nu
@@ -358,6 +359,23 @@ def apply_E(f: MultiPoly, i: int, j: int) -> Poly:
     return Poly(f.n, polarize(f.terms, i, j, f.n))
 
 
+class SteppedReducer(RowReducer):
+    """The library's reducer with its one-call `add` taken in two steps:
+    `reduce` a row against the pivots, then `insert` it when it is new."""
+
+    def reduce(self, row: dict) -> dict:
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return _normalize_int(row, lead)
+            row = _eliminate_int(row, piv, lead)
+        return row
+
+    def insert(self, row: dict) -> None:
+        self.pivots[max(row)] = row
+
+
 def tuple_closure(n: int, l: int, a: Fraction) -> list[dict[Monomial, int]]:
     """Reduced echelon rows, descending lead, of the cone part of the closure
     of adet(X)^l at alpha = a, with monomials kept as exponent tuples.
@@ -368,7 +386,7 @@ def tuple_closure(n: int, l: int, a: Fraction) -> list[dict[Monomial, int]]:
     """
     gen = eval_alpha(adet_symbolic(n), a) ** l
     scale = lcm(*(c.denominator for c in gen.terms.values()))
-    reducer = RowReducer()
+    reducer = SteppedReducer()
 
     def lowering(row):
         ops = []
@@ -401,7 +419,7 @@ def tuple_hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     n = basis.n
     target = tuple(lam.part(i) for i in range(1, n + 1))
     rows = [g.terms for g, w in zip(basis.generators, basis.weights) if w == target]
-    reducer = RowReducer()
+    reducer = SteppedReducer()
     rank = 0
     for terms in rows:
         row = reducer.reduce(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from alphadet import oracle
 from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
 from alphadet.exact import PolyQ
-from alphadet.kernels import RowReducer
 from alphadet.oracle import (
     ModuleBasis,
     MultiPoly,
@@ -30,6 +29,7 @@ from alphadet.verify import ORACLE_ALPHAS, ORACLE_CASES, suite_oracle
 from reference import (
     D_of,
     Poly,
+    SteppedReducer,
     adet_symbolic,
     apply_E,
     eval_alpha,
@@ -117,7 +117,7 @@ def _unfiltered_closure(n, l, a):
     # polarization above; reduced echelon integer rows, descending lead.
     gen = eval_alpha(adet_symbolic(n) ** l, a)
     scale = math.lcm(*(c.denominator for c in gen.terms.values()))
-    reducer = RowReducer()
+    reducer = SteppedReducer()
 
     def close(rows, ops):
         found = list(rows)
@@ -701,6 +701,51 @@ def _packed_weight(row, n, l):
     return oracle._monomial_weight(oracle._unpack(max(row), n, l.bit_length()), n)
 
 
+def _height(w):
+    return sum(sum(w[:k]) for k in range(1, len(w) + 1))
+
+
+@pytest.mark.parametrize(
+    "n, l", [(n, l) for n in range(1, 9) for l in range(1, 8 // n + 1)], ids=str
+)
+def test_closure_plan_orders_and_feeds_every_cone_weight(n, l):
+    # Every cone weight once, by ascending height from (l^n), with its
+    # monomials' count; each listed source is a cone weight that the listed
+    # operator maps onto its target, and every such source is listed.
+    cone, sizes, raising, lowering = oracle._closure_plan(n, l)
+    assert oracle._closure_plan(n, l)[0] is cone
+    table = oracle._weight_monomial_counts(n, l)
+    assert len(set(cone)) == len(cone)
+    assert sorted(cone) == sorted(oracle._cone_weights(n, l))
+    assert cone[0] == (l,) * n
+    heights = [_height(w) for w in cone]
+    assert heights == sorted(heights)
+    assert list(sizes) == [table[w] for w in cone]
+    b = l.bit_length()
+    for feeds, ops in (
+        (raising, [(i, i + 1) for i in range(1, n)]),
+        (lowering, [(i + 1, i) for i in range(1, n)]),
+    ):
+        operator = {oracle._packed_shifts(i, j, n, b): (i, j) for i, j in ops}
+        mapped = {w: set() for w in cone}
+        for source, u in enumerate(cone):
+            for i, j in ops:
+                v = tuple(x + (k == i - 1) - (k == j - 1) for k, x in enumerate(u))
+                if v in mapped:
+                    mapped[v].add((source, (i, j)))
+        assert len(feeds) == len(cone)
+        for target, w in enumerate(cone):
+            listed = set()
+            for source, shifts in feeds[target]:
+                i, j = operator[shifts]
+                v = list(cone[source])
+                v[i - 1] += 1
+                v[j - 1] -= 1
+                assert tuple(v) == w
+                listed.add((source, (i, j)))
+            assert listed == mapped[w]
+
+
 @pytest.mark.parametrize(
     "n, l, alpha, full_spaces",
     [
@@ -713,35 +758,75 @@ def _packed_weight(row, n, l):
     ids=str,
 )
 def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alpha, full_spaces):
-    # A weight space of the closure holds at most its monomials' count of
-    # rows; once it holds that many, an image of its weight must be skipped
-    # unbuilt, and the space's rows are its unit monomials.
+    # Each weight space is filled in its own reducer and holds at most its
+    # monomials' count of rows; once it holds that many, it must take no
+    # further image.  A finished space hands on its reduced echelon rows:
+    # the unit rows of its leads once it is full.  Phase 1 fills spaces by
+    # ascending height from raising images, phase 2 by descending height
+    # from lowering images.
     table = oracle._weight_monomial_counts(n, l)
-    held = Counter()
-    reduce, insert = RowReducer.reduce, RowReducer.insert
+    b = l.bit_length()
+    operator = {
+        oracle._packed_shifts(i, j, n, b): (i, j)
+        for i, j in itertools.permutations(range(1, n + 1), 2)
+    }
+    reducers, images = [], []
 
-    def checked_reduce(self, row):
-        if row:
-            w = _packed_weight(row, n, l)
-            assert _in_cone(w, l)
-            assert held[w] < table[w], f"image reduced into the full weight space {w}"
-        return reduce(self, row)
+    class Recording(oracle.RowReducer):
+        def __init__(self):
+            super().__init__()
+            reducers.append(self)
 
-    def counted_insert(self, row):
-        held[_packed_weight(row, n, l)] += 1
-        insert(self, row)
+        def add(self, row):
+            if self.pivots:
+                w = _packed_weight(self.pivots, n, l)
+                assert len(self.pivots) < table[w], f"image added to the full weight space {w}"
+            if row:
+                assert _in_cone(_packed_weight(row, n, l), l)
+            return super().add(row)
 
-    monkeypatch.setattr(RowReducer, "reduce", checked_reduce)
-    monkeypatch.setattr(RowReducer, "insert", counted_insert)
-    reducer, weight_of = oracle._close(n, l, alpha)
-    assert sum(held.values()) == len(reducer.pivots)
-    # the weight handed back for each lead is the weight of its row
-    assert weight_of == {lead: _packed_weight(row, n, l) for lead, row in reducer.pivots.items()}
-    full = {w for w, k in held.items() if k == table[w]}
+    polarize = oracle._polarize
+
+    def logged(row, shifts, mask):
+        images.append((operator[shifts], row, len(reducers)))
+        return polarize(row, shifts, mask)
+
+    monkeypatch.setattr(oracle, "RowReducer", Recording)
+    monkeypatch.setattr(oracle, "_polarize", logged)
+    spaces = oracle._close(n, l, alpha)
+    cone = oracle._closure_plan(n, l)[0]
+    # each space's rows have its weight, one per pivot of its last reducer
+    last = {_packed_weight(r.pivots, n, l): r for r in reducers if r.pivots}
+    for w, rows in zip(cone, spaces):
+        assert all(_packed_weight(row, n, l) == w for row in rows)
+        assert {max(row) for row in rows} == set(last[w].pivots if rows else ())
+    assert sum(map(len, spaces)) == sum(len(r.pivots) for r in last.values())
+    full = {w for w, rows in zip(cone, spaces) if len(rows) == table[w]}
     assert len(full) == full_spaces
-    for lead, row in reducer.pivots.items():
-        if _packed_weight(row, n, l) in full:
-            assert row == {lead: 1}
+    for w, rows in zip(cone, spaces):
+        if w in full:
+            assert rows == [{max(row): 1} for row in rows]
+    # every image is of a row its finished source space handed on, a unit
+    # row when that space was full
+    for _, row, created in images:
+        w = _packed_weight(row, n, l)
+        source = [r for r in reducers[:created] if r.pivots and _packed_weight(r.pivots, n, l) == w]
+        source = source[-1]
+        assert max(row) in source.pivots
+        if len(source.pivots) == table[w]:
+            assert row == {max(row): 1}
+    # raising images first, by non-decreasing target height, then lowering
+    # images by non-increasing target height
+    phases = [i < j for (i, j), _, _ in images]
+    assert phases == sorted(phases, reverse=True)
+    heights = [
+        _height(_packed_weight(row, n, l)) + (1 if i < j else -1) for (i, j), row, _ in images
+    ]
+    up = heights[: phases.count(True)]
+    down = heights[phases.count(True) :]
+    assert up == sorted(up) and down == sorted(down, reverse=True)
+    # phase 2 takes images unless phase 1 filled every space
+    assert up and (down or len(full) == len(cone))
 
 
 @pytest.mark.parametrize("n, l", [(3, 2), (4, 1)], ids=str)
@@ -796,6 +881,16 @@ CLOSURE_DIGESTS = {
         48,
         "17ffaaf9c3a1784e401c4ea2bbcdcd7e277bfff9696a599082945cc22eee8150",
         "e15590eb3cef6180b5cc381db58224fde420a69c3d33b5afd96c9fbce1f55e55",
+    ),
+    (4, 2, Fraction(-1, 2), None): (
+        1058,
+        "e1b79d4b70283f3e83b89478fc9d542d1df1cafbb25e3cbec2b02dc05ffa9624",
+        "586abe4cc57caba002df6cdc5644f4cdd82a367874167eefb04275efbb15d317",
+    ),
+    (4, 2, Fraction(2), None): (
+        3965,
+        "4c0a50a4c1058edbffbbff1e50575327efd865e93659d697f10c5edf88c2188a",
+        "d145332436757c0edd8ada53ef9cf339c72ba0e60d14469bb252233005cd1792",
     ),
     (2, 4, None, 8): (
         15,

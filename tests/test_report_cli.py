@@ -170,6 +170,18 @@ def test_cli_decompose_csv_oracle_golden_bytes(capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_cli_decompose_csv_oracle_frontier_golden_bytes(capsys):
+    # The oracle's counts at (4,2), nl = 8, the default specialized cap:
+    # generic (over the generic cap, so --max-size 8), at -1/2, where the
+    # closure's dimension drops to 1058, and at 2, where it fills the cone
+    # part's 3965.
+    argv = ["decompose", "--n", "4", "--l", "2", "--oracle", "--max-size", "8",
+            "--alpha=-1/2", "--alpha=2", "--format", "csv"]
+    assert cli.main(argv) == 0
+    golden = (GOLDEN / "decompose_4_2_oracle.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
     rc = cli.main(
         ["decompose", "--n", "2", "--l", "2", "--alpha=1", "--alpha=-1/2",
