@@ -121,7 +121,7 @@ def gkp_identity_check(l: int, p: int, r: int) -> bool:
     return lhs == comb(2 * l - p + 1, r)
 
 
-def frobenius_specialization(n: int, max_size: int | None = None) -> dict[Partition, PolyQ]:
+def frobenius_specialization(n: int) -> dict[Partition, PolyQ]:
     """Coefficients of a^nu in the character expansion over S_n:
 
         a^nu(.) = sum_{lam |- n} (f^lam / n!) f_lam(a) chi^lam(.)
@@ -129,9 +129,6 @@ def frobenius_specialization(n: int, max_size: int | None = None) -> dict[Partit
     Returns the map lam -> (f^lam / n!) f_lam(a); re-assembling the right
     side class by class recovers the monomial a^nu exactly.
     """
-    cap = 8 if max_size is None else max_size
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds cap {cap}")
     nfact = factorial(n)
     return {
         lam: Fraction(dim_f(lam), nfact) * content_poly(lam) for lam in partitions(n)
@@ -144,8 +141,9 @@ def hook_trace_closed_form(n: int, l: int, paper_variant: bool = False) -> PolyQ
         (n-1) (1-a) (1+(n-1)a)^(l-1) prod_{i=1}^{n-2} (1+ia)^l.
 
     The product form forces the + sign in the middle factor; the printed
-    variant with (1-(n-1)a)^(l-1) is available for side-by-side display but
-    contradicts the zero set {1, -1, -1/2, ..., -1/(n-1)} whenever n*l > 2.
+    variant with (1-(n-1)a)^(l-1) is available for side-by-side display.  At
+    l = 1 the two agree; for l >= 2 the printed variant contradicts the zero
+    set {1, -1, -1/2, ..., -1/(n-1)}.
     """
     if n < 2 or l < 1:
         raise ValueError("hook shape needs n >= 2 and l >= 1")

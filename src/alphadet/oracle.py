@@ -30,8 +30,9 @@ comes from one DP over the columns.  Once a space holds that many rows it
 is full and takes no further image.  A finished space hands on its
 reduced echelon rows, which for a full space are its unit monomials, so
 no image is ever taken of a row that only served to fill a space, and the
-coefficients stay those of reduced echelon rows.  The order, the sizes
-and each space's feeds do not depend on alpha and are cached per (n, l).
+coefficients stay those of reduced echelon rows.  The order, the sizes and
+each space's feeds do not depend on alpha: they are the closure plan, the
+cone's one description, which the counts read too, cached per (n, l).
 
 All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
@@ -72,9 +73,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, prod
-from types import MappingProxyType
 
-from alphadet.errors import CapExceededError, SizeMismatchError, UncertifiedClosureError
+from alphadet.errors import SizeMismatchError, UncertifiedClosureError, check_cap
 from alphadet.exact import QMatrix, mat_identity, mat_mul
 from alphadet.kernels import RowReducer
 from alphadet.symgrp import Partition, kostka_content
@@ -175,11 +175,7 @@ def adet_eval(A: QMatrix, a: Fraction | int, max_size: int | None = None) -> Fra
     """alpha-determinant of a rational matrix at alpha = a, by expansion over
     all permutations weighted with a^nu."""
     m = len(A)
-    cap = DEFAULT_ADET_CAP if max_size is None else max_size
-    if m > cap:
-        raise CapExceededError(
-            f"matrix size {m} exceeds the adet cap {cap}; pass max_size (--max-size) to override"
-        )
+    check_cap("matrix size", m, "adet", DEFAULT_ADET_CAP, max_size)
     if any(len(row) != m for row in A):
         raise SizeMismatchError("matrix is not square")
     if m == 0:
@@ -226,54 +222,11 @@ def _in_cone(w: tuple[int, ...], l: int) -> bool:
     return True
 
 
-def _cone_weights(n: int, l: int) -> list[tuple[int, ...]]:
-    """Every weight of size n*l in the cone {mu_1 + ... + mu_k >= k*l for all k},
-    in descending lex order."""
-    out = []
-
-    def extend(prefix: tuple[int, ...], s: int) -> None:
-        k = len(prefix)
-        if k == n - 1:
-            out.append(prefix + (n * l - s,))
-            return
-        for x in range(n * l - s, max(0, (k + 1) * l - s) - 1, -1):
-            extend(prefix + (x,), s + x)
-
-    extend((), 0)
-    return out
-
-
-@cache
-def _weight_monomial_counts(n: int, l: int) -> Mapping[tuple[int, ...], int]:
-    """The number of monomials of each weight whose every column has degree
-    l: n x n exponent matrices with column sums l, counted by row sums.
-
-    A DP over the columns on the weight reached so far; a weight with no
-    such monomial is absent.  Built on first use, cached per (n, l) and
-    read-only.
-    """
-    columns = []
-    for rows in itertools.combinations_with_replacement(range(n), l):
-        c = [0] * n
-        for i in rows:
-            c[i] += 1
-        columns.append(c)
-    states = {(0,) * n: 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for w, count in states.items():
-            for c in columns:
-                v = tuple(a + b for a, b in zip(w, c))
-                nxt[v] = nxt.get(v, 0) + count
-        states = nxt
-    return MappingProxyType(states)
-
-
 def cone_monomial_count(n: int, l: int) -> int:
     """Number of monomials whose every column has degree l and whose weight
     lies in the cone: the dimension of the generic module's cone part.  For
     l = 1 it is (n+1)^(n-1)."""
-    return sum(c for w, c in _weight_monomial_counts(n, l).items() if _in_cone(w, l))
+    return sum(_closure_plan(n, l)[1])
 
 
 @dataclass(frozen=True)
@@ -370,15 +323,8 @@ def cyclic_closure(
     returned basis is the unit monomials of cone weight.  Raises
     UncertifiedClosureError when none does.
     """
-    default_cap = (
-        DEFAULT_GENERIC_CLOSURE_CAP if alpha is None else DEFAULT_SPECIAL_CLOSURE_CAP
-    )
-    cap = default_cap if max_size is None else max_size
-    if n * l > cap:
-        raise CapExceededError(
-            f"n*l = {n * l} exceeds the closure cap {cap}; "
-            "pass max_size (--max-size) to override"
-        )
+    default = DEFAULT_GENERIC_CLOSURE_CAP if alpha is None else DEFAULT_SPECIAL_CLOSURE_CAP
+    check_cap("n*l =", n * l, "closure", default, max_size)
     if alpha is not None:
         a = Fraction(alpha)
         return _module_basis(n, l, a, _close(n, l, a))
@@ -452,21 +398,34 @@ def _height(w: tuple[int, ...]) -> int:
 
 @cache
 def _closure_plan(n: int, l: int) -> tuple:
-    """The order and the feeds of the closure of `_close`, which do not
-    depend on alpha: (cone, sizes, raising, lowering).
+    """The cone part's one description, free of alpha and cached per
+    (n, l): (cone, sizes, raising, lowering).  The closure takes its order,
+    feeds and space sizes from it, and the counts read its weights.
 
-    `cone` holds the cone weights that have monomials, by ascending height,
+    `cone` holds every weight of size n*l in the cone, by ascending height,
     so (l^n), the one weight of least height, comes first; `sizes[k]` is
-    the number of monomials of cone[k] whose every column has degree l.
-    `raising[k]` lists (source, shifts) for each cone weight cone[source]
-    that a simple raising operator maps onto cone[k], with that operator's
-    `_packed_shifts`; `lowering[k]` does the same for the simple lowering
-    operators.  A raising source sits one height below its target, so
-    before it in `cone`, and a lowering source one height above, so after
-    it.  Cached per (n, l), like `_weight_monomial_counts`.
+    the number of monomials of cone[k] whose every column has degree l, by
+    one DP over the columns on the weight reached so far (every weight of
+    size n*l has some).  `raising[k]` lists (source, shifts) for each cone
+    weight cone[source] that a simple raising operator maps onto cone[k],
+    with that operator's `_packed_shifts`; `lowering[k]` does the same for
+    the simple lowering operators.  A raising source sits one height below
+    its target, so before it in `cone`, and a lowering source one height
+    above, so after it.
     """
+    columns = [
+        [rows.count(i) for i in range(n)]
+        for rows in itertools.combinations_with_replacement(range(n), l)
+    ]
+    counts = {(0,) * n: 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for w, count in counts.items():
+            for c in columns:
+                v = tuple(a + b for a, b in zip(w, c))
+                nxt[v] = nxt.get(v, 0) + count
+        counts = nxt
     b = l.bit_length()
-    counts = _weight_monomial_counts(n, l)
     cone = sorted((w for w in counts if _in_cone(w, l)), key=_height)
     index = {w: k for k, w in enumerate(cone)}
 
@@ -596,7 +555,7 @@ def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int])
     at mu sorted)."""
     n, l = basis.n, basis.l
     dims = Counter(basis.weights)
-    cone = _cone_weights(n, l)
+    cone = _closure_plan(n, l)[0]
     if not dims.keys() <= set(cone):
         return False
     expected: dict[tuple[int, ...], int] = {}

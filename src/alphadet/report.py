@@ -63,6 +63,11 @@ def build_report(
     oracle_max_size: int | None = None,
 ) -> DecompositionReport:
     shapes = admissible_shapes(n, l)
+    if with_oracle:
+        from alphadet.oracle import cyclic_closure, hwv_multiplicity
+
+        # first, so that a closure past its cap is refused before any F is built
+        gen_basis = cyclic_closure(n, l, max_size=oracle_max_size)
     rows, ranks = [], []
     for lam in shapes:
         # One shape at a time: F is dropped once read, unless it is printed.
@@ -81,9 +86,6 @@ def build_report(
     specs = tuple(zip(alphas, zip(*ranks))) if alphas else None
     oracle = None
     if with_oracle:
-        from alphadet.oracle import cyclic_closure, hwv_multiplicity
-
-        gen_basis = cyclic_closure(n, l, max_size=oracle_max_size)
         generic = tuple(hwv_multiplicity(gen_basis, lam) for lam in shapes)
         specialized = []
         agrees = generic == tuple(r.generic_multiplicity for r in rows)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from alphadet.errors import CapExceededError, SizeMismatchError
+from alphadet.errors import SizeMismatchError, check_cap
 from alphadet.exact import QMatrix
 from alphadet.exact import nullspace_q  # noqa: F401  (perfbench traces seminormal.nullspace_q)
 from alphadet.symgrp import Partition, Permutation, adjacent_word
@@ -124,13 +124,8 @@ class SeminormalRep:
 
 def build_rep(lam: Partition, max_size: int | None = None) -> SeminormalRep:
     """Construct the seminormal representation for the shape lam."""
-    cap = DEFAULT_REP_CAP if max_size is None else max_size
     m = lam.size
-    if m > cap:
-        raise CapExceededError(
-            f"|lam| = {m} exceeds the representation cap {cap}; "
-            "pass max_size (--max-size) to override"
-        )
+    check_cap("|lam| =", m, "representation", DEFAULT_REP_CAP, max_size)
     tabs = standard_tableaux(lam)
     f = len(tabs)
     # A standard tableau is fixed by its row word, the row of each entry

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from alphadet.errors import CapExceededError, SizeMismatchError
+from alphadet.errors import SizeMismatchError, check_cap
 
 DEFAULT_ENUM_CAP = 10
 
@@ -214,18 +214,9 @@ def adjacent_word(g: Permutation) -> list[int]:
     return sortword
 
 
-def _check_cap(n: int, l: int, max_size: int | None) -> None:
-    cap = DEFAULT_ENUM_CAP if max_size is None else max_size
-    if n * l > cap:
-        raise CapExceededError(
-            f"n*l = {n * l} exceeds the enumeration cap {cap}; "
-            "pass max_size (--max-size) to override"
-        )
-
-
 def enumerate_K(n: int, l: int, max_size: int | None = None) -> list[Permutation]:
     """The row group of the block tableau, built row by row; size (l!)^n."""
-    _check_cap(n, l, max_size)
+    check_cap("n*l =", n * l, "enumeration", DEFAULT_ENUM_CAP, max_size)
     m = n * l
     rows = [[(i - 1) * l + j for j in range(1, l + 1)] for i in range(1, n + 1)]
     out = []
@@ -240,7 +231,7 @@ def enumerate_K(n: int, l: int, max_size: int | None = None) -> list[Permutation
 
 def enumerate_H(n: int, l: int, max_size: int | None = None) -> list[Permutation]:
     """The column group of the block tableau, built column by column; size (n!)^l."""
-    _check_cap(n, l, max_size)
+    check_cap("n*l =", n * l, "enumeration", DEFAULT_ENUM_CAP, max_size)
     m = n * l
     out = []
     for choice in itertools.product(itertools.permutations(range(1, n + 1)), repeat=l):

@@ -101,7 +101,7 @@ def test_criterion_08_jacobi():
 
 def test_criterion_09_vere_jones():
     _suite(9, "Vere-Jones series matches det(I - azA)^(-1/a) exactly",
-           "vere-jones", seed=20250825, count=5, k_max=6)
+           "vere-jones", seed=20250825, k_max=6)
 
 
 def test_criterion_10_structure():

@@ -1,6 +1,7 @@
 """Brute-force module oracle: alpha-determinants, polarization operators,
 cyclic closures, highest weight multiplicities, and the Vere-Jones series."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -24,7 +25,7 @@ from alphadet.oracle import (
     vere_jones_check,
     weight_consistency_check,
 )
-from alphadet.symgrp import Partition, admissible_shapes
+from alphadet.symgrp import Partition, admissible_shapes, kostka_content, partitions
 from alphadet.verify import ORACLE_ALPHAS, ORACLE_CASES, suite_oracle
 from reference import (
     D_of,
@@ -685,7 +686,8 @@ def test_weight_monomial_counts_match_enumeration(n, l):
         tuple(sum(col[i] for col in grid) for i in range(n))
         for grid in itertools.product(columns, repeat=n)
     )
-    assert oracle._weight_monomial_counts(n, l) == dict(expected)
+    cone, sizes = oracle._closure_plan(n, l)[:2]
+    assert dict(zip(cone, sizes)) == {w: c for w, c in expected.items() if _in_cone(w, l)}
 
 
 @pytest.mark.parametrize(
@@ -705,6 +707,30 @@ def _height(w):
     return sum(sum(w[:k]) for k in range(1, len(w) + 1))
 
 
+def _brute_cone(n, l):
+    # every weight of size n*l, as n - 1 bars among n*l + n - 1 places, whose
+    # partial sums w_1 + ... + w_k are each at least k*l; in ascending order
+    out = []
+    for bars in itertools.combinations(range(n * l + n - 1), n - 1):
+        cuts = (-1,) + bars + (n * l + n - 1,)
+        w = tuple(cuts[k + 1] - cuts[k] - 1 for k in range(n))
+        if all(sum(w[:k]) >= k * l for k in range(1, n + 1)):
+            out.append(w)
+    return sorted(out)
+
+
+@functools.cache
+def _rsk_monomial_count(content, l):
+    # n x n exponent matrices with row sums `content` and column sums l, by
+    # RSK: sum over lam of K(lam, content) K(lam, (l^n))
+    n = len(content)
+    return sum(
+        kostka_content(lam, content) * kostka_content(lam, (l,) * n)
+        for lam in partitions(n * l)
+        if lam.length <= n
+    )
+
+
 @pytest.mark.parametrize(
     "n, l", [(n, l) for n in range(1, 9) for l in range(1, 8 // n + 1)], ids=str
 )
@@ -714,13 +740,13 @@ def test_closure_plan_orders_and_feeds_every_cone_weight(n, l):
     # operator maps onto its target, and every such source is listed.
     cone, sizes, raising, lowering = oracle._closure_plan(n, l)
     assert oracle._closure_plan(n, l)[0] is cone
-    table = oracle._weight_monomial_counts(n, l)
     assert len(set(cone)) == len(cone)
-    assert sorted(cone) == sorted(oracle._cone_weights(n, l))
+    assert sorted(cone) == _brute_cone(n, l)
     assert cone[0] == (l,) * n
     heights = [_height(w) for w in cone]
     assert heights == sorted(heights)
-    assert list(sizes) == [table[w] for w in cone]
+    # K is symmetric in its content, so the count is read at w sorted
+    assert list(sizes) == [_rsk_monomial_count(tuple(sorted(w, reverse=True)), l) for w in cone]
     b = l.bit_length()
     for feeds, ops in (
         (raising, [(i, i + 1) for i in range(1, n)]),
@@ -764,7 +790,7 @@ def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alph
     # the unit rows of its leads once it is full.  Phase 1 fills spaces by
     # ascending height from raising images, phase 2 by descending height
     # from lowering images.
-    table = oracle._weight_monomial_counts(n, l)
+    table = dict(zip(*oracle._closure_plan(n, l)[:2]))
     b = l.bit_length()
     operator = {
         oracle._packed_shifts(i, j, n, b): (i, j)
@@ -850,7 +876,7 @@ def test_closure_back_reduces_the_spaces_that_stay_short(n, l, alpha):
     # alpha = 1, none at -1/2) are unit rows; and together they are the
     # tuple route's rows.
     basis = cyclic_closure(n, l, alpha=alpha)
-    table = oracle._weight_monomial_counts(n, l)
+    table = dict(zip(*oracle._closure_plan(n, l)[:2]))
     dims = Counter(basis.weights)
     assert any(len(g.terms) > 1 for g in basis.generators)
     for g, w in zip(basis.generators, basis.weights):

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import alphadet.cli as cli
+from alphadet.errors import CapExceededError
 from alphadet.exact import PolyMatrix, PolyQ
+from alphadet.oracle import adet_eval, cyclic_closure
 from alphadet.report import (
     _matrix_obj,
     build_report,
@@ -21,7 +23,8 @@ from alphadet.report import (
     to_json,
     to_text,
 )
-from alphadet.symgrp import Partition, admissible_shapes
+from alphadet.seminormal import build_rep
+from alphadet.symgrp import Partition, admissible_shapes, enumerate_H, enumerate_K
 from alphadet.transition import transition_matrix
 from alphadet.verify import SUITES, CheckResult
 
@@ -449,6 +452,22 @@ def test_cli_verify_hook_trace_refuses_n_1_by_the_hook_shape(case, capsys):
     assert captured.err == "error: hook shape needs n >= 2 and l >= 1\n"
 
 
+def test_cli_verify_hook_trace_at_l_1(capsys):
+    # At l = 1 the factor (1 + (n-1)a) has the power l - 1 = 0, so
+    # -1/(n-1) is no zero of the hook trace and the rank there is n - 1.
+    assert cli.main(["verify", "hook-trace", "--cases", "2,1;3,1;4,1;5,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("20/20 checks passed\n")
+    assert "[PASS] hook-trace (2,1) rank at -1\n" in out
+    assert "[PASS] hook-trace (3,1) rank at -1/2\n" in out
+
+
+def test_cli_verify_frobenius_has_no_cap(capsys):
+    # --max-n alone bounds the suite; n = 9 was once refused with exit 2
+    assert cli.main(["verify", "frobenius", "--max-n", "9"]) == 0
+    assert capsys.readouterr().out.endswith("[PASS] frobenius n=9\n9/9 checks passed\n")
+
+
 @pytest.mark.parametrize(
     "argv, kwargs",
     [
@@ -477,7 +496,7 @@ def test_cli_verify_passes_each_option_to_its_parameter(argv, kwargs, monkeypatc
 def test_cli_verify_reaches_every_suite_parameter():
     params = {p for suite in SUITES.values() for p in inspect.signature(suite).parameters}
     assert set(cli.VERIFY_OPTIONS.values()) <= params
-    assert params - set(cli.VERIFY_OPTIONS.values()) == {"count"}
+    assert params - set(cli.VERIFY_OPTIONS.values()) == set()
 
 
 def test_cli_version():
@@ -493,6 +512,65 @@ def test_cli_cap_exceeded_is_exit_2(capsys):
     # --max-size reaches the cap it overrides
     assert cli.main(["decompose", "--n", "2", "--l", "2", "--max-size", "3"]) == 2
     assert "exceeds the representation cap 3;" in capsys.readouterr().err
+
+
+_OVERRIDE = "; pass max_size (--max-size) to override"
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs, message",
+    [
+        (build_rep, (Partition((13,)),), {}, "|lam| = 13 exceeds the representation cap 12"),
+        (build_rep, (Partition((3, 1)),), {"max_size": 3},
+         "|lam| = 4 exceeds the representation cap 3"),
+        (enumerate_K, (11, 1), {}, "n*l = 11 exceeds the enumeration cap 10"),
+        (enumerate_K, (2, 2), {"max_size": 3}, "n*l = 4 exceeds the enumeration cap 3"),
+        (enumerate_H, (5, 3), {}, "n*l = 15 exceeds the enumeration cap 10"),
+        (enumerate_H, (3, 1), {"max_size": 2}, "n*l = 3 exceeds the enumeration cap 2"),
+        (adet_eval, ([[1] * 9] * 9, 1), {}, "matrix size 9 exceeds the adet cap 8"),
+        (adet_eval, ([[1] * 3] * 3, 1), {"max_size": 2}, "matrix size 3 exceeds the adet cap 2"),
+        (cyclic_closure, (7, 1), {}, "n*l = 7 exceeds the closure cap 6"),
+        (cyclic_closure, (2, 2), {"max_size": 3}, "n*l = 4 exceeds the closure cap 3"),
+        (cyclic_closure, (3, 3), {"alpha": 2}, "n*l = 9 exceeds the closure cap 8"),
+        (cyclic_closure, (5, 2), {"alpha": Fraction(-1, 2), "max_size": 9},
+         "n*l = 10 exceeds the closure cap 9"),
+    ],
+    ids=lambda x: getattr(x, "__name__", None) or repr(x),
+)
+def test_cap_messages_are_pinned(call, args, kwargs, message):
+    # Every cap refuses in the same sentence, at its default and under an
+    # explicit max_size, before any work.
+    with pytest.raises(CapExceededError) as err:
+        call(*args, **kwargs)
+    assert str(err.value) == message + _OVERRIDE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "--n", "7", "--l", "1", "--oracle"], "n*l = 7 exceeds the closure cap 6;"),
+        (["decompose", "--n", "3", "--l", "2", "--oracle", "--max-size", "5"],
+         "n*l = 6 exceeds the closure cap 5;"),
+        (["verify", "oracle", "--cases", "2,1;2,4"], "n*l = 8 exceeds the closure cap 6;"),
+    ],
+)
+def test_refused_closure_builds_no_transition_matrix(monkeypatch, capsys, argv, message):
+    # The generic closure runs before the shape loop, so its cap refuses
+    # before any F is built, the representation cap's included.
+    from alphadet import report, verify
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return transition_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(report, "transition_matrix", counting)
+    monkeypatch.setattr(verify, "transition_matrix", counting)
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    # verify oracle builds the passing case's matrices, and none of the refused one's
+    assert all(args[:2] == (2, 1) for args in calls)
 
 
 @pytest.mark.parametrize(
