@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from alphadet import __version__
-from alphadet.errors import AlphadetError
+from alphadet.errors import AlphadetError, CapExceededError
 from alphadet.exact import parse_rational
 from alphadet.formulas import n2_transition
 from alphadet.report import _matrix_obj, build_report, sanity_check, to_csv, to_json, to_text
@@ -211,6 +211,9 @@ VERIFY_OPTIONS = {
 }
 
 
+VERIFY_CAP_HINT = "verify runs at the default caps, so ask for smaller cases"
+
+
 def cmd_verify(args) -> int:
     params = inspect.signature(SUITES[args.suite]).parameters
     kwargs = {}
@@ -224,7 +227,11 @@ def cmd_verify(args) -> int:
         kwargs[param] = tuple(value) if isinstance(value, list) else value
     if refused:
         raise ValueError(f"suite {args.suite} does not take {', '.join(refused)}")
-    results = run_suite(args.suite, **kwargs)
+    try:
+        results = run_suite(args.suite, **kwargs)
+    except CapExceededError as exc:
+        # verify takes no --max-size: its checks run at the default caps
+        raise CapExceededError(exc.refusal, VERIFY_CAP_HINT) from None
     if not results:
         raise ValueError(f"suite {args.suite} ran no check with these options")
     for r in results:

@@ -9,7 +9,13 @@ class AlphadetError(Exception):
 
 
 class CapExceededError(AlphadetError):
-    """An enumeration or construction exceeded its size cap."""
+    """An enumeration or construction exceeded its size cap.  `refusal` is
+    the sentence that names the size and the cap, and `hint` says how to
+    get past it."""
+
+    def __init__(self, refusal: str, hint: str = "pass max_size (--max-size) to override"):
+        super().__init__(f"{refusal}; {hint}")
+        self.refusal = refusal
 
 
 class SizeMismatchError(AlphadetError, ValueError):
@@ -34,7 +40,4 @@ def check_cap(what: str, size: int, cap_name: str, default: int, max_size: int |
     e.g. "n*l =" or "matrix size", and `cap_name` names the layer's cap."""
     cap = default if max_size is None else max_size
     if size > cap:
-        raise CapExceededError(
-            f"{what} {size} exceeds the {cap_name} cap {cap}; "
-            "pass max_size (--max-size) to override"
-        )
+        raise CapExceededError(f"{what} {size} exceeds the {cap_name} cap {cap}")

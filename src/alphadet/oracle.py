@@ -23,16 +23,22 @@ The height of a weight, the sum of its prefix sums, goes up by one under
 a simple raising operator and down by one under a simple lowering one, so
 the raising phase visits the cone weights by ascending height and the
 lowering phase by descending height, and each space takes the images of
-its finished neighbours' rows.  Each space is filled against a size known
-before any work: every image of weight w lies in the span of the
+its finished neighbours' rows first and its own rows (the generator, or
+its raising-phase rows) after them.  Each space is filled against a size
+known before any work: every image of weight w lies in the span of the
 monomials of weight w whose every column has degree l, and their number
 comes from one DP over the columns.  Once a space holds that many rows it
-is full and takes no further image.  A finished space hands on its
-reduced echelon rows, which for a full space are its unit monomials, so
-no image is ever taken of a row that only served to fill a space, and the
+is full and takes no further row.  A finished space hands on its reduced
+echelon rows, which for a full space are its unit monomials, so no image
+is ever taken of a row that only served to fill a space, and the
 coefficients stay those of reduced echelon rows.  The order, the sizes and
 each space's feeds do not depend on alpha: they are the closure plan, the
 cone's one description, which the counts read too, cached per (n, l).
+The plan also keeps the work that does not depend on alpha once it is
+done: the span in a space of the images of a set of full sources (the
+unit monomials of a full space are the same at every alpha), and the
+count of a weight space of unit rows, with the rows it was taken on.  A
+later closure or count of the same (n, l) starts from them.
 
 All elimination is over Q, in the one reducer `kernels.RowReducer`, on
 integer rows keyed by monomial, and that row is the only format of a module
@@ -399,32 +405,44 @@ def _height(w: tuple[int, ...]) -> int:
 @cache
 def _closure_plan(n: int, l: int) -> tuple:
     """The cone part's one description, free of alpha and cached per
-    (n, l): (cone, sizes, raising, lowering).  The closure takes its order,
-    feeds and space sizes from it, and the counts read its weights.
+    (n, l): (cone, sizes, raising, lowering, spans, counts).  The closure
+    takes its order, feeds and space sizes from it, and the counts read its
+    weights; both keep there the work that does not depend on alpha, so
+    `_closure_plan.cache_clear()` drops it too.
 
     `cone` holds every weight of size n*l in the cone, by ascending height,
     so (l^n), the one weight of least height, comes first; `sizes[k]` is
     the number of monomials of cone[k] whose every column has degree l, by
-    one DP over the columns on the weight reached so far (every weight of
-    size n*l has some).  `raising[k]` lists (source, shifts) for each cone
-    weight cone[source] that a simple raising operator maps onto cone[k],
-    with that operator's `_packed_shifts`; `lowering[k]` does the same for
-    the simple lowering operators.  A raising source sits one height below
-    its target, so before it in `cone`, and a lowering source one height
-    above, so after it.
+    one DP over the columns on the weight reached so far, packed as one
+    int (every weight of size n*l has some).  `raising[k]` lists (source,
+    shifts) for each cone weight cone[source] that a simple raising
+    operator maps onto cone[k], with that operator's `_packed_shifts`;
+    `lowering[k]` does the same for the simple lowering operators.  A
+    raising source sits one height below its target, so before it in
+    `cone`, and a lowering source one height above, so after it.
+
+    `spans` starts empty and `_close` fills it: (k, full sources) maps to
+    the span in cone[k] of the images of those sources, built the first
+    time cone[k] meets that set, as its leads when it fills the space and
+    its echelon pivots otherwise (see `_close`).  Raising sources come
+    before k and lowering ones after it, so the key also names the phase.  `counts` starts empty
+    and `hwv_multiplicity` fills it: (lam's weight, digit width) maps to
+    (rows, count) for a weight space of unit rows.
     """
-    columns = [
-        [rows.count(i) for i in range(n)]
-        for rows in itertools.combinations_with_replacement(range(n), l)
-    ]
-    counts = {(0,) * n: 1}
+    # a weight is packed as n digits of base n*l + 1, which no entry
+    # reaches, so adding a column's packed weight never carries
+    places = [(n * l + 1) ** (n - 1 - i) for i in range(n)]
+    columns = [sum(rows) for rows in itertools.combinations_with_replacement(places, l)]
+    packed = {0: 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for w, count in counts.items():
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for w, count in packed.items():
             for c in columns:
-                v = tuple(a + b for a, b in zip(w, c))
-                nxt[v] = nxt.get(v, 0) + count
-        counts = nxt
+                v = w + c
+                nxt[v] = get(v, 0) + count
+        packed = nxt
+    counts = {tuple([w // p % (n * l + 1) for p in places]): c for w, c in packed.items()}
     b = l.bit_length()
     cone = sorted((w for w in counts if _in_cone(w, l)), key=_height)
     index = {w: k for k, w in enumerate(cone)}
@@ -445,7 +463,7 @@ def _closure_plan(n: int, l: int) -> tuple:
 
     raising = sources([(i, i + 1) for i in range(1, n)])
     lowering = sources([(j + 1, j) for j in range(1, n)])
-    return tuple(cone), tuple(counts[w] for w in cone), raising, lowering
+    return tuple(cone), tuple(counts[w] for w in cone), raising, lowering, {}, {}
 
 
 def _close(n: int, l: int, a: Fraction) -> list[list[dict[int, int]]]:
@@ -460,49 +478,78 @@ def _close(n: int, l: int, a: Fraction) -> list[list[dict[int, int]]]:
     rows, and the simple operators generate n+ and n-.
 
     Each phase fills one weight space at a time, in its own reducer: phase
-    1 by ascending height, phase 2 by descending height.  A space starts
-    from its rows so far (the generator, or its phase-1 rows) and takes the
-    images of the rows of each source space under the operator that maps
-    that source onto it.  A raising source sits one height lower and a
+    1 by ascending height, phase 2 by descending height.  A space takes
+    the images of the rows of each source space under the operator that
+    maps that source onto it, and then its rows so far (the generator, or
+    its phase-1 rows).  A raising source sits one height lower and a
     lowering source one height higher, so every source is finished before
     its target, and the space gets its whole share of the span.  Every
     image of weight w lies in the span of the `sizes` monomials of weight w
-    whose every column has degree l, so a space stops taking images as
-    soon as it holds that many rows, and a phase-2 space that phase 1
-    filled takes none.  A finished space hands on its reduced echelon rows:
-    for a full space those are its unit monomials, its leads, so no image
-    is taken of a row that only served to fill a space.  Raising from
-    (l^n) never leaves the cone, and the lowering source of a cone weight
-    has one partial sum mu_1 + ... + mu_j larger, so it lies in the cone
-    too: the plan lists only cone sources, and no weight outside the cone
-    is visited.  Rows of different weights share no monomial, so the
-    spaces' reduced echelon rows together are the unique reduced echelon
-    form of the cone part, whatever the order of the fill.
+    whose every column has degree l, so a space stops taking rows as soon
+    as it holds that many, and a phase-2 space that phase 1 filled takes
+    none.  A finished space hands on its reduced echelon rows: for a full
+    space those are its unit monomials, its leads, so no image is taken of
+    a row that only served to fill a space.  Raising from (l^n) never
+    leaves the cone, and the lowering source of a cone weight has one
+    partial sum mu_1 + ... + mu_j larger, so it lies in the cone too: the
+    plan lists only cone sources, and no weight outside the cone is
+    visited.  Rows of different weights share no monomial, so the spaces'
+    reduced echelon rows together are the unique reduced echelon form of
+    the cone part, whatever the order in which rows reach a space.
+
+    A full source hands on the unit rows of all its monomials at every
+    alpha, so the span of the images of a set of full sources does not
+    depend on alpha.  The plan keeps it, keyed by the space and that set,
+    from the first closure that meets them: its leads when it fills the
+    space, which then takes nothing else, and its echelon pivots
+    otherwise, from a copy of which the space goes on with the images of
+    its other sources and then its own rows.  A reducer never changes a
+    row in place, so the copy shares the rows.
     """
-    cone, sizes, raising, lowering = _closure_plan(n, l)
+    _, sizes, raising, lowering, spans, _ = _closure_plan(n, l)
     mask = (1 << l.bit_length()) - 1
-    spaces: list[list[dict[int, int]]] = [[] for _ in cone]
+    spaces: list[list[dict[int, int]]] = [[] for _ in sizes]
     spaces[0] = [_generator(n, l, a)]
 
     def fill(k, feeds):
-        """The reduced echelon rows of the k-th space: its rows so far and
-        the images of its sources' rows, until it is full."""
-        reducer = RowReducer()
-        for row in spaces[k]:
-            reducer.add(row)
+        """The reduced echelon rows of the k-th space: the images of its
+        sources' rows, then its rows so far, until it is full."""
         size = sizes[k]
-        for source, shifts in feeds[k]:
-            for row in spaces[source]:
-                if len(reducer.pivots) == size:
-                    break
-                reducer.add(_polarize(row, shifts, mask))
-        if len(reducer.pivots) == size:
-            return [{m: 1} for m in reducer.pivots]
+        reducer = RowReducer()
+        add, pivots = reducer.add, reducer.pivots
+        feeds = feeds[k]
+        full = tuple([s for s, _ in feeds if len(spaces[s]) == sizes[s]])
+        if full:
+            span = spans.get((k, full))
+            if span is None:
+                for source, shifts in feeds:
+                    if source in full:
+                        for row in spaces[source]:
+                            if len(pivots) == size:
+                                break
+                            add(_polarize(row, shifts, mask))
+                span = spans[k, full] = tuple(pivots) if len(pivots) == size else dict(pivots)
+            elif len(span) < size:
+                pivots = reducer.pivots = dict(span)
+            if len(span) == size:
+                return [{m: 1} for m in span]
+        for source, shifts in feeds:
+            if source not in full:
+                for row in spaces[source]:
+                    if len(pivots) == size:
+                        break
+                    add(_polarize(row, shifts, mask))
+        for row in spaces[k]:
+            if len(pivots) == size:
+                break
+            add(row)
+        if len(pivots) == size:
+            return [{m: 1} for m in pivots]
         return reducer.back_reduce()
 
-    for k in range(len(cone)):
+    for k in range(len(sizes)):
         spaces[k] = fill(k, raising)
-    for k in reversed(range(len(cone))):
+    for k in reversed(range(len(sizes))):
         if len(spaces[k]) < sizes[k]:
             spaces[k] = fill(k, lowering)
     return spaces
@@ -522,15 +569,26 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
     number that survive reduction.  The rows must have int coefficients, as
     every closure's and every `from_generators` basis's do; the reducer
     raises TypeError on a nonzero image of any other kind.
+
+    When the weight-lam rows are unit rows, as they are wherever a closure
+    fills the space, the count depends only on their leads and the width,
+    and so is the same at every alpha that fills it.  The closure plan of
+    (n, l) keeps it with the rows it was taken on, and a later basis of
+    that width whose weight-lam rows equal them reads it from there; any
+    other rows are counted afresh.
     """
     n = basis.n
     if lam.size != n * basis.l:
         raise SizeMismatchError(f"|lam| = {lam.size} is not n*l = {n * basis.l}")
     if lam.length > n:
         return 0
-    target = tuple(lam.part(i) for i in range(1, n + 1))
+    target = lam.parts + (0,) * (n - lam.length)
     rows = [row for row, w in zip(basis.rows, basis.weights) if w == target]
     b = basis.width
+    counts = _closure_plan(n, basis.l)[5]
+    known = counts.get((target, b))
+    if known is not None and known[0] == rows:
+        return known[1]
     mask = (1 << b) - 1
     k = n.bit_length()
     raising = [(i, _packed_shifts(i, i + 1, n, b)) for i in range(1, n)]
@@ -543,7 +601,10 @@ def hwv_multiplicity(basis: ModuleBasis, lam: Partition) -> int:
                 for m, c in _polarize(row, shifts, mask).items()
             }
         )
-    return len(rows) - len(reducer.pivots)
+    count = len(rows) - len(reducer.pivots)
+    if all(len(row) == 1 for row in rows):
+        counts[target, b] = rows, count
+    return count
 
 
 def weight_consistency_check(basis: ModuleBasis, mults: Mapping[Partition, int]) -> bool:

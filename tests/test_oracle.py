@@ -738,7 +738,7 @@ def test_closure_plan_orders_and_feeds_every_cone_weight(n, l):
     # Every cone weight once, by ascending height from (l^n), with its
     # monomials' count; each listed source is a cone weight that the listed
     # operator maps onto its target, and every such source is listed.
-    cone, sizes, raising, lowering = oracle._closure_plan(n, l)
+    cone, sizes, raising, lowering = oracle._closure_plan(n, l)[:4]
     assert oracle._closure_plan(n, l)[0] is cone
     assert len(set(cone)) == len(cone)
     assert sorted(cone) == _brute_cone(n, l)
@@ -786,41 +786,50 @@ def test_closure_plan_orders_and_feeds_every_cone_weight(n, l):
 def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alpha, full_spaces):
     # Each weight space is filled in its own reducer and holds at most its
     # monomials' count of rows; once it holds that many, it must take no
-    # further image.  A finished space hands on its reduced echelon rows:
-    # the unit rows of its leads once it is full.  Phase 1 fills spaces by
-    # ascending height from raising images, phase 2 by descending height
-    # from lowering images.
-    table = dict(zip(*oracle._closure_plan(n, l)[:2]))
+    # further row.  A space takes the images of its full sources, then those
+    # of its other sources, then its own rows (the generator, or its phase-1
+    # rows).  A finished space hands on its reduced echelon rows: the unit
+    # rows of its leads once it is full.  Phase 1 fills spaces by ascending
+    # height from raising images, phase 2 by descending height from
+    # lowering images.  The plan is dropped first, so that every span of
+    # full sources' images is built here, in a reducer, and none is read
+    # back from an earlier closure.
+    oracle._closure_plan.cache_clear()
+    cone, sizes = oracle._closure_plan(n, l)[:2]
+    table = dict(zip(cone, sizes))
     b = l.bit_length()
     operator = {
         oracle._packed_shifts(i, j, n, b): (i, j)
         for i, j in itertools.permutations(range(1, n + 1), 2)
     }
-    reducers, images = [], []
+    reducers, images, made = [], [], {}
 
     class Recording(oracle.RowReducer):
         def __init__(self):
             super().__init__()
+            self.added = []
             reducers.append(self)
 
         def add(self, row):
             if self.pivots:
                 w = _packed_weight(self.pivots, n, l)
-                assert len(self.pivots) < table[w], f"image added to the full weight space {w}"
+                assert len(self.pivots) < table[w], f"row added to the full weight space {w}"
             if row:
                 assert _in_cone(_packed_weight(row, n, l), l)
+            self.added.append(made.get(id(row)))
             return super().add(row)
 
     polarize = oracle._polarize
 
     def logged(row, shifts, mask):
-        images.append((operator[shifts], row, len(reducers)))
-        return polarize(row, shifts, mask)
+        image = polarize(row, shifts, mask)
+        made[id(image)] = len(images)
+        images.append((operator[shifts], row, len(reducers), image))
+        return image
 
     monkeypatch.setattr(oracle, "RowReducer", Recording)
     monkeypatch.setattr(oracle, "_polarize", logged)
     spaces = oracle._close(n, l, alpha)
-    cone = oracle._closure_plan(n, l)[0]
     # each space's rows have its weight, one per pivot of its last reducer
     last = {_packed_weight(r.pivots, n, l): r for r in reducers if r.pivots}
     for w, rows in zip(cone, spaces):
@@ -834,19 +843,28 @@ def test_close_reduces_no_image_into_a_full_weight_space(monkeypatch, n, l, alph
             assert rows == [{max(row): 1} for row in rows]
     # every image is of a row its finished source space handed on, a unit
     # row when that space was full
-    for _, row, created in images:
+    from_full = []
+    for _, row, created, _ in images:
         w = _packed_weight(row, n, l)
-        source = [r for r in reducers[:created] if r.pivots and _packed_weight(r.pivots, n, l) == w]
-        source = source[-1]
+        source = [
+            r for r in reducers[:created] if r.pivots and _packed_weight(r.pivots, n, l) == w
+        ][-1]
         assert max(row) in source.pivots
-        if len(source.pivots) == table[w]:
+        from_full.append(len(source.pivots) == table[w])
+        if from_full[-1]:
             assert row == {max(row): 1}
+    # in each reducer, the images of full sources come first, then the
+    # other images, then the space's own rows; some space takes both
+    for r in reducers:
+        order = [2 if k is None else 0 if from_full[k] else 1 for k in r.added]
+        assert order == sorted(order)
+    assert any(r.added[:1] != [None] and None in r.added for r in reducers)
     # raising images first, by non-decreasing target height, then lowering
     # images by non-increasing target height
-    phases = [i < j for (i, j), _, _ in images]
+    phases = [i < j for (i, j), _, _, _ in images]
     assert phases == sorted(phases, reverse=True)
     heights = [
-        _height(_packed_weight(row, n, l)) + (1 if i < j else -1) for (i, j), row, _ in images
+        _height(_packed_weight(row, n, l)) + (1 if i < j else -1) for (i, j), row, _, _ in images
     ]
     up = heights[: phases.count(True)]
     down = heights[phases.count(True) :]
@@ -923,6 +941,16 @@ CLOSURE_DIGESTS = {
         "aed2d784fb683c1fabb7b65e644786e6ed5fa7e4a18045cd6d9823be8ce3e3b0",
         "a2403635e9aa0062b4c7256d982243a3cca48ffd83ff2022c7a231cddf4da015",
     ),
+    (4, 1, Fraction(1, 2), None): (
+        97,
+        "4503f95478255d9a1580388c90b5227468eacd8fe83e401de4ac7c5d5dd4dc39",
+        "e37779ae83bcc6b920c373e97f5bf869fcafca843f913afffd551a9d5daba6b5",
+    ),
+    (6, 1, None, None): (
+        16807,
+        "3ee3629b96f62ae14d26e7554cbfa86401ed6cec2d7a014cde7ecd05e5c15f78",
+        "d2ab82b4d7f066f54ea40f6ab8263a8f07077dc76760d467d39a4c62f9860468",
+    ),
 }
 
 
@@ -938,6 +966,80 @@ def test_closure_bases_are_pinned(key):
     assert basis.dim == dim
     assert hashlib.sha256(gens.encode()).hexdigest() == gens_digest
     assert hashlib.sha256(weights.encode()).hexdigest() == weights_digest
+
+
+REUSE_ALPHAS = (Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+
+
+def _closure_digests(n, l, alphas):
+    # alpha -> sha256 of the closure's rows, terms sorted, its weights and
+    # every count, each taken on the plan as the closures before left it
+    out = {}
+    for a in alphas:
+        basis = cyclic_closure(n, l, alpha=a)
+        counts = [hwv_multiplicity(basis, lam) for lam in admissible_shapes(n, l)]
+        rows = [sorted(row.items()) for row in basis.rows]
+        out[a] = hashlib.sha256(repr((rows, basis.weights, counts)).encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("n, l", [(3, 2), (4, 1)], ids=str)
+def test_closures_that_reuse_the_plan_keep_every_basis_and_count(monkeypatch, n, l):
+    # The spans of full sources' images and the counts of unit-row spaces
+    # that a closure leaves on the plan serve the later closures of (n, l).
+    # Whichever alpha comes first, each basis and count is the one of a
+    # closure on a fresh plan; cache_clear drops the spans and counts with
+    # the plan.
+    fresh = {}
+    for a in REUSE_ALPHAS:
+        oracle._closure_plan.cache_clear()
+        fresh.update(_closure_digests(n, l, [a]))
+    oracle._closure_plan.cache_clear()
+    assert _closure_digests(n, l, REUSE_ALPHAS) == fresh
+    _, _, raising, lowering, spans, counts = oracle._closure_plan(n, l)
+    assert spans and counts
+    # at (4,1), alpha = 1/2 meets spaces with both full and short sources
+    sources = [{s for s, _ in up + down} for up, down in zip(raising, lowering)]
+    mixed = [k for k, full in spans if set(full) < sources[k]]
+    assert mixed or (n, l) != (4, 1)
+    oracle._closure_plan.cache_clear()
+    assert oracle._closure_plan(n, l)[4:] == ({}, {})
+    assert _closure_digests(n, l, REUSE_ALPHAS[::-1]) == fresh
+    # a warm plan spares images: alpha = 2 again polarizes fewer rows
+    calls = []
+    polarize = oracle._polarize
+
+    def counted(*args):
+        calls.append(args)
+        return polarize(*args)
+
+    monkeypatch.setattr(oracle, "_polarize", counted)
+    oracle._close(n, l, Fraction(2))
+    warm = len(calls)
+    oracle._closure_plan.cache_clear()
+    oracle._close(n, l, Fraction(2))
+    assert warm < len(calls) - warm
+
+
+@pytest.mark.parametrize("n, l", [(3, 1), (2, 3), (3, 2)], ids=str)
+def test_a_unit_row_basis_with_other_leads_gets_its_own_count(n, l):
+    # The plan keeps the count of a full weight space with the rows it was
+    # taken on.  A basis with a proper subset of those unit rows, packed at
+    # the closure's width, has the same weight and width, and must be
+    # counted afresh; the full space's count is still right after it.
+    oracle._closure_plan.cache_clear()
+    generic = cyclic_closure(n, l)
+    for lam in admissible_shapes(n, l):
+        target = tuple(lam.part(i) for i in range(1, n + 1))
+        rows = [row for row, w in zip(generic.rows, generic.weights) if w == target]
+        assert all(len(row) == 1 for row in rows)
+        whole = hwv_multiplicity(generic, lam)
+        assert whole == tuple_hwv_multiplicity(generic, lam)
+        for drop in range(len(rows)):
+            part = rows[:drop] + rows[drop + 1 :]
+            basis = ModuleBasis(n, l, None, tuple(part), (target,) * len(part), generic.width)
+            assert hwv_multiplicity(basis, lam) == tuple_hwv_multiplicity(basis, lam)
+        assert hwv_multiplicity(generic, lam) == whole
 
 
 def test_generic_closure_needs_a_full_certificate(monkeypatch):

@@ -185,6 +185,19 @@ def test_cli_decompose_csv_oracle_frontier_golden_bytes(capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_cli_decompose_csv_oracle_reuse_golden_bytes(capsys):
+    # The oracle's counts at (4,1) over seven alphas in one process, each
+    # closure after the first on the plan the ones before it left: where
+    # the closure fills the cone part (7/6, 2), where counts drop (1, -1,
+    # -1/2, -1/3), and 1/2, whose spaces have both full and short sources.
+    argv = ["decompose", "--n", "4", "--l", "1", "--oracle", "--alpha=1", "--alpha=-1",
+            "--alpha=-1/2", "--alpha=1/2", "--alpha=-1/3", "--alpha=7/6", "--alpha=2",
+            "--format", "csv"]
+    assert cli.main(argv) == 0
+    golden = (GOLDEN / "decompose_4_1_oracle.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_cli_decompose_csv_with_oracle_and_alphas(capsys):
     rc = cli.main(
         ["decompose", "--n", "2", "--l", "2", "--alpha=1", "--alpha=-1/2",
@@ -571,6 +584,18 @@ def test_refused_closure_builds_no_transition_matrix(monkeypatch, capsys, argv, 
     assert message in capsys.readouterr().err
     # verify oracle builds the passing case's matrices, and none of the refused one's
     assert all(args[:2] == (2, 1) for args in calls)
+
+
+def test_cli_verify_cap_error_names_no_flag_verify_lacks(capsys):
+    # verify takes no --max-size, so its refusal keeps the size and the cap
+    # and sends the user to smaller cases instead.
+    assert cli.main(["verify", "oracle", "--cases", "2,4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: n*l = 8 exceeds the closure cap 6; "
+        "verify runs at the default caps, so ask for smaller cases\n"
+    )
 
 
 @pytest.mark.parametrize(
